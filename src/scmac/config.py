@@ -99,13 +99,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.energy_profile not in ("calibrated", "naive", "measured"):
             raise ConfigError(f"unknown energy_profile {self.energy_profile!r}")
+        if self.n_inputs < 1:
+            raise ConfigError(f"n_inputs must be positive, got {self.n_inputs}")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
         if self.fom_steps < 1 or self.fom_ops < 1:
             raise ConfigError("fom_steps and fom_ops must be positive")
-        if not self.efficiency_ops:
-            self.efficiency_ops = {"back_solved": 150}
-        # derived label, recomputed whenever n_inputs changes
+        # derived label, recomputed whenever n_inputs changes; on a copy,
+        # because dataclasses.replace hands the same dict to the new config
+        self.efficiency_ops = dict(self.efficiency_ops or {"back_solved": 150})
         self.efficiency_ops["structural_2n_minus_1"] = 2 * self.n_inputs - 1
         for label, ops in self.efficiency_ops.items():
             if int(ops) < 1:
@@ -167,6 +169,16 @@ def _require_keys(section: str, d: dict) -> None:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    # the casts below see outside values: int(Infinity) raises OverflowError
+    try:
+        return ExperimentConfig(**_config_kwargs(raw))
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(str(exc)) from exc
+
+
+def _config_kwargs(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = set(raw) - {"schema_version", *_SECTION_KEYS}
@@ -226,13 +238,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if not isinstance(ops, dict):
             raise ConfigError("efficiency_ops must map labels to op counts")
         kwargs["efficiency_ops"] = {str(k): int(v) for k, v in ops.items()}
-
-    try:
-        return ExperimentConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
+    return kwargs
 
 
 def load_config(path) -> ExperimentConfig:

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 
+import numpy as np
+
 from .bitstream import Bitstream
 from .errors import ConversionError
 from .lfsr import (  # noqa: F401  (re-exported: the LFSR is a converter building block)
@@ -67,6 +69,30 @@ def adc_quantize_flagged(x: float, bits: int) -> tuple[int, bool]:
     xc = min(max(x, 0.0), 1.0)
     code = min(int(math.floor(xc * (1 << bits))), (1 << bits) - 1)
     return code, saturated
+
+
+def _clip_unit(x) -> tuple[np.ndarray, np.ndarray]:
+    """x clipped to [0, 1] as float64, and its out-of-range flags; NaN is rejected."""
+    x = np.asarray(x, dtype=np.float64)
+    xc = np.minimum(np.maximum(x, 0.0), 1.0)
+    outside = xc != x  # NaN passes through the clip, so it is flagged too
+    if np.count_nonzero(outside) and np.isnan(x).any():
+        raise ConversionError("converter input is NaN")
+    return xc, outside
+
+
+def adc_codes(x, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Array form of `adc_quantize_flagged`: int64 codes and saturation flags.
+
+    Scaling by 2^bits is exact in binary floating point, so truncating the
+    clipped, non-negative product gives the same code as the scalar ADC's
+    floor for every input. Codes are int64, so at most 62 bits are allowed.
+    """
+    if not 1 <= bits <= 62:
+        raise ConversionError(f"array ADC needs 1 to 62 bits, got {bits}")
+    xc, saturated = _clip_unit(x)
+    codes = (xc * float(1 << bits)).astype(np.int64)
+    return np.minimum(codes, (1 << bits) - 1), saturated
 
 
 @dataclass(frozen=True)
@@ -197,3 +223,30 @@ def thermometer_quantize(x, m: int) -> int:
         x = Fraction(x)
     xc = min(max(x, Fraction(0)), Fraction(1))
     return min(int(xc * (m + 1)), m)
+
+
+# inputs closer than this to a level boundary k/(m+1) are re-levelled with
+# Fractions; the float product x*(m+1) is off by at most (m+1)*2^-53
+_BOUNDARY_TOL = 1e-9
+
+
+def asc_levels(x, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Array ASC on the default ladder: levels, fired SAs and clamp flags.
+
+    Entry i equals what `asc_encode(Fraction(x[i]) * vdd, ref_ladder(m, vdd))`
+    returns as code count, enabled SA count and clamp flag, for every
+    vdd > 0: Fraction(x)*vdd >= (k/(m+1))*vdd iff x >= k/(m+1), so the
+    supply cancels exactly. The level is min(floor(clip(x, 0, 1)*(m+1)), m)
+    by a float floor, with an exact Fraction fallback within 1e-9 of a
+    boundary. SA i > 0 fires iff Y[i-1] resolved high, so a level-k input
+    fires 1 + min(k, m-1) SAs.
+    """
+    if m < 1:
+        raise ConversionError("ladder needs m >= 1 taps")
+    xc, clamped = _clip_unit(x)
+    scaled = xc * (m + 1)
+    levels = np.minimum(np.floor(scaled), m).astype(np.int64)
+    near = np.abs(scaled - np.rint(scaled)) < _BOUNDARY_TOL * (m + 1)
+    for i in np.flatnonzero(near):
+        levels.flat[i] = thermometer_quantize(Fraction(float(xc.flat[i])), m)
+    return levels, 1 + np.minimum(levels, m - 1), clamped

@@ -21,6 +21,7 @@ exact rationals and converted to float once on return.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -45,8 +46,8 @@ class MacConfig:
             raise MacError(f"m must be >= 1, got {self.m}")
         if self.n_inputs < 1:
             raise MacError(f"n_inputs must be >= 1, got {self.n_inputs}")
-        if not (self.vdd > 0):
-            raise MacError(f"vdd must be positive, got {self.vdd}")
+        if not (0 < self.vdd < math.inf):
+            raise MacError(f"vdd must be positive and finite, got {self.vdd}")
 
     @property
     def max_count(self) -> int:

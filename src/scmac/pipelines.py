@@ -20,6 +20,7 @@ logged per event with bit-level SRAM counting; energy pricing happens in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -29,12 +30,12 @@ import numpy as np
 from . import mac as mac_mod
 from ._prng import mix
 from .bitstream import flip_mask, mux_tree_scale
-from .converters import adc_quantize_flagged, asc_encode, ref_ladder, thermometer_quantize
+from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import InputDistribution, Uniform
 from .energy import ActivityLog, EnergyReport
 from .errors import ConfigError, SizeMismatchError
 from .lfsr import MAXIMAL_TAPS, cycle_length, state_cycle
-from .mac import MacConfig, MacInputs
+from .mac import MacConfig, ProductCounts
 
 VARIANTS = ("conventional", "proposed")
 
@@ -61,6 +62,26 @@ class SramModel:
     @classmethod
     def stochastic_store(cls, precision_bits: int, words: int) -> "SramModel":
         return cls((1 << precision_bits) - 1, words, sram_size_factor(precision_bits))
+
+
+def _maximal_period(width: int, taps: tuple[int, ...]) -> int:
+    """Period of a maximal-length (width, taps) LFSR; ConfigError otherwise.
+
+    The comparator mapping and the conventional oracle both assume the
+    cycle visits every state 1..2^width - 1: a shorter cycle decodes a
+    different expectation than the oracle computes.
+    """
+    if width < 2 or not taps or any(t < 1 or t > width for t in taps) or width not in taps:
+        raise ConfigError(
+            f"lfsr_taps {list(taps)} must lie in 1..{width} and include the width {width}"
+        )
+    period = cycle_length(width, taps)
+    if period != (1 << width) - 1:
+        raise ConfigError(
+            f"lfsr_taps {list(taps)} are not maximal for width {width}: "
+            f"period {period}, not {(1 << width) - 1}"
+        )
+    return period
 
 
 @dataclass(frozen=True)
@@ -94,12 +115,14 @@ class PipelineConfig:
             raise ConfigError("n_inputs, m and binary_bits must be positive")
         if self.trials < 1:
             raise ConfigError("trials must be positive")
-        if not (self.output_rate_hz > 0):
-            raise ConfigError("output rate must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        if not (0 < self.output_rate_hz < math.inf):
+            raise ConfigError(f"output rate must be positive and finite, got {self.output_rate_hz}")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise ConfigError("flip_probability must lie in [0, 1]")
-        if not (self.vdd > 0):
-            raise ConfigError("vdd must be positive")
+        if not (0 < self.vdd < math.inf):
+            raise ConfigError(f"vdd must be positive and finite, got {self.vdd}")
         taps = self.lfsr_taps
         if taps is None:
             if self.lfsr_width not in MAXIMAL_TAPS:
@@ -109,7 +132,7 @@ class PipelineConfig:
                 )
             taps = MAXIMAL_TAPS[self.lfsr_width]
         object.__setattr__(self, "lfsr_taps", tuple(taps))
-        period = cycle_length(self.lfsr_width, self.lfsr_taps)
+        period = _maximal_period(self.lfsr_width, self.lfsr_taps)
         if self.stream_length < 1 or self.stream_length > period:
             raise ConfigError(
                 f"stream_length must lie in [1, {period}] for a width-"
@@ -166,11 +189,17 @@ class LfsrStreamQuantizer:
     flip_probability: float = 0.0
 
 
-def _comparator_threshold(code: int, binary_bits: int, period: int) -> int:
-    # floor-scale an n-bit code onto the LFSR range; the full-period ones
-    # count is exactly this threshold
+def _comparator_thresholds(x, binary_bits: int, period: int) -> tuple[np.ndarray, np.ndarray]:
+    # floor-scale the n-bit ADC codes onto the LFSR range; the full-period
+    # ones count is exactly this threshold
     top = (1 << binary_bits) - 1
-    return (code * period) // top
+    if top * period >= 1 << 63:
+        raise ConfigError(
+            f"binary_bits {binary_bits} is too wide for a period-{period} LFSR: "
+            "comparator thresholds would overflow int64"
+        )
+    codes, saturated = adc_codes(x, binary_bits)
+    return (codes * period) // top, saturated
 
 
 @lru_cache(maxsize=None)
@@ -185,30 +214,36 @@ def _mux_leaf_weight_numerators(levels: int, one_num: int, period: int) -> tuple
     return tuple(out)
 
 
-def _conventional_expected_value(samples, weights, quant: LfsrStreamQuantizer) -> Fraction:
-    n_inputs = len(samples)
-    period = cycle_length(quant.lfsr_width, quant.lfsr_taps)
-    scale = mux_tree_scale(n_inputs)
+def _expected_value(thr_s, thr_w, positive, width: int, period: int, flip: Fraction) -> Fraction:
+    """Exact expected conventional decode from the comparator thresholds.
+
+    Multiplies and accumulates in Python ints: a threshold product reaches
+    period^2, and the flip denominator (2^58 for p = 0.02) times the leaf
+    weights overflows any fixed-width integer.
+    """
+    scale = mux_tree_scale(thr_s.size)
     levels = scale.bit_length() - 1
-
-    flip = Fraction(quant.flip_probability)
     # product-bit one-probability over a common integer denominator
-    den = period * period * flip.denominator
-    leaf_diff = [0] * scale
-    for j in range(n_inputs):
-        code_s, _ = adc_quantize_flagged(float(samples[j]), quant.binary_bits)
-        code_w, _ = adc_quantize_flagged(abs(float(weights[j])), quant.binary_bits)
-        num = _comparator_threshold(code_s, quant.binary_bits, period) * _comparator_threshold(
-            code_w, quant.binary_bits, period
-        )
+    full = period * period
+    den = full * flip.denominator
+    # the MUX selects are LFSR LSBs: 2^(w-1) of the period's states are odd
+    w_nums = _mux_leaf_weight_numerators(levels, 1 << (width - 1), period)
+    total = 0
+    for w, a, b, pos in zip(w_nums, thr_s.tolist(), thr_w.tolist(), positive.tolist()):
         # flips turn p into p(1-f) + (1-p)f, still over denominator `den`
-        num = num * flip.denominator + flip.numerator * (period * period - 2 * num)
-        leaf_diff[j] = num if float(weights[j]) >= 0.0 else -num
-
-    sel_ones = 1 << (quant.lfsr_width - 1)
-    w_nums = _mux_leaf_weight_numerators(levels, sel_ones, period)
-    total = sum(w * d for w, d in zip(w_nums, leaf_diff))
+        num = a * b * flip.denominator + flip.numerator * (full - 2 * a * b)
+        total += w * num if pos else -w * num
     return Fraction(scale * total, period**levels * den)
+
+
+def _conventional_expected_value(samples, weights, quant: LfsrStreamQuantizer) -> Fraction:
+    period = _maximal_period(quant.lfsr_width, quant.lfsr_taps)
+    weights = np.asarray(weights, dtype=np.float64)
+    thr_s, _ = _comparator_thresholds(samples, quant.binary_bits, period)
+    thr_w, _ = _comparator_thresholds(np.abs(weights), quant.binary_bits, period)
+    return _expected_value(
+        thr_s, thr_w, weights >= 0.0, quant.lfsr_width, period, Fraction(quant.flip_probability)
+    )
 
 
 def exact_oracle(samples, weights, quantizer):
@@ -269,24 +304,19 @@ def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, 
     length = cfg.stream_length
     n = cfg.n_inputs
 
-    codes_s = np.empty(n, dtype=np.int64)
-    codes_w = np.empty(n, dtype=np.int64)
-    positive = np.empty(n, dtype=bool)
-    for i in range(n):
-        codes_s[i], sat_s = adc_quantize_flagged(float(samples[i]), n_bits)
-        codes_w[i], sat_w = adc_quantize_flagged(abs(float(weights[i])), n_bits)
-        positive[i] = float(weights[i]) >= 0.0
-        if sat_s or sat_w:
-            log.note("adc_saturation")
+    weights = np.asarray(weights, dtype=np.float64)
+    positive = weights >= 0.0
+    thr_s, sat_s = _comparator_thresholds(samples, n_bits, period)
+    thr_w, sat_w = _comparator_thresholds(np.abs(weights), n_bits, period)
+    saturated = np.count_nonzero(sat_s | sat_w)
+    if saturated:
+        log.note("adc_saturation", saturated)
     log.record("adc_convert", n)  # sensor samples only; weights are preloaded
 
     # binary store: write fresh samples, read samples + weights (+1 sign bit)
     log.record("sram_cell_access", n * n_bits)
     log.record("sram_cell_access", n * n_bits + n * (n_bits + 1))
 
-    top = (1 << n_bits) - 1
-    thr_s = (codes_s * period) // top
-    thr_w = (codes_w * period) // top
     phases_s = rng.integers(0, period, size=n)
     phases_w = rng.integers(0, period, size=n)
     streams_s = _stream_matrix(width, taps, phases_s, length, thr_s)
@@ -319,58 +349,52 @@ def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, 
     log.record("sram_cell_access", 2 * length.bit_length())  # assumed output write-back
 
     decoded = (pos_count - neg_count) * scale / length
-    expected = exact_oracle(
-        samples,
-        weights,
-        LfsrStreamQuantizer(n_bits, width, taps, cfg.flip_probability),
-    )
-    return decoded, float(expected)
+    flip = Fraction(cfg.flip_probability)
+    return decoded, float(_expected_value(thr_s, thr_w, positive, width, period, flip))
 
 
 def _proposed_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log: ActivityLog):
     m = cfg.m
     n = cfg.n_inputs
-    ladder = ref_ladder(m, cfg.vdd)
-    vdd_frac = ladder.vdd
 
-    in_counts = np.empty(n, dtype=np.int64)
-    w_counts = np.empty(n, dtype=np.int64)
-    signs = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        code, activity = asc_encode(Fraction(float(samples[i])) * vdd_frac, ladder)
-        in_counts[i] = code.count
-        # gated pricing: only fired SAs draw energy; per-conversion and
-        # disabled tallies stay in metadata so nothing is double-priced
-        log.record("sa_fire", activity.enabled_sa_count)
-        log.note("asc_conversions")
-        log.note("sa_disabled", activity.disabled_sa_count)
-        if activity.input_clamped:
-            log.note("asc_input_clamped")
-        w_counts[i] = thermometer_quantize(Fraction(abs(float(weights[i]))), m)
-        signs[i] = 1 if float(weights[i]) >= 0.0 else 0
+    weights = np.asarray(weights, dtype=np.float64)
+    positive = weights >= 0.0
+    in_levels, fired, clamped = asc_levels(samples, m)
+    w_levels, _, _ = asc_levels(np.abs(weights), m)
+    # gated pricing: only fired SAs draw energy; per-conversion and
+    # disabled tallies stay in metadata so nothing is double-priced
+    fired_total = int(fired.sum())
+    log.record("sa_fire", fired_total)
+    log.note("asc_conversions", n)
+    log.note("sa_disabled", n * m - fired_total)
+    n_clamped = np.count_nonzero(clamped)
+    if n_clamped:
+        log.note("asc_input_clamped", n_clamped)
 
     # stochastic store: write fresh sample codes, read samples + weights (+ sign)
     log.record("sram_cell_access", n * m)
     log.record("sram_cell_access", n * m + n * (m + 1))
 
-    inputs = MacInputs.from_thermometer_counts(in_counts, w_counts, signs, m)
-    mac_cfg = cfg.mac_config
+    # the AND of two thermometer codes has min(count_a, count_b) leading ones
+    exact = np.minimum(in_levels, w_levels)
+    per_pair = exact
     if cfg.flip_probability > 0.0:
-        products = mac_mod.product_matrix(inputs).copy()
+        products = (np.arange(m) < exact[:, None]).astype(np.uint8)
         for i in range(n):
             products[i] ^= flip_mask(m, cfg.flip_probability, mix(cfg.seed, 0xF11B, trial, i))
-        counts = mac_mod.counts_from_products(products, inputs.signs)
-        vp, vn = mac_mod.phase1_voltages(counts, mac_cfg)
-        v = mac_mod.charge_share(vp, vn, mac_cfg)
-    else:
-        v, counts = mac_mod.mac_evaluate(inputs, mac_cfg)
+        per_pair = products.sum(axis=1, dtype=np.int64)
+    counts = ProductCounts(int(per_pair[positive].sum()), int(per_pair[~positive].sum()))
+    mac_cfg = cfg.mac_config
+    vp, vn = mac_mod.phase1_voltages(counts, mac_cfg)
+    v = mac_mod.charge_share(vp, vn, mac_cfg)
     log.record("mixed_signal_mac_eval", n)
     for phase in mac_mod.PHASE_SEQUENCE:
         log.note(f"mac_phase_{phase.value}")
     log.record("sram_cell_access", (2 * m * n).bit_length())  # assumed output write-back
 
     decoded = mac_mod.decode_voltage(v, mac_cfg)
-    oracle = exact_oracle(samples, weights, ThermometerQuantizer(m))
+    # the quantized oracle reads the same levels: sign * min(level_s, level_w)
+    oracle = int(exact[positive].sum()) - int(exact[~positive].sum())
     return float(decoded), float(oracle)
 
 

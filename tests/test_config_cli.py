@@ -235,3 +235,41 @@ def test_cli_asc_stats(tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"mac": {"vdd": Infinity}}',
+        '{"experiment": {"seed": -1}}',
+        '{"pipeline": {"output_rate_hz": Infinity}}',
+        '{"pipeline": {"n_inputs": Infinity}}',
+        '{"experiment": {"trials": NaN}}',
+        '{"pipeline": {"lfsr_width": 4, "lfsr_taps": [4, 2], "stream_length": 6}}',
+        '{"pipeline": {"lfsr_width": 4, "lfsr_taps": [3]}}',
+        '{"pipeline": {"binary_bits": 64}}',
+    ],
+)
+def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, text):
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    out = tmp_path / "out"
+    argv = ["compare", "--config", str(p), "--trials", "2", "--n-inputs", "4", "--out", str(out)]
+    rc = main(argv)
+    assert rc == 2
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replace_leaves_original_efficiency_ops_alone():
+    import dataclasses
+
+    cfg = default_config()
+    small = dataclasses.replace(cfg, n_inputs=64)
+    assert small.efficiency_ops["structural_2n_minus_1"] == 127
+    assert cfg.efficiency_ops == {"back_solved": 150, "structural_2n_minus_1": 599}
+
+
+def test_zero_inputs_error_names_n_inputs():
+    with pytest.raises(ConfigError, match="n_inputs"):
+        config_from_dict({"pipeline": {"n_inputs": 0}})

@@ -318,3 +318,33 @@ def test_flip_oracle_still_unbiased():
     errs = res.errors
     sigma_mean = errs.std(ddof=1) / np.sqrt(errs.size)
     assert abs(errs.mean()) <= 3.5 * sigma_mean
+
+
+def test_non_maximal_taps_rejected():
+    # period 6, not 15: the decode would disagree with the oracle
+    with pytest.raises(ConfigError, match="not maximal"):
+        conv_cfg(lfsr_width=4, lfsr_taps=(4, 2), stream_length=6)
+    # without the width tap the cycle never returns to state 1
+    with pytest.raises(ConfigError, match="include the width"):
+        conv_cfg(lfsr_width=4, lfsr_taps=(3,))
+    with pytest.raises(ConfigError, match="not maximal"):
+        exact_oracle([1.0], [1.0], LfsrStreamQuantizer(4, 4, (4, 2)))
+    assert conv_cfg(lfsr_width=4, lfsr_taps=(4, 3)).lfsr_taps == (4, 3)
+
+
+def test_too_wide_binary_bits_rejected():
+    # (2^50 - 1) * 32767 thresholds would wrap in int64 and decode 0 for 1
+    cfg = conv_cfg(n_inputs=1, trials=1, binary_bits=50)
+    with pytest.raises(ConfigError, match="overflow"):
+        conventional_pipeline([1.0], [1.0], cfg)
+    with pytest.raises(ConfigError, match="overflow"):
+        exact_oracle([1.0], [1.0], LfsrStreamQuantizer(50, 15, MAXIMAL_TAPS[15]))
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{"vdd": float("inf")}, {"seed": -1}, {"output_rate_hz": float("inf")}],
+)
+def test_config_rejects_non_finite_and_negative_values(kw):
+    with pytest.raises(ConfigError):
+        prop_cfg(**kw)
