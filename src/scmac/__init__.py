@@ -82,13 +82,11 @@ from .pipelines import (
     ExperimentResult,
     LfsrStreamQuantizer,
     PipelineConfig,
-    SramModel,
     ThermometerQuantizer,
     conventional_pipeline,
     exact_oracle,
     proposed_pipeline,
     run_comparison,
-    sram_size_factor,
 )
 
 __version__ = "0.1.0"

@@ -30,17 +30,26 @@ def mix(*parts: int) -> int:
     return acc
 
 
-def unit_floats(seed: int, indices: np.ndarray) -> np.ndarray:
+def splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """`splitmix64` over a uint64 array, element by element, wrapping mod 2^64."""
+    with np.errstate(over="ignore"):
+        z = np.asarray(x, dtype=np.uint64) + np.uint64(_GOLDEN)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Per-index uniforms in [0, 1), keyed by (seed, index).
 
     Vectorized splitmix64 over the index array; the value at a given index
-    never depends on which other indices are evaluated.
+    never depends on which other indices are evaluated. `seed` is an int or
+    a uint64 array that broadcasts against `indices`, one key per element.
     """
+    if isinstance(seed, np.ndarray):
+        seed = seed.astype(np.uint64)
+    else:
+        seed = np.uint64(int(seed) & _MASK64)
     with np.errstate(over="ignore"):
-        x = (np.asarray(indices, dtype=np.uint64) + np.uint64(1)) * np.uint64(_GOLDEN)
-        x += np.uint64(seed & _MASK64)
-        z = x
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        x = np.asarray(indices, dtype=np.uint64) * np.uint64(_GOLDEN) + seed
+    return (splitmix64_array(x) >> np.uint64(11)).astype(np.float64) / float(1 << 53)

@@ -28,8 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import mac as mac_mod
-from ._prng import mix
-from .bitstream import flip_mask, mux_tree_scale
+from ._prng import mix, splitmix64_array, unit_floats
+from .bitstream import mux_tree_scale
 from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import InputDistribution, Uniform
 from .energy import ActivityLog, EnergyReport
@@ -39,29 +39,9 @@ from .mac import MacConfig, ProductCounts
 
 VARIANTS = ("conventional", "proposed")
 
-
-def sram_size_factor(n: int) -> Fraction:
-    """Stochastic-store size relative to binary for n-bit-precision data."""
-    if n < 1:
-        raise ConfigError(f"precision must be >= 1 bit, got {n}")
-    return Fraction((1 << n) - 1, n)
-
-
-@dataclass(frozen=True)
-class SramModel:
-    """Array geometry bookkeeping for reporting."""
-
-    word_bits: int
-    words: int
-    sizing_factor: Fraction
-
-    @classmethod
-    def binary_store(cls, precision_bits: int, words: int) -> "SramModel":
-        return cls(precision_bits, words, Fraction(1))
-
-    @classmethod
-    def stochastic_store(cls, precision_bits: int, words: int) -> "SramModel":
-        return cls((1 << precision_bits) - 1, words, sram_size_factor(precision_bits))
+# `state_cycle` walks the whole 2^w - 1 cycle in Python and keeps a 2^w
+# phase table: about 1.4 s and 60 MB at width 20, doubling per extra bit
+MAX_LFSR_WIDTH = 20
 
 
 def _maximal_period(width: int, taps: tuple[int, ...]) -> int:
@@ -71,6 +51,8 @@ def _maximal_period(width: int, taps: tuple[int, ...]) -> int:
     cycle visits every state 1..2^width - 1: a shorter cycle decodes a
     different expectation than the oracle computes.
     """
+    if width > MAX_LFSR_WIDTH:
+        raise ConfigError(f"lfsr_width {width} exceeds the supported maximum {MAX_LFSR_WIDTH}")
     if width < 2 or not taps or any(t < 1 or t > width for t in taps) or width not in taps:
         raise ConfigError(
             f"lfsr_taps {list(taps)} must lie in 1..{width} and include the width {width}"
@@ -273,34 +255,24 @@ def exact_oracle(samples, weights, quantizer):
 # ---------------------------------------------------------------------------
 
 
-def _stream_matrix(width, taps, phases, length, thresholds) -> np.ndarray:
-    """(N, length) comparator streams, one row per (phase, threshold) pair."""
-    seq, _ = state_cycle(width, taps)
-    period = seq.size
-    idx = (phases[:, None] + 1 + np.arange(length, dtype=np.int64)[None, :]) % period
-    return (seq[idx] <= np.asarray(thresholds, dtype=np.int64)[:, None]).astype(np.uint8)
-
-
-def _select_matrix(width, taps, phases, length) -> np.ndarray:
-    seq, _ = state_cycle(width, taps)
-    period = seq.size
-    idx = (phases[:, None] + 1 + np.arange(length, dtype=np.int64)[None, :]) % period
-    return (seq[idx] & 1).astype(np.uint8)
-
-
-def _mux_tree_counts(leaves: np.ndarray, selects: np.ndarray) -> int:
-    """Ones count of the tree output; leaves is (2^c, L), selects (c, L)."""
-    stack = leaves
-    for level in range(selects.shape[0]):
-        pick = selects[level].astype(bool)[None, :]
-        stack = np.where(pick, stack[1::2], stack[0::2])
-    return int(stack[0].sum())
+def _flip_row_keys(seed: int, trial: int, n: int) -> np.ndarray:
+    """Flip-mask seeds of one trial's input rows: mix(seed, 0xF11B, trial, i) for i < n."""
+    acc = np.uint64(mix(seed, 0xF11B, trial))
+    return splitmix64_array(acc ^ np.arange(n, dtype=np.uint64))
 
 
 def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log: ActivityLog):
+    """One conventional output, evaluating only the leaf the MUX tree selects.
+
+    Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the output
+    is leaf j(t) = sum_l sel_l[t] << l. Each bit is one product bit
+    S_j[t] & W_j[t] (flipped by its keyed draw), or 0 when j(t) is a padding
+    leaf; the per-trial work is O(N + L * levels), never N * L.
+    """
     n_bits = cfg.binary_bits
     width, taps = cfg.lfsr_width, cfg.lfsr_taps
-    period = cycle_length(width, taps)
+    seq, _ = state_cycle(width, taps)
+    period = seq.size
     length = cfg.stream_length
     n = cfg.n_inputs
 
@@ -319,32 +291,31 @@ def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, 
 
     phases_s = rng.integers(0, period, size=n)
     phases_w = rng.integers(0, period, size=n)
-    streams_s = _stream_matrix(width, taps, phases_s, length, thr_s)
-    streams_w = _stream_matrix(width, taps, phases_w, length, thr_w)
     log.record("bsc_convert", 2 * n)
-
-    products = streams_s & streams_w
     log.record("sc_logic_eval", n)
-    if cfg.flip_probability > 0.0:
-        for i in range(n):
-            products[i] ^= flip_mask(length, cfg.flip_probability, mix(cfg.seed, 0xF11B, trial, i))
 
     scale = mux_tree_scale(n)
     levels = scale.bit_length() - 1
     log.note("mux_pad_streams", 2 * (scale - n))
-    pos_leaves = np.zeros((scale, length), dtype=np.uint8)
-    neg_leaves = np.zeros((scale, length), dtype=np.uint8)
-    pos_leaves[:n][positive] = products[positive]
-    neg_leaves[:n][~positive] = products[~positive]
 
     # one select network feeds both trees, as a single MUX array would
+    t = np.arange(length, dtype=np.int64)
+    leaf = np.zeros(length, dtype=np.int64)
     if levels:
         sel_phases = rng.integers(0, period, size=levels)
-        selects = _select_matrix(width, taps, sel_phases, length)
-    else:
-        selects = np.zeros((0, length), dtype=np.uint8)
-    pos_count = _mux_tree_counts(pos_leaves, selects)
-    neg_count = _mux_tree_counts(neg_leaves, selects)
+        for level, phase in enumerate(sel_phases.tolist()):
+            leaf |= (seq[(phase + 1 + t) % period] & 1) << level
+    real = leaf < n  # padding leaves are all-zero and never flipped
+    t, leaf = t[real], leaf[real]
+    bits = (seq[(phases_s[leaf] + 1 + t) % period] <= thr_s[leaf]) & (
+        seq[(phases_w[leaf] + 1 + t) % period] <= thr_w[leaf]
+    )
+    if cfg.flip_probability > 0.0:
+        keys = _flip_row_keys(cfg.seed, trial, n)[leaf]
+        bits ^= unit_floats(keys, t) < cfg.flip_probability
+    pos = positive[leaf]
+    pos_count = np.count_nonzero(bits & pos)
+    neg_count = np.count_nonzero(bits & ~pos)
     log.record("sbc_convert", 2)
     log.record("sram_cell_access", 2 * length.bit_length())  # assumed output write-back
 
@@ -379,9 +350,9 @@ def _proposed_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log:
     exact = np.minimum(in_levels, w_levels)
     per_pair = exact
     if cfg.flip_probability > 0.0:
-        products = (np.arange(m) < exact[:, None]).astype(np.uint8)
-        for i in range(n):
-            products[i] ^= flip_mask(m, cfg.flip_probability, mix(cfg.seed, 0xF11B, trial, i))
+        products = np.arange(m) < exact[:, None]
+        keys = _flip_row_keys(cfg.seed, trial, n)[:, None]
+        products ^= unit_floats(keys, np.arange(m)) < cfg.flip_probability
         per_pair = products.sum(axis=1, dtype=np.int64)
     counts = ProductCounts(int(per_pair[positive].sum()), int(per_pair[~positive].sum()))
     mac_cfg = cfg.mac_config

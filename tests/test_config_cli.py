@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -258,6 +259,21 @@ def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, text):
     rc = main(argv)
     assert rc == 2
     assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_wide_lfsr_before_walking_its_cycle(tmp_path, capsys):
+    # a width-31 cycle walk would take hours; the width bound comes first
+    p = tmp_path / "cfg.json"
+    p.write_text('{"pipeline": {"lfsr_width": 31, "lfsr_taps": [31, 28]}}')
+    out = tmp_path / "out"
+    argv = ["compare", "--config", str(p), "--trials", "2", "--n-inputs", "4", "--out", str(out)]
+    start = time.perf_counter()
+    rc = main(argv)
+    elapsed = time.perf_counter() - start
+    assert rc == 2
+    assert "lfsr_width 31" in capsys.readouterr().err
+    assert elapsed < 1.0
     assert not out.exists()
 
 

@@ -15,9 +15,18 @@ from scmac import (
     exact_oracle,
     proposed_pipeline,
 )
-from scmac.bitstream import mux_tree_scale
+from scmac._prng import mix, unit_floats
+from scmac.bitstream import flip_mask, mux_tree_scale
 from scmac.converters import adc_codes, adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
-from scmac.lfsr import MAXIMAL_TAPS, cycle_length
+from scmac.energy import ActivityLog
+from scmac.lfsr import MAXIMAL_TAPS, cycle_length, state_cycle
+from scmac.mac import ProductCounts, charge_share, decode_voltage, phase1_voltages
+from scmac.pipelines import (
+    _comparator_thresholds,
+    _conventional_trial,
+    _expected_value,
+    _flip_row_keys,
+)
 
 MS = (1, 3, 7, 14, 15, 16)
 VDDS = (1.0, 0.8, 1.3)
@@ -184,6 +193,172 @@ def test_conventional_trial_oracle_matches_scalar_reference(n, flip):
     res = conventional_pipeline(samples, weights, cfg)
     quant = LfsrStreamQuantizer(cfg.binary_bits, width, taps, flip)
     assert res.oracle[0] == float(_scalar_expected_value(samples, weights, quant))
+
+
+# Full-matrix conventional trial: every (input, bit) product, per-row flip
+# masks, then the whole MUX tree. The selected-leaf worker must equal it.
+
+
+def _stream_matrix(width, taps, phases, length, thresholds) -> np.ndarray:
+    """(N, length) comparator streams, one row per (phase, threshold) pair."""
+    seq, _ = state_cycle(width, taps)
+    period = seq.size
+    idx = (phases[:, None] + 1 + np.arange(length, dtype=np.int64)[None, :]) % period
+    return (seq[idx] <= np.asarray(thresholds, dtype=np.int64)[:, None]).astype(np.uint8)
+
+
+def _select_matrix(width, taps, phases, length) -> np.ndarray:
+    seq, _ = state_cycle(width, taps)
+    period = seq.size
+    idx = (phases[:, None] + 1 + np.arange(length, dtype=np.int64)[None, :]) % period
+    return (seq[idx] & 1).astype(np.uint8)
+
+
+def _mux_tree_counts(leaves: np.ndarray, selects: np.ndarray) -> int:
+    """Ones count of the tree output; leaves is (2^c, L), selects (c, L)."""
+    stack = leaves
+    for level in range(selects.shape[0]):
+        pick = selects[level].astype(bool)[None, :]
+        stack = np.where(pick, stack[1::2], stack[0::2])
+    return int(stack[0].sum())
+
+
+def _full_matrix_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log: ActivityLog):
+    n_bits = cfg.binary_bits
+    width, taps = cfg.lfsr_width, cfg.lfsr_taps
+    period = cycle_length(width, taps)
+    length = cfg.stream_length
+    n = cfg.n_inputs
+
+    weights = np.asarray(weights, dtype=np.float64)
+    positive = weights >= 0.0
+    thr_s, sat_s = _comparator_thresholds(samples, n_bits, period)
+    thr_w, sat_w = _comparator_thresholds(np.abs(weights), n_bits, period)
+    saturated = np.count_nonzero(sat_s | sat_w)
+    if saturated:
+        log.note("adc_saturation", saturated)
+    log.record("adc_convert", n)
+
+    log.record("sram_cell_access", n * n_bits)
+    log.record("sram_cell_access", n * n_bits + n * (n_bits + 1))
+
+    phases_s = rng.integers(0, period, size=n)
+    phases_w = rng.integers(0, period, size=n)
+    streams_s = _stream_matrix(width, taps, phases_s, length, thr_s)
+    streams_w = _stream_matrix(width, taps, phases_w, length, thr_w)
+    log.record("bsc_convert", 2 * n)
+
+    products = streams_s & streams_w
+    log.record("sc_logic_eval", n)
+    if cfg.flip_probability > 0.0:
+        for i in range(n):
+            products[i] ^= flip_mask(length, cfg.flip_probability, mix(cfg.seed, 0xF11B, trial, i))
+
+    scale = mux_tree_scale(n)
+    levels = scale.bit_length() - 1
+    log.note("mux_pad_streams", 2 * (scale - n))
+    pos_leaves = np.zeros((scale, length), dtype=np.uint8)
+    neg_leaves = np.zeros((scale, length), dtype=np.uint8)
+    pos_leaves[:n][positive] = products[positive]
+    neg_leaves[:n][~positive] = products[~positive]
+
+    if levels:
+        sel_phases = rng.integers(0, period, size=levels)
+        selects = _select_matrix(width, taps, sel_phases, length)
+    else:
+        selects = np.zeros((0, length), dtype=np.uint8)
+    pos_count = _mux_tree_counts(pos_leaves, selects)
+    neg_count = _mux_tree_counts(neg_leaves, selects)
+    log.record("sbc_convert", 2)
+    log.record("sram_cell_access", 2 * length.bit_length())
+
+    decoded = (pos_count - neg_count) * scale / length
+    flip = Fraction(cfg.flip_probability)
+    return decoded, float(_expected_value(thr_s, thr_w, positive, width, period, flip))
+
+
+# the full-matrix reference holds int64 (N, L) index matrices: cap N * L
+FULL_MATRIX_CELLS = 300 * 8191
+
+
+@pytest.mark.parametrize(
+    "register", [(3, MAXIMAL_TAPS[3]), (4, MAXIMAL_TAPS[4]), (15, MAXIMAL_TAPS[15]), CUSTOM_TAPS[0]]
+)
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 300))
+def test_selected_leaf_trial_matches_full_matrix(register, n):
+    width, taps = register
+    period = cycle_length(width, taps)
+    lengths = sorted({ell for ell in (1, 15, 8191, period) if ell <= period})
+    rng = np.random.default_rng(n)
+    samples = rng.uniform(-0.1, 1.1, n)
+    magnitudes = rng.uniform(0.0, 1.1, n)
+    signs = {"positive": 1.0, "negative": -1.0, "mixed": np.where(np.arange(n) % 3, 1.0, -1.0)}
+    for length in lengths:
+        if n * length > FULL_MATRIX_CELLS:
+            continue
+        for flip in (0.0, 0.02, 1.0):
+            for label, sign in signs.items():
+                cfg = PipelineConfig(
+                    variant="conventional",
+                    n_inputs=n,
+                    lfsr_width=width,
+                    lfsr_taps=taps,
+                    stream_length=length,
+                    flip_probability=flip,
+                    seed=2**63 + 5,
+                )
+                weights = sign * magnitudes
+                trial = 3
+                got_log, want_log = ActivityLog(), ActivityLog()
+                got = _conventional_trial(
+                    samples, weights, cfg, np.random.default_rng((cfg.seed, trial)), trial, got_log
+                )
+                want = _full_matrix_trial(
+                    samples, weights, cfg, np.random.default_rng((cfg.seed, trial)), trial, want_log
+                )
+                case = (length, flip, label)
+                assert got == want, case
+                assert got_log == want_log, case
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2**63 + 5, 2**64 - 1))
+def test_flip_row_keys_match_scalar_mix(seed):
+    keys = _flip_row_keys(seed, 7, 40)
+    assert keys.dtype == np.uint64
+    assert [int(k) for k in keys] == [mix(seed, 0xF11B, 7, i) for i in range(40)]
+
+
+def test_unit_floats_broadcast_matches_scalar_calls():
+    seeds = np.array([0, 1, 12345, 2**63, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
+    idx = np.arange(64, dtype=np.uint64)
+    want = np.stack([unit_floats(int(s), idx) for s in seeds])
+    assert np.array_equal(unit_floats(seeds[:, None], idx), want)
+    # one seed per element, as the selected-leaf flip draw uses them
+    picks = np.arange(seeds.size * 3) % seeds.size
+    pos = np.arange(picks.size, dtype=np.uint64) * np.uint64(7)
+    scalar = [unit_floats(int(seeds[k]), pos[i : i + 1])[0] for i, k in enumerate(picks)]
+    assert np.array_equal(unit_floats(seeds[picks], pos), scalar)
+
+
+@pytest.mark.parametrize("flip", (0.02, 1 / 15, 1.0))
+def test_proposed_flip_draw_matches_per_row_flip_mask(flip):
+    m, n, trials = 15, 40, 3
+    rng = np.random.default_rng(4)
+    samples, weights = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    cfg = PipelineConfig(
+        variant="proposed", n_inputs=n, m=m, trials=trials, seed=2**64 - 1, flip_probability=flip
+    )
+    res = proposed_pipeline(samples, weights, cfg)
+    exact = np.minimum(asc_levels(samples, m)[0], asc_levels(np.abs(weights), m)[0])
+    mac_cfg = cfg.mac_config
+    for t in range(trials):
+        products = (np.arange(m) < exact[:, None]).astype(np.uint8)
+        for i in range(n):
+            products[i] ^= flip_mask(m, flip, mix(cfg.seed, 0xF11B, t, i))
+        per_pair = products.sum(axis=1)
+        counts = ProductCounts(int(per_pair[weights >= 0].sum()), int(per_pair[weights < 0].sum()))
+        v = charge_share(*phase1_voltages(counts, mac_cfg), mac_cfg)
+        assert res.decoded[t] == float(decode_voltage(v, mac_cfg))
 
 
 @pytest.mark.parametrize("vdd", VDDS)

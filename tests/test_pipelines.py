@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: exactness, unbiasedness, noise, accounting."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,18 +12,15 @@ from scmac import (
     LfsrStreamQuantizer,
     PipelineConfig,
     SizeMismatchError,
-    SramModel,
     ThermometerQuantizer,
     conventional_pipeline,
     exact_oracle,
     proposed_pipeline,
     run_comparison,
-    sram_size_factor,
 )
 from scmac.energy import EVENT_KEYS, accumulate, default_tables
-from scmac.lfsr import MAXIMAL_TAPS, cycle_length
-from scmac.pipelines import _mux_tree_counts, _select_matrix, _stream_matrix
-from scmac.bitstream import mux_tree_scale
+from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_bits, threshold_bits
+from scmac.bitstream import Bitstream, ExplicitStream, mux_tree_accumulate, mux_tree_scale
 
 
 def conv_cfg(**kw):
@@ -35,21 +33,6 @@ def prop_cfg(**kw):
     base = dict(variant="proposed", n_inputs=4, trials=10, seed=3)
     base.update(kw)
     return PipelineConfig(**base)
-
-
-def test_sram_size_factor_examples():
-    assert sram_size_factor(1) == 1  # binary and stochastic stores coincide
-    assert sram_size_factor(4) == Fraction(15, 4)
-    assert sram_size_factor(2) == Fraction(3, 2)
-    with pytest.raises(ConfigError):
-        sram_size_factor(0)
-
-
-def test_sram_models():
-    binary = SramModel.binary_store(4, 300)
-    stoch = SramModel.stochastic_store(4, 300)
-    assert binary.sizing_factor == 1 and binary.word_bits == 4
-    assert stoch.word_bits == 15 and stoch.sizing_factor == Fraction(15, 4)
 
 
 def test_exact_oracle_thermometer_examples():
@@ -126,18 +109,29 @@ def test_conventional_oracle_matches_phase_enumeration():
     positive = np.asarray([x >= 0 for x in weights])
     scale = mux_tree_scale(n)
 
+    # product streams per (input, sample phase, weight phase), select per phase
+    prods = [
+        {
+            (ps, pw): Bitstream(
+                threshold_bits(w, taps, ps, length, int(thr_s[i]))
+                & threshold_bits(w, taps, pw, length, int(thr_w[i]))
+            )
+            for ps, pw in itertools.product(range(period), repeat=2)
+        }
+        for i in range(n)
+    ]
+    zero = Bitstream.zeros(length)
+    sels = [ExplicitStream(Bitstream(select_bits(w, taps, p, length))) for p in range(period)]
+
     total = Fraction(0)
     combos = 0
     for phases in itertools.product(range(period), repeat=5):
-        ss = _stream_matrix(w, taps, np.asarray(phases[0:2]), length, thr_s)
-        sw = _stream_matrix(w, taps, np.asarray(phases[2:4]), length, thr_w)
-        prod = ss & sw
-        pos = np.zeros((scale, length), np.uint8)
-        neg = np.zeros((scale, length), np.uint8)
-        pos[:n][positive] = prod[positive]
-        neg[:n][~positive] = prod[~positive]
-        sels = _select_matrix(w, taps, np.asarray(phases[4:5]), length)
-        diff = _mux_tree_counts(pos, sels) - _mux_tree_counts(neg, sels)
+        leaves = [prods[i][phases[i], phases[2 + i]] for i in range(n)]
+        pos = [b if p else zero for b, p in zip(leaves, positive)]
+        neg = [zero if p else b for b, p in zip(leaves, positive)]
+        sel = sels[phases[4]]  # one tree level, so one select stream
+        diff = mux_tree_accumulate(pos, sel).ones_count()
+        diff -= mux_tree_accumulate(neg, sel).ones_count()
         total += Fraction(diff * scale, length)
         combos += 1
     enumerated = total / combos
@@ -159,13 +153,29 @@ def test_conventional_oracle_with_flips_phase_enumeration():
 
     total = Fraction(0)
     for ps, pw in itertools.product(range(period), repeat=2):
-        ss = _stream_matrix(w, taps, np.asarray([ps]), length, thr_s)
-        sw = _stream_matrix(w, taps, np.asarray([pw]), length, thr_w)
+        ss = threshold_bits(w, taps, ps, length, int(thr_s[0]))
+        sw = threshold_bits(w, taps, pw, length, int(thr_w[0]))
         prod = (ss & sw) ^ 1
         total += Fraction(int(prod.sum()), length)
     enumerated = total / period**2
     oracle = exact_oracle(samples, weights, LfsrStreamQuantizer(n_bits, w, taps, 1.0))
     assert enumerated == oracle
+
+
+def test_conventional_trial_memory_is_linear():
+    """A conventional trial holds O(N + L) state, never an (N, L) matrix.
+
+    At N=5000, L=32767 one int64 (N, L) index matrix alone is 1.3 GB.
+    """
+    cfg = conv_cfg(n_inputs=5000, trials=1, stream_length=32767, flip_probability=0.02)
+    conventional_pipeline(None, None, cfg)  # warm the LFSR cycle and leaf-weight caches
+    tracemalloc.start()
+    try:
+        conventional_pipeline(None, None, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_conventional_unbiased_over_many_trials():
