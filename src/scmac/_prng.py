@@ -30,13 +30,21 @@ def mix(*parts: int) -> int:
     return acc
 
 
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 mixing steps, in place on a uint64 array already offset by _GOLDEN."""
+    with np.errstate(over="ignore"):
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """`splitmix64` over a uint64 array, element by element, wrapping mod 2^64."""
     with np.errstate(over="ignore"):
-        z = np.asarray(x, dtype=np.uint64) + np.uint64(_GOLDEN)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+        return _finalize(np.asarray(x, dtype=np.uint64) + np.uint64(_GOLDEN))
 
 
 def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -51,5 +59,10 @@ def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     else:
         seed = np.uint64(int(seed) & _MASK64)
     with np.errstate(over="ignore"):
-        x = np.asarray(indices, dtype=np.uint64) * np.uint64(_GOLDEN) + seed
-    return (splitmix64_array(x) >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+        z = np.asarray(indices, dtype=np.uint64) * np.uint64(_GOLDEN) + seed
+        z += np.uint64(_GOLDEN)
+    z = _finalize(z)
+    z >>= np.uint64(11)
+    out = z.astype(np.float64)
+    out /= float(1 << 53)
+    return out

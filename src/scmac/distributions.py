@@ -55,8 +55,10 @@ class ZeroPeakedGaussian(InputDistribution):
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
 
     def draw(self, rng, n):
-        samples = np.clip(np.abs(rng.normal(0.0, self.sigma, n)), 0.0, 1.0)
-        weights = np.clip(rng.normal(0.0, self.sigma, n), -1.0, 1.0)
+        # np.clip's wrapper costs more than the clipping at these sizes;
+        # minimum/maximum give the same values
+        samples = np.minimum(np.abs(rng.normal(0.0, self.sigma, n)), 1.0)
+        weights = np.minimum(np.maximum(rng.normal(0.0, self.sigma, n), -1.0), 1.0)
         return samples, weights
 
     def sample_survival(self):

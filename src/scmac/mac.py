@@ -29,8 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitstream import Bitstream
-from .converters import ThermometerCode
-from .errors import MacError
+from .errors import ConversionError, MacError
 
 
 @dataclass(frozen=True)
@@ -72,6 +71,16 @@ class SignedStochNumber:
             raise MacError(f"sign bit must be 0 or 1, got {self.sign}")
 
 
+def _thermometer_rows(counts, m: int) -> np.ndarray:
+    """(len(counts), m) thermometer bits; range-checked like `ThermometerCode.from_count`."""
+    if m < 1:
+        raise ConversionError("thermometer bits must be a nonempty 0/1 sequence")
+    for c in counts:
+        if not 0 <= c <= m:
+            raise ConversionError(f"count {c} outside [0, {m}]")
+    return np.arange(m) < np.asarray(counts, dtype=np.int64).reshape(-1, 1)
+
+
 class MacInputs:
     """N input streams and N signed weights, stored as packed bit matrices."""
 
@@ -110,10 +119,12 @@ class MacInputs:
 
     @classmethod
     def from_thermometer_counts(cls, in_counts, w_counts, signs, m: int) -> "MacInputs":
-        """Build thermometer-coded inputs directly from their levels."""
-        ins = [ThermometerCode.from_count(c, m).bits for c in in_counts]
-        ws = [ThermometerCode.from_count(c, m).bits for c in w_counts]
-        return cls(np.asarray(ins), np.asarray(ws), np.asarray(list(signs)))
+        """Build thermometer-coded inputs directly from their levels.
+
+        Row i holds `ThermometerCode.from_count(counts[i], m).bits`:
+        counts[i] leading ones, then zeros.
+        """
+        return cls(_thermometer_rows(in_counts, m), _thermometer_rows(w_counts, m), list(signs))
 
     @property
     def n_inputs(self) -> int:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -184,48 +183,62 @@ def _comparator_thresholds(x, binary_bits: int, period: int) -> tuple[np.ndarray
     return (codes * period) // top, saturated
 
 
-@lru_cache(maxsize=None)
-def _mux_leaf_weight_numerators(levels: int, one_num: int, period: int) -> tuple[int, ...]:
-    # weight of leaf j over common denominator period^levels; the select
-    # bit at level l picks the high branch with probability one_num/period
-    zero_num = period - one_num
-    out = []
-    for j in range(1 << levels):
-        ones = bin(j).count("1")
-        out.append(one_num**ones * zero_num ** (levels - ones))
-    return tuple(out)
+# the grouped oracle sums N threshold products of up to period^2 each; at or
+# above this bound on N * period^2 it sums Python ints instead of int64
+_INT64_SUM_BOUND = 1 << 63
 
 
-def _expected_value(thr_s, thr_w, positive, width: int, period: int, flip: Fraction) -> Fraction:
-    """Exact expected conventional decode from the comparator thresholds.
+def _expected_numerators(
+    thr_s, thr_w, positive, width: int, period: int, flip: Fraction
+) -> tuple[list[int], int]:
+    """Exact expected conventional decodes of a (T, N) batch, over one denominator.
 
-    Multiplies and accumulates in Python ints: a threshold product reaches
-    period^2, and the flip denominator (2^58 for p = 0.02) times the leaf
-    weights overflows any fixed-width integer.
+    Input j sits at MUX leaf j. The selects are LFSR LSBs, and 2^(w-1) of
+    the period's states are odd, so the tree reaches leaf j with weight
+    w_k = one^k * zero^(levels-k) / period^levels, k = popcount(j),
+    one = 2^(w-1), zero = period - one. Flips turn the product
+    one-probability p = a_j b_j / period^2 into p(1-f) + (1-p)f. Grouping
+    the inputs by popcount leaves levels + 1 big-int terms per trial:
+
+        total = sum_k w_k ((f_den - 2 f_num) S_k + f_num period^2 C_k)
+
+    where S_k and C_k sum sign_j * a_j * b_j and sign_j over popcount(j) = k.
+    The flip denominator (2^58 for f = 0.02) times the leaf weights
+    overflows any fixed-width integer, so only S_k and C_k are int64.
     """
-    scale = mux_tree_scale(thr_s.size)
+    n = thr_s.shape[1]
+    scale = mux_tree_scale(n)
     levels = scale.bit_length() - 1
-    # product-bit one-probability over a common integer denominator
     full = period * period
-    den = full * flip.denominator
-    # the MUX selects are LFSR LSBs: 2^(w-1) of the period's states are odd
-    w_nums = _mux_leaf_weight_numerators(levels, 1 << (width - 1), period)
-    total = 0
-    for w, a, b, pos in zip(w_nums, thr_s.tolist(), thr_w.tolist(), positive.tolist()):
-        # flips turn p into p(1-f) + (1-p)f, still over denominator `den`
-        num = a * b * flip.denominator + flip.numerator * (full - 2 * a * b)
-        total += w * num if pos else -w * num
-    return Fraction(scale * total, period**levels * den)
+    leaves = np.arange(n)
+    popcount = np.zeros(n, dtype=np.int64)
+    for level in range(levels):
+        popcount += (leaves >> level) & 1
+    dtype = np.int64 if n * full < _INT64_SUM_BOUND else object
+    groups = popcount[:, None] == np.arange(levels + 1)
+    sign = np.where(positive, 1, -1)
+    products = thr_s.astype(dtype) * thr_w.astype(dtype) * sign.astype(dtype)
+    s_sums = products @ groups.astype(dtype)
+    c_sums = sign @ groups.astype(np.int64)
+
+    one = 1 << (width - 1)
+    weights = [one**k * (period - one) ** (levels - k) for k in range(levels + 1)]
+    a, b = flip.denominator - 2 * flip.numerator, flip.numerator * full
+    nums = [
+        scale * sum(w * (a * s + b * c) for w, s, c in zip(weights, s_row, c_row))
+        for s_row, c_row in zip(s_sums.tolist(), c_sums.tolist())
+    ]
+    return nums, period**levels * full * flip.denominator
 
 
 def _conventional_expected_value(samples, weights, quant: LfsrStreamQuantizer) -> Fraction:
     period = _maximal_period(quant.lfsr_width, quant.lfsr_taps)
-    weights = np.asarray(weights, dtype=np.float64)
-    thr_s, _ = _comparator_thresholds(samples, quant.binary_bits, period)
+    weights = np.asarray(weights, dtype=np.float64)[None, :]
+    thr_s, _ = _comparator_thresholds(np.asarray(samples)[None, :], quant.binary_bits, period)
     thr_w, _ = _comparator_thresholds(np.abs(weights), quant.binary_bits, period)
-    return _expected_value(
-        thr_s, thr_w, weights >= 0.0, quant.lfsr_width, period, Fraction(quant.flip_probability)
-    )
+    flip = Fraction(quant.flip_probability)
+    nums, den = _expected_numerators(thr_s, thr_w, weights >= 0.0, quant.lfsr_width, period, flip)
+    return Fraction(nums[0], den)
 
 
 def exact_oracle(samples, weights, quantizer):
@@ -251,84 +264,92 @@ def exact_oracle(samples, weights, quantizer):
 
 
 # ---------------------------------------------------------------------------
-# Trial workers
+# Batched trial workers
 # ---------------------------------------------------------------------------
 
 
-def _flip_row_keys(seed: int, trial: int, n: int) -> np.ndarray:
-    """Flip-mask seeds of one trial's input rows: mix(seed, 0xF11B, trial, i) for i < n."""
-    acc = np.uint64(mix(seed, 0xF11B, trial))
-    return splitmix64_array(acc ^ np.arange(n, dtype=np.uint64))
+def _flip_row_keys(seed: int, trials, n: int) -> np.ndarray:
+    """Flip-mask seeds of the input rows of each trial: (T, n) of mix(seed, 0xF11B, t, i)."""
+    acc = np.array([mix(seed, 0xF11B, t) for t in trials], dtype=np.uint64)
+    return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
 
 
-def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log: ActivityLog):
-    """One conventional output, evaluating only the leaf the MUX tree selects.
+def _selected_inputs(seq, sel_phases, length: int, n: int):
+    """Bit position and flat input index row * N + j(t) of every real selected bit.
 
-    Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the output
-    is leaf j(t) = sum_l sel_l[t] << l. Each bit is one product bit
-    S_j[t] & W_j[t] (flipped by its keyed draw), or 0 when j(t) is a padding
-    leaf; the per-trial work is O(N + L * levels), never N * L.
+    Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the tree
+    outputs leaf j(t) = sum_l sel_l[t] << l. Leaves j >= N are all-zero
+    padding, never flipped, and are dropped. A stream of phase p reads
+    cycle position (p + 1 + t) mod period at bit t.
+    """
+    n_trials, levels = sel_phases.shape
+    t = np.arange(length)
+    leaf = np.zeros((n_trials, length), dtype=np.int64)
+    for level in range(levels):
+        leaf |= (np.take(seq, sel_phases[:, level, None] + 1 + t, mode="wrap") & 1) << level
+    real = leaf < n
+    leaf += np.arange(0, n_trials * n, n)[:, None]
+    return np.broadcast_to(t, real.shape)[real], leaf[real]
+
+
+def _conventional_batch(
+    cfg: PipelineConfig, trials, samples, weights, phases_s, phases_w, sel_phases, log
+):
+    """Conventional outputs of a chunk of trials, evaluating only the selected MUX leaf.
+
+    Inputs are (T, N) arrays, one row per trial, and `sel_phases` is
+    (T, levels). Each output bit is one product bit S_j[t] & W_j[t] of the
+    leaf j(t) the tree selects (flipped by its keyed draw), or 0 at a
+    padding leaf; the work is O(T * (N + L * levels)), never T * N * L.
     """
     n_bits = cfg.binary_bits
-    width, taps = cfg.lfsr_width, cfg.lfsr_taps
-    seq, _ = state_cycle(width, taps)
+    width = cfg.lfsr_width
+    seq, _ = state_cycle(width, cfg.lfsr_taps)
     period = seq.size
     length = cfg.stream_length
-    n = cfg.n_inputs
+    n_trials, n = samples.shape
 
-    weights = np.asarray(weights, dtype=np.float64)
     positive = weights >= 0.0
     thr_s, sat_s = _comparator_thresholds(samples, n_bits, period)
     thr_w, sat_w = _comparator_thresholds(np.abs(weights), n_bits, period)
     saturated = np.count_nonzero(sat_s | sat_w)
     if saturated:
         log.note("adc_saturation", saturated)
-    log.record("adc_convert", n)  # sensor samples only; weights are preloaded
-
-    # binary store: write fresh samples, read samples + weights (+1 sign bit)
-    log.record("sram_cell_access", n * n_bits)
-    log.record("sram_cell_access", n * n_bits + n * (n_bits + 1))
-
-    phases_s = rng.integers(0, period, size=n)
-    phases_w = rng.integers(0, period, size=n)
-    log.record("bsc_convert", 2 * n)
-    log.record("sc_logic_eval", n)
+    log.record("adc_convert", n_trials * n)  # sensor samples only; weights are preloaded
+    # binary store: write fresh samples, read samples + weights (+1 sign bit),
+    # then the assumed write-back of both counts
+    sram_per_trial = n * n_bits + n * n_bits + n * (n_bits + 1) + 2 * length.bit_length()
+    log.record("sram_cell_access", n_trials * sram_per_trial)
+    log.record("bsc_convert", n_trials * 2 * n)
+    log.record("sc_logic_eval", n_trials * n)
+    log.record("sbc_convert", n_trials * 2)
 
     scale = mux_tree_scale(n)
-    levels = scale.bit_length() - 1
-    log.note("mux_pad_streams", 2 * (scale - n))
+    log.note("mux_pad_streams", n_trials * 2 * (scale - n))
 
     # one select network feeds both trees, as a single MUX array would
-    t = np.arange(length, dtype=np.int64)
-    leaf = np.zeros(length, dtype=np.int64)
-    if levels:
-        sel_phases = rng.integers(0, period, size=levels)
-        for level, phase in enumerate(sel_phases.tolist()):
-            leaf |= (seq[(phase + 1 + t) % period] & 1) << level
-    real = leaf < n  # padding leaves are all-zero and never flipped
-    t, leaf = t[real], leaf[real]
-    bits = (seq[(phases_s[leaf] + 1 + t) % period] <= thr_s[leaf]) & (
-        seq[(phases_w[leaf] + 1 + t) % period] <= thr_w[leaf]
-    )
+    t, flat = _selected_inputs(seq, sel_phases, length, n)
+    bits = np.take(seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
+    bits &= np.take(seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
     if cfg.flip_probability > 0.0:
-        keys = _flip_row_keys(cfg.seed, trial, n)[leaf]
+        keys = _flip_row_keys(cfg.seed, trials, n).ravel()[flat]
         bits ^= unit_floats(keys, t) < cfg.flip_probability
-    pos = positive[leaf]
-    pos_count = np.count_nonzero(bits & pos)
-    neg_count = np.count_nonzero(bits & ~pos)
-    log.record("sbc_convert", 2)
-    log.record("sram_cell_access", 2 * length.bit_length())  # assumed output write-back
+    pos = positive.ravel()[flat]
+    counts = np.bincount(flat[bits & pos] // n, minlength=n_trials)
+    counts -= np.bincount(flat[bits & ~pos] // n, minlength=n_trials)
 
-    decoded = (pos_count - neg_count) * scale / length
+    decoded = counts * scale / length
     flip = Fraction(cfg.flip_probability)
-    return decoded, float(_expected_value(thr_s, thr_w, positive, width, period, flip))
+    nums, den = _expected_numerators(thr_s, thr_w, positive, width, period, flip)
+    # int true division is correctly rounded, as float(Fraction(num, den)) is
+    return decoded, [num / den for num in nums]
 
 
-def _proposed_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log: ActivityLog):
+def _proposed_batch(cfg: PipelineConfig, trials, samples, weights, log):
+    """Proposed outputs of a chunk of trials; inputs are (T, N) arrays."""
     m = cfg.m
-    n = cfg.n_inputs
+    n_trials, n = samples.shape
 
-    weights = np.asarray(weights, dtype=np.float64)
     positive = weights >= 0.0
     in_levels, fired, clamped = asc_levels(samples, m)
     w_levels, _, _ = asc_levels(np.abs(weights), m)
@@ -336,37 +357,37 @@ def _proposed_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log:
     # disabled tallies stay in metadata so nothing is double-priced
     fired_total = int(fired.sum())
     log.record("sa_fire", fired_total)
-    log.note("asc_conversions", n)
-    log.note("sa_disabled", n * m - fired_total)
+    log.note("asc_conversions", n_trials * n)
+    log.note("sa_disabled", n_trials * n * m - fired_total)
     n_clamped = np.count_nonzero(clamped)
     if n_clamped:
         log.note("asc_input_clamped", n_clamped)
 
-    # stochastic store: write fresh sample codes, read samples + weights (+ sign)
-    log.record("sram_cell_access", n * m)
-    log.record("sram_cell_access", n * m + n * (m + 1))
+    # stochastic store: write fresh sample codes, read samples + weights
+    # (+ sign), then the assumed output write-back
+    sram_per_trial = n * m + n * m + n * (m + 1) + (2 * m * n).bit_length()
+    log.record("sram_cell_access", n_trials * sram_per_trial)
+    log.record("mixed_signal_mac_eval", n_trials * n)
+    for phase in mac_mod.PHASE_SEQUENCE:
+        log.note(f"mac_phase_{phase.value}", n_trials)
 
     # the AND of two thermometer codes has min(count_a, count_b) leading ones
     exact = np.minimum(in_levels, w_levels)
     per_pair = exact
     if cfg.flip_probability > 0.0:
-        products = np.arange(m) < exact[:, None]
-        keys = _flip_row_keys(cfg.seed, trial, n)[:, None]
+        products = np.arange(m) < exact[:, :, None]
+        keys = _flip_row_keys(cfg.seed, trials, n)[:, :, None]
         products ^= unit_floats(keys, np.arange(m)) < cfg.flip_probability
-        per_pair = products.sum(axis=1, dtype=np.int64)
-    counts = ProductCounts(int(per_pair[positive].sum()), int(per_pair[~positive].sum()))
+        per_pair = products.sum(axis=2, dtype=np.int64)
+    n_p = np.where(positive, per_pair, 0).sum(axis=1)
+    n_n = np.where(positive, 0, per_pair).sum(axis=1)
     mac_cfg = cfg.mac_config
-    vp, vn = mac_mod.phase1_voltages(counts, mac_cfg)
-    v = mac_mod.charge_share(vp, vn, mac_cfg)
-    log.record("mixed_signal_mac_eval", n)
-    for phase in mac_mod.PHASE_SEQUENCE:
-        log.note(f"mac_phase_{phase.value}")
-    log.record("sram_cell_access", (2 * m * n).bit_length())  # assumed output write-back
-
-    decoded = mac_mod.decode_voltage(v, mac_cfg)
+    decoded = np.empty(n_trials, dtype=np.float64)
+    for k, counts in enumerate(zip(n_p.tolist(), n_n.tolist())):
+        vp, vn = mac_mod.phase1_voltages(ProductCounts(*counts), mac_cfg)
+        decoded[k] = mac_mod.decode_voltage(mac_mod.charge_share(vp, vn, mac_cfg), mac_cfg)
     # the quantized oracle reads the same levels: sign * min(level_s, level_w)
-    oracle = int(exact[positive].sum()) - int(exact[~positive].sum())
-    return float(decoded), float(oracle)
+    return decoded, np.where(positive, exact, -exact).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +468,25 @@ def _check_fixed_inputs(samples, weights, cfg: PipelineConfig):
     return samples, weights
 
 
+# trials per batched-worker call: about this many (trial, input or bit) elements
+_CHUNK_ELEMENTS = 1 << 12
+
+
+def _chunk_trials(cfg: PipelineConfig) -> int:
+    """Trials per batched-worker call: the widest per-trial array sets the count.
+
+    That array is (N,) or the (L,) leaf index for the conventional worker,
+    and (N,) or the (N, m) flip masks for the proposed one.
+    """
+    if cfg.variant == "conventional":
+        per_trial = max(cfg.n_inputs, cfg.stream_length)
+    elif cfg.flip_probability > 0.0:
+        per_trial = cfg.n_inputs * cfg.m
+    else:
+        per_trial = cfg.n_inputs
+    return max(1, _CHUNK_ELEMENTS // per_trial)
+
+
 def _run_pipeline(samples, weights, cfg: PipelineConfig) -> ExperimentResult:
     fixed = samples is not None or weights is not None
     if fixed:
@@ -454,17 +494,37 @@ def _run_pipeline(samples, weights, cfg: PipelineConfig) -> ExperimentResult:
             raise SizeMismatchError("provide both samples and weights, or neither")
         samples, weights = _check_fixed_inputs(samples, weights, cfg)
 
-    worker = _conventional_trial if cfg.variant == "conventional" else _proposed_trial
+    n = cfg.n_inputs
+    if cfg.variant == "conventional":
+        worker = _conventional_batch
+        period = state_cycle(cfg.lfsr_width, cfg.lfsr_taps)[0].size
+        # phases_s, phases_w, then the select phases, one per tree level
+        phase_sizes = (n, n, mux_tree_scale(n).bit_length() - 1)
+    else:
+        worker = _proposed_batch
+        phase_sizes = ()
+    chunk = _chunk_trials(cfg)
+
     log = ActivityLog()
     decoded = np.empty(cfg.trials, dtype=np.float64)
     oracle = np.empty(cfg.trials, dtype=np.float64)
-    for t in range(cfg.trials):
-        rng = np.random.default_rng((cfg.seed, t))
-        if fixed:
-            s_t, w_t = samples, weights
-        else:
-            s_t, w_t = cfg.distribution.draw(rng, cfg.n_inputs)
-        decoded[t], oracle[t] = worker(s_t, w_t, cfg, rng, t, log)
+    for start in range(0, cfg.trials, chunk):
+        trials = range(start, min(start + chunk, cfg.trials))
+        arrays = None
+        for row, t in enumerate(trials):
+            # every trial draws from its own generator in a fixed order:
+            # inputs (unless fixed), then the conventional LFSR phases
+            rng = np.random.default_rng((cfg.seed, t))
+            inputs = (samples, weights) if fixed else cfg.distribution.draw(rng, n)
+            draws = (*inputs, *(rng.integers(0, period, size=k) for k in phase_sizes))
+            # rows go straight into the (T, size) chunk arrays, so no list of
+            # per-trial draws is held beside them
+            if arrays is None:
+                arrays = [np.empty((len(trials), d.size), d.dtype) for d in draws]
+            for column, d in zip(arrays, draws):
+                column[row] = d
+        out = slice(trials.start, trials.stop)
+        decoded[out], oracle[out] = worker(cfg, trials, *arrays, log)
 
     return ExperimentResult(
         variant=cfg.variant,

@@ -1,6 +1,9 @@
 """Differential tests: each array fast path against its scalar reference model."""
 
+import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -15,16 +18,19 @@ from scmac import (
     exact_oracle,
     proposed_pipeline,
 )
-from scmac._prng import mix, unit_floats
+from scmac import mac as mac_mod
+from scmac import pipelines
+from scmac._prng import mix, splitmix64_array, unit_floats
 from scmac.bitstream import flip_mask, mux_tree_scale
 from scmac.converters import adc_codes, adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
+from scmac.distributions import InputDistribution
 from scmac.energy import ActivityLog
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, state_cycle
 from scmac.mac import ProductCounts, charge_share, decode_voltage, phase1_voltages
 from scmac.pipelines import (
+    _chunk_trials,
     _comparator_thresholds,
-    _conventional_trial,
-    _expected_value,
+    _conventional_batch,
     _flip_row_keys,
 )
 
@@ -174,6 +180,37 @@ def test_expected_value_matches_scalar_reference(seed, n, flip, register, bits):
     assert exact_oracle(samples, weights, quant) == want
 
 
+@pytest.mark.parametrize("flip", (0.0, 0.02, 0.5))
+def test_expected_value_sums_python_ints_past_int64(flip):
+    # a 41-bit period makes every threshold product pass 2^63 on its own
+    width, n = 41, 7
+    period = (1 << width) - 1
+    rng = np.random.default_rng(9)
+    thr_s = rng.integers(0, period + 1, size=(3, n))
+    thr_w = rng.integers(0, period + 1, size=(3, n))
+    thr_s[0, 0] = thr_w[0, 0] = period
+    positive = rng.uniform(size=(3, n)) < 0.5
+    f = Fraction(flip)
+    nums, den = pipelines._expected_numerators(thr_s, thr_w, positive, width, period, f)
+    for k in range(3):
+        want = _expected_value(thr_s[k], thr_w[k], positive[k], width, period, f)
+        assert Fraction(nums[k], den) == want
+
+
+@pytest.mark.parametrize("n", (1, 7, 300))
+def test_expected_value_int64_bound_boundary(n, monkeypatch):
+    """Both sides of the N * period^2 bound give the same exact oracle."""
+    width, taps = CUSTOM_TAPS[1]
+    period = cycle_length(width, taps)
+    rng = np.random.default_rng(n)
+    samples, weights = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    quant = LfsrStreamQuantizer(8, width, taps, 0.02)
+    want = _scalar_expected_value(samples, weights, quant)
+    for bound in (n * period**2, n * period**2 + 1):
+        monkeypatch.setattr(pipelines, "_INT64_SUM_BOUND", bound)
+        assert exact_oracle(samples, weights, quant) == want
+
+
 @pytest.mark.parametrize("n", (1, 7, 300))
 @pytest.mark.parametrize("flip", (0.0, 0.02, 0.5))
 def test_conventional_trial_oracle_matches_scalar_reference(n, flip):
@@ -193,6 +230,259 @@ def test_conventional_trial_oracle_matches_scalar_reference(n, flip):
     res = conventional_pipeline(samples, weights, cfg)
     quant = LfsrStreamQuantizer(cfg.binary_bits, width, taps, flip)
     assert res.oracle[0] == float(_scalar_expected_value(samples, weights, quant))
+
+
+# Per-trial reference workers: the conventional and proposed trials as they
+# ran before trials were batched, one generator and one call per trial, with
+# the per-input Python-int oracle. The batched workers must equal them.
+
+
+@lru_cache(maxsize=None)
+def _mux_leaf_weight_numerators(levels: int, one_num: int, period: int) -> tuple[int, ...]:
+    # weight of leaf j over common denominator period^levels; the select
+    # bit at level l picks the high branch with probability one_num/period
+    zero_num = period - one_num
+    out = []
+    for j in range(1 << levels):
+        ones = bin(j).count("1")
+        out.append(one_num**ones * zero_num ** (levels - ones))
+    return tuple(out)
+
+
+def _expected_value(thr_s, thr_w, positive, width: int, period: int, flip: Fraction) -> Fraction:
+    """Exact expected conventional decode from the comparator thresholds.
+
+    Multiplies and accumulates in Python ints: a threshold product reaches
+    period^2, and the flip denominator (2^58 for p = 0.02) times the leaf
+    weights overflows any fixed-width integer.
+    """
+    scale = mux_tree_scale(thr_s.size)
+    levels = scale.bit_length() - 1
+    # product-bit one-probability over a common integer denominator
+    full = period * period
+    den = full * flip.denominator
+    # the MUX selects are LFSR LSBs: 2^(w-1) of the period's states are odd
+    w_nums = _mux_leaf_weight_numerators(levels, 1 << (width - 1), period)
+    total = 0
+    for w, a, b, pos in zip(w_nums, thr_s.tolist(), thr_w.tolist(), positive.tolist()):
+        # flips turn p into p(1-f) + (1-p)f, still over denominator `den`
+        num = a * b * flip.denominator + flip.numerator * (full - 2 * a * b)
+        total += w * num if pos else -w * num
+    return Fraction(scale * total, period**levels * den)
+
+
+def _trial_flip_row_keys(seed: int, trial: int, n: int) -> np.ndarray:
+    """Flip-mask seeds of one trial's input rows: mix(seed, 0xF11B, trial, i) for i < n."""
+    acc = np.uint64(mix(seed, 0xF11B, trial))
+    return splitmix64_array(acc ^ np.arange(n, dtype=np.uint64))
+
+
+def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log: ActivityLog):
+    """One conventional output, evaluating only the leaf the MUX tree selects.
+
+    Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the output
+    is leaf j(t) = sum_l sel_l[t] << l. Each bit is one product bit
+    S_j[t] & W_j[t] (flipped by its keyed draw), or 0 when j(t) is a padding
+    leaf; the per-trial work is O(N + L * levels), never N * L.
+    """
+    n_bits = cfg.binary_bits
+    width, taps = cfg.lfsr_width, cfg.lfsr_taps
+    seq, _ = state_cycle(width, taps)
+    period = seq.size
+    length = cfg.stream_length
+    n = cfg.n_inputs
+
+    weights = np.asarray(weights, dtype=np.float64)
+    positive = weights >= 0.0
+    thr_s, sat_s = _comparator_thresholds(samples, n_bits, period)
+    thr_w, sat_w = _comparator_thresholds(np.abs(weights), n_bits, period)
+    saturated = np.count_nonzero(sat_s | sat_w)
+    if saturated:
+        log.note("adc_saturation", saturated)
+    log.record("adc_convert", n)  # sensor samples only; weights are preloaded
+
+    # binary store: write fresh samples, read samples + weights (+1 sign bit)
+    log.record("sram_cell_access", n * n_bits)
+    log.record("sram_cell_access", n * n_bits + n * (n_bits + 1))
+
+    phases_s = rng.integers(0, period, size=n)
+    phases_w = rng.integers(0, period, size=n)
+    log.record("bsc_convert", 2 * n)
+    log.record("sc_logic_eval", n)
+
+    scale = mux_tree_scale(n)
+    levels = scale.bit_length() - 1
+    log.note("mux_pad_streams", 2 * (scale - n))
+
+    # one select network feeds both trees, as a single MUX array would
+    t = np.arange(length, dtype=np.int64)
+    leaf = np.zeros(length, dtype=np.int64)
+    if levels:
+        sel_phases = rng.integers(0, period, size=levels)
+        for level, phase in enumerate(sel_phases.tolist()):
+            leaf |= (seq[(phase + 1 + t) % period] & 1) << level
+    real = leaf < n  # padding leaves are all-zero and never flipped
+    t, leaf = t[real], leaf[real]
+    bits = (seq[(phases_s[leaf] + 1 + t) % period] <= thr_s[leaf]) & (
+        seq[(phases_w[leaf] + 1 + t) % period] <= thr_w[leaf]
+    )
+    if cfg.flip_probability > 0.0:
+        keys = _trial_flip_row_keys(cfg.seed, trial, n)[leaf]
+        bits ^= unit_floats(keys, t) < cfg.flip_probability
+    pos = positive[leaf]
+    pos_count = np.count_nonzero(bits & pos)
+    neg_count = np.count_nonzero(bits & ~pos)
+    log.record("sbc_convert", 2)
+    log.record("sram_cell_access", 2 * length.bit_length())  # assumed output write-back
+
+    decoded = (pos_count - neg_count) * scale / length
+    flip = Fraction(cfg.flip_probability)
+    return decoded, float(_expected_value(thr_s, thr_w, positive, width, period, flip))
+
+
+def _proposed_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log: ActivityLog):
+    m = cfg.m
+    n = cfg.n_inputs
+
+    weights = np.asarray(weights, dtype=np.float64)
+    positive = weights >= 0.0
+    in_levels, fired, clamped = asc_levels(samples, m)
+    w_levels, _, _ = asc_levels(np.abs(weights), m)
+    # gated pricing: only fired SAs draw energy; per-conversion and
+    # disabled tallies stay in metadata so nothing is double-priced
+    fired_total = int(fired.sum())
+    log.record("sa_fire", fired_total)
+    log.note("asc_conversions", n)
+    log.note("sa_disabled", n * m - fired_total)
+    n_clamped = np.count_nonzero(clamped)
+    if n_clamped:
+        log.note("asc_input_clamped", n_clamped)
+
+    # stochastic store: write fresh sample codes, read samples + weights (+ sign)
+    log.record("sram_cell_access", n * m)
+    log.record("sram_cell_access", n * m + n * (m + 1))
+
+    # the AND of two thermometer codes has min(count_a, count_b) leading ones
+    exact = np.minimum(in_levels, w_levels)
+    per_pair = exact
+    if cfg.flip_probability > 0.0:
+        products = np.arange(m) < exact[:, None]
+        keys = _trial_flip_row_keys(cfg.seed, trial, n)[:, None]
+        products ^= unit_floats(keys, np.arange(m)) < cfg.flip_probability
+        per_pair = products.sum(axis=1, dtype=np.int64)
+    counts = ProductCounts(int(per_pair[positive].sum()), int(per_pair[~positive].sum()))
+    mac_cfg = cfg.mac_config
+    vp, vn = mac_mod.phase1_voltages(counts, mac_cfg)
+    v = mac_mod.charge_share(vp, vn, mac_cfg)
+    log.record("mixed_signal_mac_eval", n)
+    for phase in mac_mod.PHASE_SEQUENCE:
+        log.note(f"mac_phase_{phase.value}")
+    log.record("sram_cell_access", (2 * m * n).bit_length())  # assumed output write-back
+
+    decoded = mac_mod.decode_voltage(v, mac_cfg)
+    # the quantized oracle reads the same levels: sign * min(level_s, level_w)
+    oracle = int(exact[positive].sum()) - int(exact[~positive].sum())
+    return float(decoded), float(oracle)
+
+
+def _per_trial_run(samples, weights, cfg: PipelineConfig):
+    """(decoded, oracle, log) of the per-trial loop the batched pipeline replaced."""
+    fixed = samples is not None
+    worker = _conventional_trial if cfg.variant == "conventional" else _proposed_trial
+    log = ActivityLog()
+    decoded = np.empty(cfg.trials, dtype=np.float64)
+    oracle = np.empty(cfg.trials, dtype=np.float64)
+    for t in range(cfg.trials):
+        rng = np.random.default_rng((cfg.seed, t))
+        if fixed:
+            s_t, w_t = samples, weights
+        else:
+            s_t, w_t = cfg.distribution.draw(rng, cfg.n_inputs)
+        decoded[t], oracle[t] = worker(s_t, w_t, cfg, rng, t, log)
+    return decoded, oracle, log
+
+
+@dataclass(frozen=True)
+class _OutOfRange(InputDistribution):
+    """Inputs that overshoot both ends of the range, so the ADC saturates and the ASC clamps."""
+
+    kind = "out_of_range"
+
+    def draw(self, rng, n):
+        return rng.uniform(-0.3, 1.3, n), rng.uniform(-1.3, 1.3, n)
+
+
+def _assert_batched_matches_per_trial(samples, weights, cfg):
+    run = conventional_pipeline if cfg.variant == "conventional" else proposed_pipeline
+    res = run(samples, weights, cfg)
+    decoded, oracle, log = _per_trial_run(samples, weights, cfg)
+    assert np.array_equal(res.decoded, decoded)
+    assert np.array_equal(res.oracle, oracle)
+    assert res.activity == log
+    return res
+
+
+def _trial_counts(cfg):
+    chunk = _chunk_trials(cfg)
+    return sorted({c for c in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1) if c >= 1})
+
+
+@pytest.mark.parametrize("variant", ("conventional", "proposed"))
+@pytest.mark.parametrize("n", (1, 7, 300))
+@pytest.mark.parametrize("flip", (0.0, 0.02, 1.0))
+@pytest.mark.parametrize("fixed", (True, False), ids=("fixed", "drawn"))
+def test_batched_workers_match_per_trial_references(variant, n, flip, fixed, monkeypatch):
+    # a small chunk budget puts chunk boundaries inside short runs
+    monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
+    width, taps = 15, MAXIMAL_TAPS[15]
+    lengths = (1, 15, 8191, cycle_length(width, taps)) if variant == "conventional" else (15,)
+    rng = np.random.default_rng(n)
+    samples = rng.uniform(-0.1, 1.1, n) if fixed else None
+    weights = rng.uniform(-1.1, 1.1, n) if fixed else None
+    for length in lengths:
+        base = PipelineConfig(
+            variant=variant,
+            n_inputs=n,
+            stream_length=length,
+            flip_probability=flip,
+            distribution=_OutOfRange(),
+            seed=2**63 + 5,
+        )
+        for trials in _trial_counts(base):
+            cfg = dataclasses.replace(base, trials=trials)
+            _assert_batched_matches_per_trial(samples, weights, cfg)
+
+
+@pytest.mark.parametrize("variant", ("conventional", "proposed"))
+@pytest.mark.parametrize("flip", (0.0, 0.02))
+def test_batched_workers_match_per_trial_at_reference_shape(variant, flip):
+    base = PipelineConfig(variant=variant, n_inputs=300, flip_probability=flip, seed=3)
+    for trials in _trial_counts(base):
+        _assert_batched_matches_per_trial(None, None, dataclasses.replace(base, trials=trials))
+
+
+# at N=1, trial 0 of this seed draws in-range `_OutOfRange` inputs
+SATURATING_SEED = 2
+
+
+@pytest.mark.parametrize("variant", ("conventional", "proposed"))
+def test_first_saturation_after_trial_zero_is_logged(variant):
+    cfg = PipelineConfig(
+        variant=variant, n_inputs=1, trials=40, seed=SATURATING_SEED, distribution=_OutOfRange()
+    )
+    s0, w0 = cfg.distribution.draw(np.random.default_rng((cfg.seed, 0)), 1)
+    assert 0.0 <= s0[0] <= 1.0 and abs(w0[0]) <= 1.0
+    res = _assert_batched_matches_per_trial(None, None, cfg)
+    key = "adc_saturation" if variant == "conventional" else "asc_input_clamped"
+    assert res.activity.meta[key] > 0
+
+
+def test_batched_pipelines_omit_zero_saturation_counts():
+    for variant in ("conventional", "proposed"):
+        cfg = PipelineConfig(variant=variant, n_inputs=7, trials=30, seed=4)
+        res = _assert_batched_matches_per_trial(None, None, cfg)
+        assert "adc_saturation" not in res.activity.meta
+        assert "asc_input_clamped" not in res.activity.meta
 
 
 # Full-matrix conventional trial: every (input, bit) product, per-row flip
@@ -277,6 +567,17 @@ def _full_matrix_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, l
     return decoded, float(_expected_value(thr_s, thr_w, positive, width, period, flip))
 
 
+def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int, log: ActivityLog):
+    """One trial through the batched conventional worker, drawn as the pipeline draws it."""
+    rng = np.random.default_rng((cfg.seed, trial))
+    period = cycle_length(cfg.lfsr_width, cfg.lfsr_taps)
+    levels = mux_tree_scale(cfg.n_inputs).bit_length() - 1
+    phases = [rng.integers(0, period, size=k)[None] for k in (cfg.n_inputs, cfg.n_inputs, levels)]
+    rows = np.asarray(samples)[None], np.asarray(weights)[None]
+    decoded, oracle = _conventional_batch(cfg, range(trial, trial + 1), *rows, *phases, log)
+    return decoded[0], oracle[0]
+
+
 # the full-matrix reference holds int64 (N, L) index matrices: cap N * L
 FULL_MATRIX_CELLS = 300 * 8191
 
@@ -310,9 +611,7 @@ def test_selected_leaf_trial_matches_full_matrix(register, n):
                 weights = sign * magnitudes
                 trial = 3
                 got_log, want_log = ActivityLog(), ActivityLog()
-                got = _conventional_trial(
-                    samples, weights, cfg, np.random.default_rng((cfg.seed, trial)), trial, got_log
-                )
+                got = _batched_trial(samples, weights, cfg, trial, got_log)
                 want = _full_matrix_trial(
                     samples, weights, cfg, np.random.default_rng((cfg.seed, trial)), trial, want_log
                 )
@@ -323,9 +622,9 @@ def test_selected_leaf_trial_matches_full_matrix(register, n):
 
 @pytest.mark.parametrize("seed", (0, 1, 2**63 + 5, 2**64 - 1))
 def test_flip_row_keys_match_scalar_mix(seed):
-    keys = _flip_row_keys(seed, 7, 40)
+    keys = _flip_row_keys(seed, range(7, 9), 40)
     assert keys.dtype == np.uint64
-    assert [int(k) for k in keys] == [mix(seed, 0xF11B, 7, i) for i in range(40)]
+    assert keys.tolist() == [[mix(seed, 0xF11B, t, i) for i in range(40)] for t in (7, 8)]
 
 
 def test_unit_floats_broadcast_matches_scalar_calls():

@@ -24,6 +24,8 @@ from scmac import (
     mac_evaluate,
     phase1_voltages,
 )
+from scmac.converters import ThermometerCode
+from scmac.errors import ConversionError
 from scmac.mac import baseline_voltage, max_voltage
 
 
@@ -263,3 +265,23 @@ def test_voltages_use_exact_fractions():
     # 1/3-style ratios survive: VP at n_p=1, m=1, N=2 is exactly 1/3 in binary64
     vp, _ = phase1_voltages(ProductCounts(1, 0), MacConfig(1, 2, 1.0))
     assert vp == float(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_from_thermometer_counts_matches_thermometer_codes(m):
+    counts = list(range(m + 1))
+    signs = [c % 2 for c in counts]
+    inputs = MacInputs.from_thermometer_counts(counts, counts[::-1], signs, m)
+    assert inputs.in_bits.tolist() == [list(ThermometerCode.from_count(c, m).bits) for c in counts]
+    assert inputs.w_bits.tolist() == [list(ThermometerCode.from_count(c, m).bits) for c in counts[::-1]]
+    assert inputs.signs.tolist() == signs
+
+
+@pytest.mark.parametrize(
+    ("in_counts", "w_counts", "bad"), [([0, 5], [1, 1], 5), ([1, 1], [-1, 9], -1), ([6, 0], [7, 0], 6)]
+)
+def test_from_thermometer_counts_rejects_out_of_range(in_counts, w_counts, bad):
+    with pytest.raises(ConversionError, match=f"count {bad} outside \\[0, 4\\]"):
+        MacInputs.from_thermometer_counts(in_counts, w_counts, [1, 0], 4)
+    with pytest.raises(ConversionError, match=f"count {bad} outside \\[0, 4\\]"):
+        ThermometerCode.from_count(bad, 4)

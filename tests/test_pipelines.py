@@ -18,6 +18,7 @@ from scmac import (
     proposed_pipeline,
     run_comparison,
 )
+from scmac.distributions import ZeroPeakedGaussian
 from scmac.energy import EVENT_KEYS, accumulate, default_tables
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_bits, threshold_bits
 from scmac.bitstream import Bitstream, ExplicitStream, mux_tree_accumulate, mux_tree_scale
@@ -162,20 +163,46 @@ def test_conventional_oracle_with_flips_phase_enumeration():
     assert enumerated == oracle
 
 
+def _traced_peak(run, cfg) -> int:
+    """tracemalloc peak of one pipeline run, after a run that fills the LFSR cycle cache."""
+    run(None, None, cfg)
+    tracemalloc.start()
+    try:
+        run(None, None, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_conventional_trial_memory_is_linear():
     """A conventional trial holds O(N + L) state, never an (N, L) matrix.
 
     At N=5000, L=32767 one int64 (N, L) index matrix alone is 1.3 GB.
     """
     cfg = conv_cfg(n_inputs=5000, trials=1, stream_length=32767, flip_probability=0.02)
-    conventional_pipeline(None, None, cfg)  # warm the LFSR cycle and leaf-weight caches
-    tracemalloc.start()
-    try:
-        conventional_pipeline(None, None, cfg)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert _traced_peak(conventional_pipeline, cfg) < 64 * 2**20
+
+
+def test_long_stream_trials_peak_memory():
+    """At L=32767 a chunk is one trial: O(L) index arrays, about 1 MB."""
+    cfg = conv_cfg(n_inputs=300, trials=4, stream_length=32767, flip_probability=0.02)
+    assert _traced_peak(conventional_pipeline, cfg) <= 1.5 * 2**20
+
+
+@pytest.mark.parametrize("variant", ("conventional", "proposed"))
+def test_reference_shape_peak_memory(variant):
+    """N=300, L=15, 200 trials: chunks of a few thousand elements stay under 1 MB."""
+    cfg = PipelineConfig(
+        variant=variant,
+        n_inputs=300,
+        m=15,
+        stream_length=15,
+        trials=200,
+        distribution=ZeroPeakedGaussian(0.15),
+        seed=1,
+    )
+    run = conventional_pipeline if variant == "conventional" else proposed_pipeline
+    assert _traced_peak(run, cfg) < 2**20
 
 
 def test_conventional_unbiased_over_many_trials():
