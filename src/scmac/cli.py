@@ -29,7 +29,6 @@ from .energy import (
     expected_enabled_sas,
     gating_energy_saving,
     uniform_survival,
-    zero_peaked_survival,
 )
 from .errors import (
     ConfigError,
@@ -338,7 +337,7 @@ def cmd_asc_stats(args) -> int:
     entries = []
     for label, survival in (
         ("uniform", uniform_survival),
-        (f"zero_peaked_gaussian(sigma={sigma})", zero_peaked_survival(sigma)),
+        (f"zero_peaked_gaussian(sigma={sigma})", ZeroPeakedGaussian(sigma).sample_survival()),
     ):
         expected = expected_enabled_sas(m, survival)
         saving = gating_energy_saving(m, expected)

@@ -7,6 +7,7 @@ values cluster around zero; its width is a config knob.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -51,8 +52,8 @@ class ZeroPeakedGaussian(InputDistribution):
     kind = "zero_peaked_gaussian"
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not (0 < self.sigma < math.inf):
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 
     def draw(self, rng, n):
         # np.clip's wrapper costs more than the clipping at these sizes;

@@ -92,8 +92,61 @@ def lfsr_outputs(l: Lfsr, count: int) -> list[int]:
     return out
 
 
-# (width, taps) -> (sequence of states starting at 1, phase index per state)
-_SEQ_CACHE: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+# (width, taps) -> (states from 1, phase index per state, doubled LSB table)
+_SEQ_CACHE: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _feedback_bits(width: int, taps: tuple[int, ...], count: int) -> np.ndarray:
+    """Bits fed into position 0, from state 1: b[i + width - 1] is the bit of step i.
+
+    The first `width` entries are state 1 itself (zeros, then a one). Each
+    step feeds b[k] = XOR_{t in taps} b[k - t]. Squaring the feedback
+    polynomial over GF(2) spreads its lags, so b[k] = XOR_t b[k - 2^j t]
+    holds once 2^j * width bits are known, and each pass fills
+    2^j * min(taps) bits at once: O(log count) numpy passes, no Python step.
+    """
+    bits = np.zeros(count + width - 1, dtype=np.uint8)
+    bits[width - 1] = 1
+    low = min(taps)
+    known = width
+    while known < bits.size:
+        spread = 1 << ((known // width).bit_length() - 1)
+        end = min(known + spread * low, bits.size)
+        block = bits[known - spread * taps[0] : end - spread * taps[0]].copy()
+        for t in taps[1:]:
+            block ^= bits[known - spread * t : end - spread * t]
+        bits[known:end] = block
+        known = end
+    return bits
+
+
+def _cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
+    key = (width, taps)
+    cached = _SEQ_CACHE.get(key)
+    if cached is not None:
+        return cached
+    # the state after k steps is the width-bit window of feedback bits
+    # ending at step k, newest bit lowest; 2^width states must revisit 1
+    count = 1 << width
+    bits = _feedback_bits(width, taps, count)
+    states = np.zeros(count, dtype=np.int64)
+    for j in range(width):
+        states <<= 1
+        states |= bits[j : j + count]
+    returns = np.flatnonzero(states[1:] == 1)
+    if returns.size == 0:
+        raise ConversionError(f"state 1 never recurs under taps {taps}: the tap set needs the width")
+    period = int(returns[0]) + 1
+    seq_arr = states[:period]
+    phase_of = np.full(count, -1, dtype=np.int64)
+    phase_of[seq_arr] = np.arange(period, dtype=np.int64)
+    # a state's LSB is its newest feedback bit
+    lsb2 = np.tile(bits[width - 1 : width - 1 + period], 2)
+    for arr in (seq_arr, phase_of, lsb2):
+        arr.setflags(write=False)
+    _SEQ_CACHE[key] = (seq_arr, phase_of, lsb2)
+    return _SEQ_CACHE[key]
 
 
 def state_cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -103,24 +156,14 @@ def state_cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarr
     state 1 and phase_of[s] is the k with seq[k] == s (-1 for states not on
     the cycle, which only exist for non-maximal tap sets).
     """
-    taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
-    key = (width, taps)
-    cached = _SEQ_CACHE.get(key)
-    if cached is not None:
-        return cached
-    mask = _tap_mask(width, taps)
-    seq = [1]
-    s = _step(1, width, mask)
-    while s != 1:
-        seq.append(s)
-        s = _step(s, width, mask)
-    seq_arr = np.asarray(seq, dtype=np.int64)
-    phase_of = np.full(1 << width, -1, dtype=np.int64)
-    phase_of[seq_arr] = np.arange(len(seq), dtype=np.int64)
-    seq_arr.setflags(write=False)
-    phase_of.setflags(write=False)
-    _SEQ_CACHE[key] = (seq_arr, phase_of)
-    return seq_arr, phase_of
+    seq, phase_of, _ = _cycle(width, taps)
+    return seq, phase_of
+
+
+def select_table(width: int, taps: tuple[int, ...]) -> np.ndarray:
+    """The cycle's LSBs twice over, as uint8: the select stream of phase p is
+    `table[p + 1 : p + 1 + length]` for any length up to the period."""
+    return _cycle(width, taps)[2]
 
 
 def cycle_length(width: int, taps: tuple[int, ...]) -> int:

@@ -14,8 +14,8 @@ between the two sides, landing at
     V = 1/2 * (m*N + (n_p - n_n)) / (m*N + 1) * vdd.
 
 `charge_oracle` re-derives V by explicit per-capacitor charge bookkeeping
-and is the independent check on the closed form. Voltages are computed as
-exact rationals and converted to float once on return.
+and is the independent check on the closed form. Each side voltage is the
+exact rational count / (m*N + 1) * vdd, rounded to float once.
 """
 
 from __future__ import annotations
@@ -184,14 +184,23 @@ def count_products(inputs: MacInputs) -> ProductCounts:
     return counts_from_products(product_matrix(inputs), inputs.signs)
 
 
+def _vdd_share(count: int, caps: int, vdd: float) -> float:
+    """count / caps * vdd, correctly rounded: float(Fraction(count, caps) * Fraction(vdd)).
+
+    Python's int true division rounds correctly, so the exact rational
+    needs no Fraction object.
+    """
+    num, den = vdd.as_integer_ratio()
+    return count * num / (caps * den)
+
+
 def phase1_voltages(counts: ProductCounts, cfg: MacConfig) -> tuple[float, float]:
     """Per-side voltages after the voltage-dividing phase."""
     if counts.n_p > cfg.max_count or counts.n_n > cfg.max_count:
         raise MacError(f"counts {counts} exceed m*N = {cfg.max_count}")
-    vdd = Fraction(cfg.vdd)
-    vp = Fraction(counts.n_p, cfg.caps_per_side) * vdd
-    vn = Fraction(cfg.max_count - counts.n_n, cfg.caps_per_side) * vdd
-    return float(vp), float(vn)
+    vp = _vdd_share(counts.n_p, cfg.caps_per_side, cfg.vdd)
+    vn = _vdd_share(cfg.max_count - counts.n_n, cfg.caps_per_side, cfg.vdd)
+    return vp, vn
 
 
 def charge_share(vp: float, vn: float, cfg: MacConfig) -> float:
@@ -214,12 +223,12 @@ def mac_evaluate(inputs: MacInputs, cfg: MacConfig) -> tuple[float, ProductCount
 
 def baseline_voltage(cfg: MacConfig) -> float:
     """Shared voltage when n_p == n_n (the zero-MAC point)."""
-    return float(Fraction(cfg.max_count, 2 * cfg.caps_per_side) * Fraction(cfg.vdd))
+    return _vdd_share(cfg.max_count, 2 * cfg.caps_per_side, cfg.vdd)
 
 
 def max_voltage(cfg: MacConfig) -> float:
     """Shared voltage at full positive saturation (n_p = m*N, n_n = 0)."""
-    return float(Fraction(cfg.max_count, cfg.caps_per_side) * Fraction(cfg.vdd))
+    return _vdd_share(cfg.max_count, cfg.caps_per_side, cfg.vdd)
 
 
 def decode_voltage(v: float, cfg: MacConfig) -> int:
@@ -233,6 +242,37 @@ def decode_voltage(v: float, cfg: MacConfig) -> int:
         raise MacError(f"voltage {v} outside [0, {max_voltage(cfg)}]")
     raw = 2.0 * v / cfg.vdd * cfg.caps_per_side - cfg.max_count
     return int(round(raw))
+
+
+def decode_counts(n_p, n_n, cfg: MacConfig) -> np.ndarray:
+    """Decoded n_p - n_n for 1-D arrays of product counts, as an int64 array.
+
+    Equal to `decode_voltage(charge_share(*phase1_voltages(...)))` per
+    element: each distinct side count is priced once by the same exact
+    quotient, then sharing, the range checks and the decode run as array
+    operations in the scalar order. np.rint rounds half to even, as
+    round() does.
+    """
+    n_p = np.asarray(n_p, dtype=np.int64)
+    n_n = np.asarray(n_n, dtype=np.int64)
+    if n_p.ndim != 1 or n_n.shape != n_p.shape:
+        raise MacError(f"count arrays must be 1-D and equal in shape, got {n_p.shape} and {n_n.shape}")
+    if n_p.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    max_count, caps = cfg.max_count, cfg.caps_per_side
+    if min(n_p.min(), n_n.min()) < 0:
+        raise MacError("product counts cannot be negative")
+    if max(n_p.max(), n_n.max()) > max_count:
+        raise MacError(f"counts exceed m*N = {max_count}")
+    counts, index = np.unique(np.concatenate([n_p, max_count - n_n]), return_inverse=True)
+    side = np.array([_vdd_share(c, caps, cfg.vdd) for c in counts.tolist()])
+    v = (side[index[: n_p.size]] + side[index[n_p.size :]]) / 2.0
+    tol = 1e-9 * cfg.vdd
+    top = max_voltage(cfg)
+    if not np.all((-tol <= v) & (v <= top + tol)):
+        raise MacError(f"voltages outside [0, {top}]")
+    raw = 2.0 * v / cfg.vdd * caps - max_count
+    return np.rint(raw).astype(np.int64)
 
 
 @dataclass(frozen=True)

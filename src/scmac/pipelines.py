@@ -33,13 +33,13 @@ from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import InputDistribution, Uniform
 from .energy import ActivityLog, EnergyReport
 from .errors import ConfigError, SizeMismatchError
-from .lfsr import MAXIMAL_TAPS, cycle_length, state_cycle
-from .mac import MacConfig, ProductCounts
+from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
+from .mac import MacConfig
 
 VARIANTS = ("conventional", "proposed")
 
-# `state_cycle` walks the whole 2^w - 1 cycle in Python and keeps a 2^w
-# phase table: about 1.4 s and 60 MB at width 20, doubling per extra bit
+# `state_cycle` builds 2^w-entry state and phase tables: about 0.1 s and a
+# 34 MB peak at width 20, doubling per extra bit
 MAX_LFSR_WIDTH = 20
 
 
@@ -274,22 +274,29 @@ def _flip_row_keys(seed: int, trials, n: int) -> np.ndarray:
     return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
 
 
-def _selected_inputs(seq, sel_phases, length: int, n: int):
+def _selected_inputs(lsb2, sel_phases, length: int, n: int):
     """Bit position and flat input index row * N + j(t) of every real selected bit.
 
     Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the tree
     outputs leaf j(t) = sum_l sel_l[t] << l. Leaves j >= N are all-zero
-    padding, never flipped, and are dropped. A stream of phase p reads
-    cycle position (p + 1 + t) mod period at bit t.
+    padding, never flipped, and are dropped. A select stream of phase p is
+    the contiguous window lsb2[p + 1 : p + 1 + L] of the doubled LSB table.
     """
     n_trials, levels = sel_phases.shape
-    t = np.arange(length)
-    leaf = np.zeros((n_trials, length), dtype=np.int64)
+    # row p is the window lsb2[p : p + L]; rows stop at size - L, inside the table
+    windows = np.lib.stride_tricks.as_strided(
+        lsb2, (lsb2.size - length + 1, length), lsb2.strides * 2, writeable=False
+    )
+    # the narrowest dtype that holds every leaf; cast before shifting, as a
+    # uint8 select shifted by 8 or more levels would overflow
+    dtype = np.min_scalar_type((1 << levels) - 1)
+    leaf = np.zeros((n_trials, length), dtype=dtype)
     for level in range(levels):
-        leaf |= (np.take(seq, sel_phases[:, level, None] + 1 + t, mode="wrap") & 1) << level
+        leaf |= windows[sel_phases[:, level] + 1].astype(dtype) << level
     real = leaf < n
-    leaf += np.arange(0, n_trials * n, n)[:, None]
-    return np.broadcast_to(t, real.shape)[real], leaf[real]
+    flat = leaf.astype(np.int64)
+    flat += np.arange(0, n_trials * n, n)[:, None]
+    return np.broadcast_to(np.arange(length), real.shape)[real], flat[real]
 
 
 def _conventional_batch(
@@ -328,7 +335,7 @@ def _conventional_batch(
     log.note("mux_pad_streams", n_trials * 2 * (scale - n))
 
     # one select network feeds both trees, as a single MUX array would
-    t, flat = _selected_inputs(seq, sel_phases, length, n)
+    t, flat = _selected_inputs(select_table(width, cfg.lfsr_taps), sel_phases, length, n)
     bits = np.take(seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
     bits &= np.take(seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
     if cfg.flip_probability > 0.0:
@@ -381,11 +388,7 @@ def _proposed_batch(cfg: PipelineConfig, trials, samples, weights, log):
         per_pair = products.sum(axis=2, dtype=np.int64)
     n_p = np.where(positive, per_pair, 0).sum(axis=1)
     n_n = np.where(positive, 0, per_pair).sum(axis=1)
-    mac_cfg = cfg.mac_config
-    decoded = np.empty(n_trials, dtype=np.float64)
-    for k, counts in enumerate(zip(n_p.tolist(), n_n.tolist())):
-        vp, vn = mac_mod.phase1_voltages(ProductCounts(*counts), mac_cfg)
-        decoded[k] = mac_mod.decode_voltage(mac_mod.charge_share(vp, vn, mac_cfg), mac_cfg)
+    decoded = mac_mod.decode_counts(n_p, n_n, cfg.mac_config)
     # the quantized oracle reads the same levels: sign * min(level_s, level_w)
     return decoded, np.where(positive, exact, -exact).sum(axis=1)
 
@@ -487,7 +490,15 @@ def _chunk_trials(cfg: PipelineConfig) -> int:
     return max(1, _CHUNK_ELEMENTS // per_trial)
 
 
-def _run_pipeline(samples, weights, cfg: PipelineConfig) -> ExperimentResult:
+def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
+    """Run each config's variant on the same per-trial inputs, drawn once.
+
+    The configs share `_shared_parameters`, so they would draw the same
+    inputs; the conventional LFSR phases follow the inputs in each trial's
+    draw. Trials are drawn in steps of the largest worker chunk, and each
+    worker evaluates its own chunks, carrying a partial one to the next step.
+    """
+    cfg = cfgs[0]
     fixed = samples is not None or weights is not None
     if fixed:
         if samples is None or weights is None:
@@ -495,23 +506,24 @@ def _run_pipeline(samples, weights, cfg: PipelineConfig) -> ExperimentResult:
         samples, weights = _check_fixed_inputs(samples, weights, cfg)
 
     n = cfg.n_inputs
-    if cfg.variant == "conventional":
-        worker = _conventional_batch
-        period = state_cycle(cfg.lfsr_width, cfg.lfsr_taps)[0].size
-        # phases_s, phases_w, then the select phases, one per tree level
-        phase_sizes = (n, n, mux_tree_scale(n).bit_length() - 1)
-    else:
-        worker = _proposed_batch
-        phase_sizes = ()
-    chunk = _chunk_trials(cfg)
-
-    log = ActivityLog()
-    decoded = np.empty(cfg.trials, dtype=np.float64)
-    oracle = np.empty(cfg.trials, dtype=np.float64)
-    for start in range(0, cfg.trials, chunk):
-        trials = range(start, min(start + chunk, cfg.trials))
+    phase_sizes, period = (), 0
+    for c in cfgs:
+        if c.variant == "conventional":
+            period = state_cycle(c.lfsr_width, c.lfsr_taps)[0].size
+            # phases_s, phases_w, then the select phases, one per tree level
+            phase_sizes = (n, n, mux_tree_scale(n).bit_length() - 1)
+    chunks = [_chunk_trials(c) for c in cfgs]
+    logs = [ActivityLog() for _ in cfgs]
+    decoded = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
+    oracle = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
+    # per config: the first trial not yet evaluated and its drawn rows, if
+    # they came from an earlier chunk
+    held = [(0, None)] * len(cfgs)
+    step = max(chunks)
+    for start in range(0, cfg.trials, step):
+        stop = min(start + step, cfg.trials)
         arrays = None
-        for row, t in enumerate(trials):
+        for row, t in enumerate(range(start, stop)):
             # every trial draws from its own generator in a fixed order:
             # inputs (unless fixed), then the conventional LFSR phases
             rng = np.random.default_rng((cfg.seed, t))
@@ -520,34 +532,56 @@ def _run_pipeline(samples, weights, cfg: PipelineConfig) -> ExperimentResult:
             # rows go straight into the (T, size) chunk arrays, so no list of
             # per-trial draws is held beside them
             if arrays is None:
-                arrays = [np.empty((len(trials), d.size), d.dtype) for d in draws]
+                arrays = [np.empty((stop - start, d.size), d.dtype) for d in draws]
             for column, d in zip(arrays, draws):
                 column[row] = d
-        out = slice(trials.start, trials.stop)
-        decoded[out], oracle[out] = worker(cfg, trials, *arrays, log)
+        for k, c in enumerate(cfgs):
+            if c.variant == "conventional":
+                worker, columns = _conventional_batch, arrays
+            else:
+                worker, columns = _proposed_batch, arrays[:2]
+            first, rest = held[k]
+            if rest is not None:
+                columns = [np.concatenate(pair) for pair in zip(rest, columns)]
+            # only whole chunks run before the last trial, so every worker
+            # sees the slices a single-variant run would give it
+            end = stop if stop == cfg.trials else stop - (stop - first) % chunks[k]
+            for lo in range(first, end, chunks[k]):
+                hi = min(lo + chunks[k], end)
+                rows = slice(lo - first, hi - first)
+                decoded[k][lo:hi], oracle[k][lo:hi] = worker(
+                    c, range(lo, hi), *(a[rows] for a in columns), logs[k]
+                )
+            held[k] = (end, [a[end - first :] for a in columns] if end < stop else None)
 
-    return ExperimentResult(
-        variant=cfg.variant,
-        config=cfg.to_json_dict(),
-        seed=cfg.seed,
-        decoded=decoded,
-        oracle=oracle,
-        activity=log,
-    )
+    return [
+        ExperimentResult(
+            variant=c.variant,
+            config=c.to_json_dict(),
+            seed=c.seed,
+            decoded=decoded[k],
+            oracle=oracle[k],
+            activity=logs[k],
+        )
+        for k, c in enumerate(cfgs)
+    ]
+
+
+def _require_variant(cfg: PipelineConfig, variant: str) -> None:
+    if cfg.variant != variant:
+        raise ConfigError(f"config variant is {cfg.variant!r}")
 
 
 def conventional_pipeline(samples, weights, cfg: PipelineConfig) -> ExperimentResult:
     """Run the conventional datapath; pass samples=weights=None to draw per trial."""
-    if cfg.variant != "conventional":
-        raise ConfigError(f"config variant is {cfg.variant!r}")
-    return _run_pipeline(samples, weights, cfg)
+    _require_variant(cfg, "conventional")
+    return _run_pipeline(samples, weights, cfg)[0]
 
 
 def proposed_pipeline(samples, weights, cfg: PipelineConfig) -> ExperimentResult:
     """Run the proposed datapath; pass samples=weights=None to draw per trial."""
-    if cfg.variant != "proposed":
-        raise ConfigError(f"config variant is {cfg.variant!r}")
-    return _run_pipeline(samples, weights, cfg)
+    _require_variant(cfg, "proposed")
+    return _run_pipeline(samples, weights, cfg)[0]
 
 
 @dataclass
@@ -611,8 +645,10 @@ def run_comparison(
         raise ConfigError(f"unknown energy profile {energy_profile!r}")
 
     conv_table, prop_table = tables if tables is not None else default_tables()
-    conv_res = conventional_pipeline(samples, weights, conv_cfg)
-    prop_res = proposed_pipeline(samples, weights, prop_cfg)
+    _require_variant(conv_cfg, "conventional")
+    _require_variant(prop_cfg, "proposed")
+    # one draw per trial feeds both datapaths
+    conv_res, prop_res = _run_pipeline(samples, weights, conv_cfg, prop_cfg)
 
     if efficiency_ops is None:
         efficiency_ops = {"back_solved": 150, "structural_2n_minus_1": 2 * conv_cfg.n_inputs - 1}

@@ -262,6 +262,22 @@ def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def test_cli_rejects_infinite_sigma_from_flag_and_file(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(
+        '{"pipeline": {"input_distribution": {"kind": "zero_peaked_gaussian", "sigma": Infinity}}}'
+    )
+    out = tmp_path / "out"
+    for argv in (
+        ["compare", "--sigma", "inf", "--trials", "2", "--n-inputs", "4", "--out", str(out)],
+        ["compare", "--config", str(p), "--trials", "2", "--n-inputs", "4", "--out", str(out)],
+        ["asc-stats", "--sigma", "inf", "--out", str(out)],
+    ):
+        assert main(argv) == 2, argv
+        assert "sigma must be positive and finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_cli_rejects_wide_lfsr_before_walking_its_cycle(tmp_path, capsys):
     # a width-31 cycle walk would take hours; the width bound comes first
     p = tmp_path / "cfg.json"

@@ -11,21 +11,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmac import (
+    ConfigError,
     ConversionError,
     LfsrStreamQuantizer,
+    MacConfig,
+    MacError,
     PipelineConfig,
     conventional_pipeline,
     exact_oracle,
     proposed_pipeline,
 )
+from scmac import lfsr as lfsr_mod
 from scmac import mac as mac_mod
 from scmac import pipelines
 from scmac._prng import mix, splitmix64_array, unit_floats
 from scmac.bitstream import flip_mask, mux_tree_scale
 from scmac.converters import adc_codes, adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
-from scmac.distributions import InputDistribution
+from scmac.distributions import InputDistribution, Uniform, ZeroPeakedGaussian
 from scmac.energy import ActivityLog
-from scmac.lfsr import MAXIMAL_TAPS, cycle_length, state_cycle
+from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
 from scmac.mac import ProductCounts, charge_share, decode_voltage, phase1_voltages
 from scmac.pipelines import (
     _chunk_trials,
@@ -681,3 +685,268 @@ def test_proposed_activity_omits_zero_clamp_count():
     cfg = PipelineConfig(variant="proposed", n_inputs=3, m=4, trials=2, seed=2)
     res = proposed_pipeline([0.1, 0.5, 1.0], [0.5, -0.5, 0.25], cfg)
     assert "asc_input_clamped" not in res.activity.meta
+
+
+# One draw per comparison: `run_comparison` evaluates both datapaths from the
+# same per-trial draws. It must equal two separate single-variant runs.
+
+
+def _assert_logs_identical(got: ActivityLog, want: ActivityLog):
+    # insertion order too: the shared loop must log as single-variant runs do
+    assert list(got.counts.items()) == list(want.counts.items())
+    assert list(got.meta.items()) == list(want.meta.items())
+
+
+def _comparison_trial_counts(conv, prop):
+    counts = set()
+    for cfg in (conv, prop):
+        counts.update(_trial_counts(cfg))
+    return sorted(counts)
+
+
+@pytest.mark.parametrize("n", (1, 7, 300))
+@pytest.mark.parametrize("flip", (0.0, 0.02))
+@pytest.mark.parametrize("fixed", (True, False), ids=("fixed", "drawn"))
+def test_comparison_matches_separate_pipelines(n, flip, fixed, monkeypatch):
+    # a small budget gives the two workers different chunks, so the one with
+    # the smaller chunk carries partial chunks across draw steps
+    monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
+    rng = np.random.default_rng(n + 1)
+    samples = rng.uniform(-0.1, 1.1, n) if fixed else None
+    weights = rng.uniform(-1.1, 1.1, n) if fixed else None
+    for length in (1, 15, 8191):
+        shared = dict(n_inputs=n, flip_probability=flip, distribution=_OutOfRange(), seed=2**63 + 5)
+        conv = PipelineConfig(variant="conventional", stream_length=length, **shared)
+        prop = PipelineConfig(variant="proposed", m=7, vdd=0.8, **shared)
+        for trials in _comparison_trial_counts(conv, prop):
+            conv_t = dataclasses.replace(conv, trials=trials)
+            prop_t = dataclasses.replace(prop, trials=trials)
+            both = pipelines.run_comparison(
+                conv_t, prop_t, samples=samples, weights=weights, energy_profile="measured"
+            )
+            for got, want in (
+                (both.conventional, conventional_pipeline(samples, weights, conv_t)),
+                (both.proposed, proposed_pipeline(samples, weights, prop_t)),
+            ):
+                case = (length, trials, got.variant)
+                assert np.array_equal(got.decoded, want.decoded), case
+                assert np.array_equal(got.oracle, want.oracle), case
+                _assert_logs_identical(got.activity, want.activity)
+                assert (got.variant, got.seed, got.config) == (want.variant, want.seed, want.config)
+
+
+@pytest.mark.parametrize("flip", (0.0, 0.02))
+@pytest.mark.parametrize("length", (1, 15, 8191))
+def test_comparison_keeps_each_worker_chunk(flip, length, monkeypatch):
+    """Both workers get exactly the chunks a single-variant run gives them."""
+    monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
+    calls = {"conventional": [], "proposed": []}
+    for name in ("_conventional_batch", "_proposed_batch"):
+        real = getattr(pipelines, name)
+
+        def spy(cfg, trials, *rest, _real=real):
+            calls[cfg.variant].append(len(trials))
+            return _real(cfg, trials, *rest)
+
+        monkeypatch.setattr(pipelines, name, spy)
+    shared = dict(n_inputs=7, trials=41, flip_probability=flip, seed=3)
+    conv = PipelineConfig(variant="conventional", stream_length=length, **shared)
+    prop = PipelineConfig(variant="proposed", **shared)
+    pipelines.run_comparison(conv, prop)
+    for cfg in (conv, prop):
+        chunk = _chunk_trials(cfg)
+        whole, part = divmod(cfg.trials, chunk)
+        assert calls[cfg.variant] == [chunk] * whole + [part] * (part > 0), cfg.variant
+
+
+@dataclass(frozen=True)
+class _CountingUniform(InputDistribution):
+    """Uniform draws that tally how often they are drawn."""
+
+    draws: list = dataclasses.field(default_factory=list, compare=False, hash=False)
+    kind = "counting_uniform"
+
+    def draw(self, rng, n):
+        self.draws.append(n)
+        return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+
+
+def test_comparison_draws_each_trial_once():
+    dist = _CountingUniform()
+    shared = dict(n_inputs=7, trials=30, seed=3, distribution=dist)
+    pipelines.run_comparison(
+        PipelineConfig(variant="conventional", **shared), PipelineConfig(variant="proposed", **shared)
+    )
+    assert len(dist.draws) == 30
+
+
+@pytest.mark.parametrize(
+    "field, conv_value, prop_value",
+    [
+        ("trials", 3, 4),
+        ("output_rate_hz", 10e6, 20e6),
+        ("distribution", Uniform(), ZeroPeakedGaussian(0.3)),
+        ("flip_probability", 0.0, 0.02),
+    ],
+)
+def test_comparison_rejects_each_mismatched_shared_parameter(field, conv_value, prop_value):
+    # seed and n_inputs are covered in test_pipelines
+    base = {"n_inputs": 4, field: conv_value}
+    conv = PipelineConfig(variant="conventional", **base)
+    prop = PipelineConfig(variant="proposed", **{**base, field: prop_value})
+    with pytest.raises(ConfigError, match="share"):
+        pipelines.run_comparison(conv, prop)
+
+
+def test_comparison_still_checks_variants():
+    conv = PipelineConfig(variant="conventional", n_inputs=4)
+    with pytest.raises(ConfigError, match="variant"):
+        pipelines.run_comparison(conv, conv)
+
+
+# The proposed decode before it ran on arrays: Fraction voltages, one trial at a time.
+
+
+def _fraction_phase1_voltages(counts: ProductCounts, cfg: MacConfig) -> tuple[float, float]:
+    if counts.n_p > cfg.max_count or counts.n_n > cfg.max_count:
+        raise MacError(f"counts {counts} exceed m*N = {cfg.max_count}")
+    vdd = Fraction(cfg.vdd)
+    vp = Fraction(counts.n_p, cfg.caps_per_side) * vdd
+    vn = Fraction(cfg.max_count - counts.n_n, cfg.caps_per_side) * vdd
+    return float(vp), float(vn)
+
+
+def _fraction_max_voltage(cfg: MacConfig) -> float:
+    return float(Fraction(cfg.max_count, cfg.caps_per_side) * Fraction(cfg.vdd))
+
+
+def _fraction_decode_voltage(v: float, cfg: MacConfig) -> int:
+    tol = 1e-9 * cfg.vdd
+    if not (-tol <= v <= _fraction_max_voltage(cfg) + tol):
+        raise MacError(f"voltage {v} outside [0, {_fraction_max_voltage(cfg)}]")
+    raw = 2.0 * v / cfg.vdd * cfg.caps_per_side - cfg.max_count
+    return int(round(raw))
+
+
+def _per_trial_decode(n_p, n_n, mac_cfg: MacConfig) -> np.ndarray:
+    decoded = np.empty(len(n_p), dtype=np.float64)
+    for k, counts in enumerate(zip(n_p.tolist(), n_n.tolist())):
+        vp, vn = _fraction_phase1_voltages(ProductCounts(*counts), mac_cfg)
+        decoded[k] = _fraction_decode_voltage(charge_share(vp, vn, mac_cfg), mac_cfg)
+    return decoded
+
+
+MAC_VDDS = (1.0, 0.8, 1.3, 0.1)
+
+
+@pytest.mark.parametrize("vdd", MAC_VDDS)
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 2), (3, 4), (4, 3), (15, 1), (5, 7)])
+def test_decode_counts_matches_per_trial_fraction_decode(m, n, vdd):
+    cfg = MacConfig(m, n, vdd)
+    grid = np.arange(cfg.max_count + 1)
+    n_p, n_n = (a.ravel() for a in np.meshgrid(grid, grid))
+    got = mac_mod.decode_counts(n_p, n_n, cfg)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _per_trial_decode(n_p, n_n, cfg))
+    assert np.array_equal(got, n_p - n_n)
+    # the scalar model prices with the same quotient and agrees too
+    for a, b in zip(n_p.tolist(), n_n.tolist()):
+        counts = ProductCounts(a, b)
+        assert phase1_voltages(counts, cfg) == _fraction_phase1_voltages(counts, cfg)
+    assert mac_mod.max_voltage(cfg) == _fraction_max_voltage(cfg)
+    half = Fraction(cfg.max_count, 2 * cfg.caps_per_side) * Fraction(cfg.vdd)
+    assert mac_mod.baseline_voltage(cfg) == float(half)
+
+
+def test_decode_counts_keeps_order_and_repeats():
+    cfg = MacConfig(15, 300, 1.0)
+    rng = np.random.default_rng(6)
+    n_p = rng.integers(0, cfg.max_count + 1, 500)
+    n_n = rng.integers(0, cfg.max_count + 1, 500)
+    n_p[::7] = n_n[::7]
+    assert np.array_equal(mac_mod.decode_counts(n_p, n_n, cfg), _per_trial_decode(n_p, n_n, cfg))
+    assert mac_mod.decode_counts([], [], cfg).size == 0
+
+
+@pytest.mark.parametrize(
+    "n_p, n_n",
+    [([13], [0]), ([0], [13]), ([-1], [0]), ([0], [-1]), ([2, 13], [3, 4]), ([1, 2], [1])],
+)
+def test_decode_counts_rejects_bad_counts(n_p, n_n):
+    cfg = MacConfig(3, 4, 0.8)  # m*N = 12
+    with pytest.raises(MacError):
+        mac_mod.decode_counts(n_p, n_n, cfg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(caps=st.integers(1, 4501), vdd=st.sampled_from(MAC_VDDS))
+def test_vdd_share_equals_fraction_for_every_count(caps, vdd):
+    want = [float(Fraction(c, caps) * Fraction(vdd)) for c in range(caps + 1)]
+    assert [mac_mod._vdd_share(c, caps, vdd) for c in range(caps + 1)] == want
+
+
+# LFSR tables without a Python step per state
+
+
+def _walked_cycle(width: int, taps: tuple[int, ...]) -> list[int]:
+    mask = lfsr_mod._tap_mask(width, taps)
+    seq, state = [1], lfsr_mod._step(1, width, mask)
+    while state != 1:
+        seq.append(state)
+        state = lfsr_mod._step(state, width, mask)
+    return seq
+
+
+@pytest.mark.parametrize(
+    "width, taps", [*MAXIMAL_TAPS.items(), CUSTOM_TAPS[0], CUSTOM_TAPS[1], (20, (20, 17)), (4, (4, 2))]
+)
+def test_state_cycle_equals_stepped_walk(width, taps):
+    seq, phase_of = state_cycle(width, taps)
+    want = _walked_cycle(width, taps)
+    assert seq.dtype == np.int64 and seq.tolist() == want
+    expected_phase = np.full(1 << width, -1, dtype=np.int64)
+    expected_phase[want] = np.arange(len(want))
+    assert np.array_equal(phase_of, expected_phase)
+    lsb2 = select_table(width, taps)
+    assert lsb2.dtype == np.uint8
+    assert lsb2.tolist() == [s & 1 for s in want] * 2
+
+
+def test_state_cycle_of_non_maximal_taps_keeps_short_period():
+    assert cycle_length(4, (4, 2)) == 6
+    with pytest.raises(ConfigError, match="period 6"):
+        PipelineConfig(variant="conventional", n_inputs=4, lfsr_width=4, lfsr_taps=(4, 2))
+
+
+def test_state_cycle_without_the_width_tap_raises():
+    with pytest.raises(ConversionError):
+        state_cycle(4, (3,))
+
+
+def _gathered_selected_inputs(seq, sel_phases, length: int, n: int):
+    """The select network as one wrapped gather per level, before the LSB table."""
+    n_trials, levels = sel_phases.shape
+    t = np.arange(length)
+    leaf = np.zeros((n_trials, length), dtype=np.int64)
+    for level in range(levels):
+        leaf |= (np.take(seq, sel_phases[:, level, None] + 1 + t, mode="wrap") & 1) << level
+    real = leaf < n
+    leaf += np.arange(0, n_trials * n, n)[:, None]
+    return np.broadcast_to(t, real.shape)[real], leaf[real]
+
+
+# leaf widths on both sides of the uint8 and uint16 boundaries
+@pytest.mark.parametrize("n", (1, 2, 3, 255, 256, 257, 300, 65536, 65537))
+def test_selected_inputs_match_wrapped_gather(n):
+    width, taps = 15, MAXIMAL_TAPS[15]
+    seq, _ = state_cycle(width, taps)
+    levels = mux_tree_scale(n).bit_length() - 1
+    rng = np.random.default_rng(n)
+    sel_phases = rng.integers(0, seq.size, size=(3, levels))
+    # phases at the end of the cycle wrap mid-stream
+    sel_phases[0] = seq.size - 1
+    for length in (1, 15, seq.size):
+        got = pipelines._selected_inputs(select_table(width, taps), sel_phases, length, n)
+        want = _gathered_selected_inputs(seq, sel_phases, length, n)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), length
+        assert got[1].dtype == np.int64
