@@ -1,11 +1,15 @@
 """Counter-based deterministic pseudo-random helpers.
 
-Every stochastic choice in the simulator is derived from explicit 64-bit
-seeds through the splitmix64 finalizer, so results are reproducible and
-independent of evaluation order.
+Bit flips are derived from explicit 64-bit seeds through the splitmix64
+finalizer, so results are reproducible and independent of evaluation order.
+Trial inputs and LFSR phases come from numpy's `default_rng((seed, t))`
+stream; `pcg64_lanes` and `bounded_uint32` compute its seeding and its
+bounded integers for many trials at once, bit for bit.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -66,3 +70,121 @@ def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     out = z.astype(np.float64)
     out /= float(1 << 53)
     return out
+
+
+# numpy's SeedSequence (pool size 4) and PCG64 seeding, vectorized over trial
+# indices: the constants of NumPy NEP 19's SeedSequence and of PCG64's
+# 128-bit LCG (O'Neill, HMC-CS-2014-0905). The hash words are uint32 arrays,
+# whose products and differences wrap mod 2^32 as SeedSequence's do.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# the pool rows each pool word mixes into
+_OTHER_ROWS = [np.array([d for d in range(4) if d != src]) for src in range(4)]
+
+
+def _uint32_words(n: int) -> list[int]:
+    """The little-endian uint32 words SeedSequence splits a non-negative int into, at least one."""
+    words = [n & 0xFFFFFFFF]
+    while n >> 32:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@lru_cache(maxsize=64)
+def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, mul) constants of `count` successive hash calls, as (count, 1) columns.
+
+    Call i xors with init * mult^i and multiplies by init * mult^(i+1), mod 2^32.
+    """
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False  # shared by every caller of the cache
+    return column[:-1], column[1:]
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash of `values`, one row per hash call."""
+    v = values ^ xor
+    v *= mul
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> _XSHIFT
+    return r
+
+
+def _seed_words(entropy: np.ndarray) -> list[list[int]]:
+    """`SeedSequence(entropy).generate_state(4, uint64)` per column of (words, T) uint32 entropy."""
+    n_words, lanes = entropy.shape
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * max(0, n_words - 4))
+    pool = np.zeros((4, lanes), dtype=np.uint32)
+    pool[: min(n_words, 4)] = entropy[:4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    call = 4
+    # every pool word mixes into every other one, then the entropy past the
+    # pool mixes into every pool word
+    for src, dst in enumerate(_OTHER_ROWS):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[call : call + 3], mul[call : call + 3]))
+        call += 3
+    for src in range(4, n_words):
+        pool = _mix(pool, _hashmix(entropy[src], xor[call : call + 4], mul[call : call + 4]))
+        call += 4
+    out = _hashmix(np.vstack((pool, pool)), *_hash_constants(_INIT_B, _MULT_B, 8)).astype(np.uint64)
+    return (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+
+
+def pcg64_lanes(seed: int, start: int, stop: int) -> tuple[list[int], list[int]]:
+    """PCG64 `(state, inc)` of `np.random.default_rng((seed, t))` for t in range(start, stop).
+
+    The SeedSequence pool hash runs on arrays, one lane per trial; trials
+    with as many uint32 words share one pass. PCG64 seeds its 128-bit LCG
+    from the four generated words v: inc = (v[2:4] << 1) | 1, then one step
+    from state 0, add v[0:2], one more step. Trial indices run up to 2^64.
+    """
+    seed_words = _uint32_words(seed)
+    states, incs = [], []
+    lo = start
+    while lo < stop:
+        k = len(_uint32_words(lo))
+        hi = min(stop, 1 << (32 * k))
+        trials = np.arange(lo, hi, dtype=np.uint64)
+        entropy = np.empty((len(seed_words) + k, hi - lo), dtype=np.uint32)
+        entropy[: len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
+        for i in range(k):
+            # the cast keeps the low 32 bits
+            entropy[len(seed_words) + i] = trials >> np.uint64(32 * i)
+        for v0, v1, v2, v3 in zip(*_seed_words(entropy)):
+            inc = ((v2 << 64 | v3) << 1 | 1) & _MASK128
+            states.append(((inc + (v0 << 64 | v1)) * _PCG64_MULT + inc) & _MASK128)
+            incs.append(inc)
+        lo = hi
+    return states, incs
+
+
+def bounded_uint32(raw: np.ndarray, count: int, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """`Generator.integers(0, bound, size=count)` from each row of raw PCG64 output words.
+
+    For a bound below 2^32 numpy maps 32-bit halves x, the low half of each
+    word first, to (x * bound) >> 32 (Lemire, ACM TOMACS 29(1), 2019).
+    PCG64 keeps a spare half between calls, so consecutive `integers` calls
+    read one contiguous stream of halves. Where some (x * bound) mod 2^32
+    falls below (2^32 - bound) mod bound = 2^32 mod bound numpy rejects x
+    and draws again; those rows are flagged, and their returned values are
+    not numpy's.
+    """
+    halves = raw.astype("<u8", copy=False).view("<u4")[:, :count]
+    product = halves * np.uint64(bound)
+    flagged = ((product & np.uint64(0xFFFFFFFF)) < np.uint64((1 << 32) % bound)).any(axis=1)
+    product >>= np.uint64(32)
+    return product.view(np.int64), flagged

@@ -41,6 +41,7 @@ Numbers in reports are femtojoules, microwatts, and TOPS/W.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .distributions import InputDistribution, ZeroPeakedGaussian, distribution_from_dict
@@ -109,9 +110,16 @@ class ExperimentConfig:
         # because dataclasses.replace hands the same dict to the new config
         self.efficiency_ops = dict(self.efficiency_ops or {"back_solved": 150})
         self.efficiency_ops["structural_2n_minus_1"] = 2 * self.n_inputs - 1
+        # the energy model divides by these counts as floats
         for label, ops in self.efficiency_ops.items():
             if int(ops) < 1:
                 raise ConfigError(f"efficiency op count {label!r} must be positive")
+            if ops > sys.float_info.max:
+                raise ConfigError(
+                    f"efficiency op count {label!r} must be at most {sys.float_info.max:.6e}"
+                )
+        if self.fom_steps * self.fom_ops > sys.float_info.max:
+            raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
 
     def pipeline_config(self, variant: str) -> PipelineConfig:
         return PipelineConfig(
@@ -168,6 +176,14 @@ def _require_keys(section: str, d: dict) -> None:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
 
 
+def _strict_int(key: str, value) -> int:
+    """An integer config value; bools, fractional floats and other types are ConfigErrors."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     # the casts below see outside values: int(Infinity) raises OverflowError
     try:
@@ -191,25 +207,21 @@ def _config_kwargs(raw: dict) -> dict:
     kwargs: dict = {}
     pipe = raw.get("pipeline", {})
     _require_keys("pipeline", pipe)
-    for key, cast in (
-        ("n_inputs", int),
-        ("binary_bits", int),
-        ("stream_length", int),
-        ("lfsr_width", int),
-        ("output_rate_hz", float),
-        ("flip_probability", float),
-    ):
+    for key in ("n_inputs", "binary_bits", "stream_length", "lfsr_width"):
         if key in pipe:
-            kwargs[key] = cast(pipe[key])
+            kwargs[key] = _strict_int(key, pipe[key])
+    for key in ("output_rate_hz", "flip_probability"):
+        if key in pipe:
+            kwargs[key] = float(pipe[key])
     if pipe.get("lfsr_taps") is not None:
-        kwargs["lfsr_taps"] = tuple(int(t) for t in pipe["lfsr_taps"])
+        kwargs["lfsr_taps"] = tuple(_strict_int("lfsr_taps", t) for t in pipe["lfsr_taps"])
     if "input_distribution" in pipe:
         kwargs["distribution"] = distribution_from_dict(pipe["input_distribution"])
 
     mac_sec = raw.get("mac", {})
     _require_keys("mac", mac_sec)
     if "m" in mac_sec:
-        kwargs["m"] = int(mac_sec["m"])
+        kwargs["m"] = _strict_int("m", mac_sec["m"])
     if "vdd" in mac_sec:
         kwargs["vdd"] = float(mac_sec["vdd"])
 
@@ -224,20 +236,18 @@ def _config_kwargs(raw: dict) -> dict:
 
     exp = raw.get("experiment", {})
     _require_keys("experiment", exp)
-    for key, cast in (
-        ("trials", int),
-        ("seed", int),
-        ("energy_profile", str),
-        ("fom_steps", int),
-        ("fom_ops", int),
-    ):
+    for key in ("trials", "seed", "fom_steps", "fom_ops"):
         if key in exp:
-            kwargs[key] = cast(exp[key])
+            kwargs[key] = _strict_int(key, exp[key])
+    if "energy_profile" in exp:
+        kwargs["energy_profile"] = str(exp["energy_profile"])
     if "efficiency_ops" in exp:
         ops = exp["efficiency_ops"]
         if not isinstance(ops, dict):
             raise ConfigError("efficiency_ops must map labels to op counts")
-        kwargs["efficiency_ops"] = {str(k): int(v) for k, v in ops.items()}
+        kwargs["efficiency_ops"] = {
+            str(k): _strict_int(f"efficiency op count {k!r}", v) for k, v in ops.items()
+        }
     return kwargs
 
 

@@ -57,8 +57,9 @@ class EnergyTable:
 
     def __post_init__(self):
         for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise EnergyModelError(f"unit energy {f.name} must be >= 0")
+            value = getattr(self, f.name)
+            if not (0 <= value < math.inf):
+                raise EnergyModelError(f"unit energy {f.name} must be finite and >= 0, got {value}")
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -21,16 +21,18 @@ logged per event with bit-level SRAM counting; energy pricing happens in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
 from . import mac as mac_mod
-from ._prng import mix, splitmix64_array, unit_floats
+from ._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_floats
 from .bitstream import mux_tree_scale
 from .converters import adc_codes, asc_levels, thermometer_quantize
-from .distributions import InputDistribution, Uniform
+from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
 from .energy import ActivityLog, EnergyReport
 from .errors import ConfigError, SizeMismatchError
 from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
@@ -102,8 +104,11 @@ class PipelineConfig:
             raise ConfigError(f"output rate must be positive and finite, got {self.output_rate_hz}")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise ConfigError("flip_probability must lie in [0, 1]")
-        if not (0 < self.vdd < math.inf):
-            raise ConfigError(f"vdd must be positive and finite, got {self.vdd}")
+        # the decode divides a voltage by vdd: a subnormal vdd loses that voltage's low bits
+        if not (sys.float_info.min <= self.vdd < math.inf):
+            raise ConfigError(
+                f"vdd must be finite and at least {sys.float_info.min}, got {self.vdd}"
+            )
         taps = self.lfsr_taps
         if taps is None:
             if self.lfsr_width not in MAXIMAL_TAPS:
@@ -490,20 +495,89 @@ def _chunk_trials(cfg: PipelineConfig) -> int:
     return max(1, _CHUNK_ELEMENTS // per_trial)
 
 
+# trials seeded per `pcg64_lanes` call: a call has a fixed cost of about
+# 0.08 ms, about 60 lanes' worth, and its lanes are Python ints of about
+# 0.3 KB each while it runs, so the block bounds the memory seeding takes
+_LANE_BLOCK = 1 << 8
+
+# draws that take whole 64-bit words from the generator, so they never leave
+# a spare 32-bit half for the LFSR phases to start from
+_WHOLE_WORD_DRAWS = frozenset((Uniform.draw, ZeroPeakedGaussian.draw, Explicit.draw))
+
+
+def _trial_lanes(seed: int, trials: int):
+    """PCG64 (state, inc) of every trial's generator, seeded a block of trials at a time."""
+    for lo in range(0, trials, _LANE_BLOCK):
+        yield from zip(*pcg64_lanes(seed, lo, min(lo + _LANE_BLOCK, trials)))
+
+
+def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_sizes, period):
+    """(T, size) rows of inputs and LFSR phases for a block of trials.
+
+    The rows equal what each trial's own `np.random.default_rng((seed, t))`
+    gives: its inputs (or `fixed`), then `integers(0, period, size=k)` for
+    each k in `phase_sizes`. One `gen` takes each trial's lane state in turn
+    and draws the inputs; the phases come from one raw block per trial,
+    mapped for the whole block at once. Trials whose phases numpy would
+    redraw are drawn again from their own generator.
+    """
+    n, rows = cfg.n_inputs, len(trials)
+    count = sum(phase_sizes)
+    columns = None if fixed is None else [np.tile(x, (rows, 1)) for x in fixed]
+    if fixed is not None and not count:
+        return columns
+    bg = gen.bit_generator
+    raw = np.empty((rows, -(-count // 2)), dtype=np.uint64)
+    # a draw that leaves a spare 32-bit half shifts the stream the phases read
+    check_spare = fixed is None and type(cfg.distribution).draw not in _WHOLE_WORD_DRAWS
+    spare = []
+    for row in range(rows):
+        state, inc = next(lanes)
+        bg.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if fixed is None:
+            drawn = cfg.distribution.draw(gen, n)
+            # rows go straight into the (T, size) block arrays, so no list of
+            # per-trial draws is held beside them
+            if columns is None:
+                columns = [np.empty((rows, d.size), d.dtype) for d in drawn]
+            columns[0][row], columns[1][row] = drawn
+            if check_spare and bg.state["has_uint32"]:
+                spare.append(row)
+        if count:
+            raw[row] = bg.random_raw(raw.shape[1])
+    if not count:
+        return columns
+    phases, redraw = bounded_uint32(raw, count, period)
+    redraw[spare] = True
+    for row in np.flatnonzero(redraw):
+        rng = np.random.default_rng((cfg.seed, trials[row]))
+        if fixed is None:
+            cfg.distribution.draw(rng, n)
+        phases[row] = rng.integers(0, period, size=count)
+    edges = list(accumulate(phase_sizes, initial=0))
+    return columns + [phases[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+
+
 def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
     """Run each config's variant on the same per-trial inputs, drawn once.
 
     The configs share `_shared_parameters`, so they would draw the same
     inputs; the conventional LFSR phases follow the inputs in each trial's
-    draw. Trials are drawn in steps of the largest worker chunk, and each
-    worker evaluates its own chunks, carrying a partial one to the next step.
+    draw. Trials are drawn in blocks of at least the largest worker chunk,
+    and each worker evaluates its own chunks, carrying a partial one to the
+    next block.
     """
     cfg = cfgs[0]
-    fixed = samples is not None or weights is not None
-    if fixed:
+    fixed = None
+    if samples is not None or weights is not None:
         if samples is None or weights is None:
             raise SizeMismatchError("provide both samples and weights, or neither")
-        samples, weights = _check_fixed_inputs(samples, weights, cfg)
+        fixed = _check_fixed_inputs(samples, weights, cfg)
 
     n = cfg.n_inputs
     phase_sizes, period = (), 0
@@ -519,22 +593,15 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     # per config: the first trial not yet evaluated and its drawn rows, if
     # they came from an earlier chunk
     held = [(0, None)] * len(cfgs)
-    step = max(chunks)
+    # a draw block holds at least a chunk's worth of drawn elements, as each
+    # block pays a fixed cost for its phases
+    words = -(-sum(phase_sizes) // 2)
+    step = max(*chunks, _CHUNK_ELEMENTS // (2 * n + words))
+    lanes = _trial_lanes(cfg.seed, cfg.trials)
+    gen = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
-        arrays = None
-        for row, t in enumerate(range(start, stop)):
-            # every trial draws from its own generator in a fixed order:
-            # inputs (unless fixed), then the conventional LFSR phases
-            rng = np.random.default_rng((cfg.seed, t))
-            inputs = (samples, weights) if fixed else cfg.distribution.draw(rng, n)
-            draws = (*inputs, *(rng.integers(0, period, size=k) for k in phase_sizes))
-            # rows go straight into the (T, size) chunk arrays, so no list of
-            # per-trial draws is held beside them
-            if arrays is None:
-                arrays = [np.empty((stop - start, d.size), d.dtype) for d in draws]
-            for column, d in zip(arrays, draws):
-                column[row] = d
+        arrays = _draw_trials(cfg, fixed, range(start, stop), lanes, gen, phase_sizes, period)
         for k, c in enumerate(cfgs):
             if c.variant == "conventional":
                 worker, columns = _conventional_batch, arrays

@@ -305,3 +305,99 @@ def test_replace_leaves_original_efficiency_ops_alone():
 def test_zero_inputs_error_names_n_inputs():
     with pytest.raises(ConfigError, match="n_inputs"):
         config_from_dict({"pipeline": {"n_inputs": 0}})
+
+
+def _compare_with_config(tmp_path, text: str, *flags: str) -> tuple[int, str]:
+    p = tmp_path / "cfg.json"
+    p.write_text(text)
+    out = tmp_path / "out"
+    rc = main(["compare", "--config", str(p), *flags, "--out", str(out)])
+    return rc, str(out)
+
+
+@pytest.mark.parametrize("value", ("NaN", "Infinity", "-Infinity"))
+def test_cli_rejects_non_finite_unit_energy_exit_2(tmp_path, capsys, value):
+    text = f'{{"energy_tables": {{"proposed": {{"asc_convert": {value}}}}}}}'
+    rc, out = _compare_with_config(tmp_path, text, "--trials", "2", "--n-inputs", "4")
+    assert rc == 2
+    assert "asc_convert must be finite and >= 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        {"fom_steps": 10**400},
+        {"fom_ops": 10**400},
+        # each fits a float, their product does not
+        {"fom_steps": 10**200, "fom_ops": 10**200},
+        {"efficiency_ops": {"huge": 10**400}},
+    ],
+    ids=("fom_steps", "fom_ops", "fom_product", "efficiency_ops"),
+)
+def test_cli_rejects_op_counts_past_float_range_exit_2(tmp_path, capsys, experiment):
+    rc, out = _compare_with_config(
+        tmp_path, json.dumps({"experiment": experiment}), "--trials", "2", "--n-inputs", "4"
+    )
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: bad config") and "must be at most" in err
+    assert not os.path.exists(out)
+
+
+# every integer field of the schema, and the tap list, given a bool and a fraction
+_INTEGER_FIELDS = [
+    ("pipeline", "n_inputs"),
+    ("pipeline", "binary_bits"),
+    ("pipeline", "stream_length"),
+    ("pipeline", "lfsr_width"),
+    ("pipeline", "lfsr_taps"),
+    ("mac", "m"),
+    ("experiment", "trials"),
+    ("experiment", "seed"),
+    ("experiment", "efficiency_ops"),
+    ("experiment", "fom_steps"),
+    ("experiment", "fom_ops"),
+]
+
+
+@pytest.mark.parametrize("value", (2.7, True, "3"), ids=("fraction", "bool", "string"))
+@pytest.mark.parametrize("section, key", _INTEGER_FIELDS, ids=[k for _, k in _INTEGER_FIELDS])
+def test_cli_rejects_non_integer_integer_fields_exit_2(tmp_path, capsys, section, key, value):
+    if key == "lfsr_taps":
+        value = [15, value]
+    elif key == "efficiency_ops":
+        value = {"label": value}
+    rc, out = _compare_with_config(tmp_path, json.dumps({section: {key: value}}))
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("error: bad config") and "must be an integer" in err
+    assert not os.path.exists(out)
+
+
+def test_integral_floats_still_read_as_integers():
+    cfg = config_from_dict(
+        {"pipeline": {"n_inputs": 4.0, "lfsr_taps": [15.0, 14]}, "experiment": {"trials": 3.0}}
+    )
+    assert (cfg.n_inputs, cfg.trials, cfg.lfsr_taps) == (4, 3, (15, 14))
+    assert all(type(x) is int for x in (cfg.n_inputs, cfg.trials, *cfg.lfsr_taps))
+
+
+@pytest.mark.parametrize("vdd", ("1e-320", "5e-324", "2.225073858507201e-308"))
+def test_cli_rejects_subnormal_vdd_exit_2(tmp_path, capsys, vdd):
+    rc, out = _compare_with_config(tmp_path, f'{{"mac": {{"vdd": {vdd}}}}}', "--trials", "2")
+    assert rc == 2
+    assert "vdd must be finite and at least" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_smallest_normal_vdd_decodes_exactly(tmp_path, capsys):
+    import sys
+
+    text = json.dumps({"mac": {"vdd": sys.float_info.min}})
+    rc, out = _compare_with_config(tmp_path, text, "--trials", "20", "--n-inputs", "300")
+    capsys.readouterr()
+    assert rc == 0
+    summary = json.loads((tmp_path / "out" / "compare_summary.json").read_text())
+    assert summary["proposed"]["config"]["vdd"] == sys.float_info.min
+    assert summary["proposed"]["statistics"]["max_abs_error"] == 0

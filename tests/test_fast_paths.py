@@ -17,6 +17,7 @@ from scmac import (
     MacConfig,
     MacError,
     PipelineConfig,
+    SizeMismatchError,
     conventional_pipeline,
     exact_oracle,
     proposed_pipeline,
@@ -24,7 +25,7 @@ from scmac import (
 from scmac import lfsr as lfsr_mod
 from scmac import mac as mac_mod
 from scmac import pipelines
-from scmac._prng import mix, splitmix64_array, unit_floats
+from scmac._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_floats
 from scmac.bitstream import flip_mask, mux_tree_scale
 from scmac.converters import adc_codes, adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
 from scmac.distributions import InputDistribution, Uniform, ZeroPeakedGaussian
@@ -950,3 +951,235 @@ def test_selected_inputs_match_wrapped_gather(n):
         want = _gathered_selected_inputs(seq, sel_phases, length, n)
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), length
         assert got[1].dtype == np.int64
+
+
+# Batched PCG64 lanes: every trial's generator seeded on arrays and its LFSR
+# phases mapped from one raw block. The draw loop they replaced, kept
+# verbatim: one `np.random.default_rng((seed, t))` per trial.
+
+
+def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
+    cfg = cfgs[0]
+    fixed = samples is not None or weights is not None
+    if fixed:
+        if samples is None or weights is None:
+            raise SizeMismatchError("provide both samples and weights, or neither")
+        samples, weights = pipelines._check_fixed_inputs(samples, weights, cfg)
+
+    n = cfg.n_inputs
+    phase_sizes, period = (), 0
+    for c in cfgs:
+        if c.variant == "conventional":
+            period = state_cycle(c.lfsr_width, c.lfsr_taps)[0].size
+            # phases_s, phases_w, then the select phases, one per tree level
+            phase_sizes = (n, n, mux_tree_scale(n).bit_length() - 1)
+    chunks = [_chunk_trials(c) for c in cfgs]
+    logs = [ActivityLog() for _ in cfgs]
+    decoded = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
+    oracle = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
+    # per config: the first trial not yet evaluated and its drawn rows, if
+    # they came from an earlier chunk
+    held = [(0, None)] * len(cfgs)
+    step = max(chunks)
+    for start in range(0, cfg.trials, step):
+        stop = min(start + step, cfg.trials)
+        arrays = None
+        for row, t in enumerate(range(start, stop)):
+            # every trial draws from its own generator in a fixed order:
+            # inputs (unless fixed), then the conventional LFSR phases
+            rng = np.random.default_rng((cfg.seed, t))
+            inputs = (samples, weights) if fixed else cfg.distribution.draw(rng, n)
+            draws = (*inputs, *(rng.integers(0, period, size=k) for k in phase_sizes))
+            # rows go straight into the (T, size) chunk arrays, so no list of
+            # per-trial draws is held beside them
+            if arrays is None:
+                arrays = [np.empty((stop - start, d.size), d.dtype) for d in draws]
+            for column, d in zip(arrays, draws):
+                column[row] = d
+        for k, c in enumerate(cfgs):
+            if c.variant == "conventional":
+                worker, columns = pipelines._conventional_batch, arrays
+            else:
+                worker, columns = pipelines._proposed_batch, arrays[:2]
+            first, rest = held[k]
+            if rest is not None:
+                columns = [np.concatenate(pair) for pair in zip(rest, columns)]
+            # only whole chunks run before the last trial, so every worker
+            # sees the slices a single-variant run would give it
+            end = stop if stop == cfg.trials else stop - (stop - first) % chunks[k]
+            for lo in range(first, end, chunks[k]):
+                hi = min(lo + chunks[k], end)
+                rows = slice(lo - first, hi - first)
+                decoded[k][lo:hi], oracle[k][lo:hi] = worker(
+                    c, range(lo, hi), *(a[rows] for a in columns), logs[k]
+                )
+            held[k] = (end, [a[end - first :] for a in columns] if end < stop else None)
+
+    return [
+        pipelines.ExperimentResult(
+            variant=c.variant,
+            config=c.to_json_dict(),
+            seed=c.seed,
+            decoded=decoded[k],
+            oracle=oracle[k],
+            activity=logs[k],
+        )
+        for k, c in enumerate(cfgs)
+    ]
+
+
+LANE_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3, 2**130 + 7)
+# maximal tap sets for every supported width from 3 up
+WIDTH_TAPS = {
+    3: (3, 2), 4: (4, 3), 5: (5, 3), 6: (6, 5), 7: (7, 6), 8: (8, 6, 5, 4), 9: (9, 5),
+    10: (10, 7), 11: (11, 9), 12: (12, 6, 4, 1), 13: (13, 4, 3, 1), 14: (14, 5, 3, 1),
+    15: (15, 14), 16: (16, 15, 13, 4), 17: (17, 14), 18: (18, 11), 19: (19, 6, 2, 1),
+    20: (20, 17),
+}
+
+
+def _seed_sequence_state(seed: int, trial: int) -> tuple[int, int]:
+    state = np.random.PCG64(np.random.SeedSequence((seed, trial))).state["state"]
+    return state["state"], state["inc"]
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS)
+def test_pcg64_lanes_match_seed_sequence(seed):
+    # trial indices up to 2^32 - 1 are one entropy word, then two, then three
+    for start, stop in ((0, 40), (2**32 - 3, 2**32 + 3), (2**64 - 3, 2**64)):
+        states, incs = pcg64_lanes(seed, start, stop)
+        want = [_seed_sequence_state(seed, t) for t in range(start, stop)]
+        assert list(zip(states, incs)) == want, (start, stop)
+    assert pcg64_lanes(seed, 5, 5) == ([], [])
+
+
+def test_pcg64_lanes_are_default_rng_states():
+    states, incs = pcg64_lanes(3, 0, 4)
+    for t, lane in enumerate(zip(states, incs)):
+        state = np.random.default_rng((3, t)).bit_generator.state["state"]
+        assert lane == (state["state"], state["inc"])
+
+
+def test_bounded_uint32_matches_integers_across_calls():
+    # odd sizes start the second and third calls on a high half
+    for bound in (7, 131071, (1 << 20) - 1):
+        rng = np.random.default_rng(bound)
+        raw_rng = np.random.default_rng(bound)
+        want = np.concatenate([rng.integers(0, bound, size=k) for k in (7, 7, 3)])
+        got, flagged = bounded_uint32(raw_rng.bit_generator.random_raw(9)[None, :], 17, bound)
+        assert not flagged[0]
+        assert np.array_equal(got[0], want)
+        assert got.dtype == want.dtype
+
+
+def _worker_inputs(monkeypatch, run):
+    """The result of `run()` and each worker's calls in it: variant -> [(trials, input arrays)]."""
+    calls = {"conventional": [], "proposed": []}
+    with monkeypatch.context() as m:
+        for name in ("_conventional_batch", "_proposed_batch"):
+            real = getattr(pipelines, name)
+
+            def spy(cfg, trials, *arrays, _real=real):
+                calls[cfg.variant].append((trials, [np.array(a) for a in arrays[:-1]]))
+                return _real(cfg, trials, *arrays)
+
+            m.setattr(pipelines, name, spy)
+        return run(), calls
+
+
+def _assert_lanes_match_default_rng(samples, weights, *cfgs, monkeypatch):
+    got, got_calls = _worker_inputs(
+        monkeypatch, lambda: pipelines._run_pipeline(samples, weights, *cfgs)
+    )
+    want, want_calls = _worker_inputs(
+        monkeypatch, lambda: _default_rng_run_pipeline(samples, weights, *cfgs)
+    )
+    case = (cfgs[0].lfsr_width, cfgs[0].trials)
+    for variant, want_list in want_calls.items():
+        assert len(got_calls[variant]) == len(want_list), case
+        for (g_trials, g_arrays), (w_trials, w_arrays) in zip(got_calls[variant], want_list):
+            assert g_trials == w_trials, case
+            for g, w in zip(g_arrays, w_arrays, strict=True):
+                assert g.dtype == w.dtype and np.array_equal(g, w), case
+    for g, w in zip(got, want):
+        assert np.array_equal(g.decoded, w.decoded), case
+        assert np.array_equal(g.oracle, w.oracle), case
+        _assert_logs_identical(g.activity, w.activity)
+
+
+@dataclass(frozen=True)
+class _HalfWordInputs(InputDistribution):
+    """Inputs from `integers`, which draws 32-bit halves: an odd N leaves a spare half."""
+
+    kind = "half_word"
+
+    def draw(self, rng, n):
+        return rng.integers(0, 9, n) / 8.0, rng.integers(-8, 9, n) / 8.0
+
+
+@pytest.mark.parametrize("inputs", ("uniform", "gaussian", "fixed", "half_word"))
+@pytest.mark.parametrize("n", (1, 7, 300))
+def test_lane_draws_match_default_rng_draws(inputs, n, monkeypatch):
+    # a small chunk budget puts chunk and draw-block boundaries inside short
+    # runs, and a small lane block puts seeding boundaries inside draw blocks
+    monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
+    monkeypatch.setattr(pipelines, "_LANE_BLOCK", 5)
+    rng = np.random.default_rng(n + 2)
+    fixed = inputs == "fixed"
+    samples = rng.uniform(-0.1, 1.1, n) if fixed else None
+    weights = rng.uniform(-1.1, 1.1, n) if fixed else None
+    dist = {"gaussian": ZeroPeakedGaussian(0.3), "half_word": _HalfWordInputs()}.get(
+        inputs, Uniform()
+    )
+    for width, taps in WIDTH_TAPS.items():
+        shared = dict(n_inputs=n, distribution=dist, seed=2**63 + 5)
+        conv = PipelineConfig(
+            variant="conventional",
+            lfsr_width=width,
+            lfsr_taps=taps,
+            stream_length=min(15, (1 << width) - 1),
+            **shared,
+        )
+        prop = PipelineConfig(variant="proposed", **shared)
+        # every boundary count at one width, one count past two blocks at the rest
+        counts = _comparison_trial_counts(conv, prop) if width == 15 else [max(_trial_counts(conv))]
+        for trials in counts:
+            cfgs = [dataclasses.replace(c, trials=trials) for c in (conv, prop)]
+            _assert_lanes_match_default_rng(samples, weights, *cfgs, monkeypatch=monkeypatch)
+            _assert_lanes_match_default_rng(samples, weights, cfgs[0], monkeypatch=monkeypatch)
+            if width == 15:
+                _assert_lanes_match_default_rng(samples, weights, cfgs[1], monkeypatch=monkeypatch)
+
+
+# seed 1, trial 180 at N=300, sigma 0.15 and width 17: one of its phase
+# halves falls below numpy's Lemire threshold 2^32 mod (2^17 - 1) = 2^15
+REJECTING_SEED, REJECTING_TRIAL = 1, 180
+
+
+def test_lane_that_hits_lemire_rejection_is_redrawn(monkeypatch):
+    n, width, taps = 300, 17, (17, 14)
+    period = (1 << width) - 1
+    dist = ZeroPeakedGaussian(0.15)
+    count = 2 * n + mux_tree_scale(n).bit_length() - 1
+    states, incs = pcg64_lanes(REJECTING_SEED, REJECTING_TRIAL, REJECTING_TRIAL + 1)
+    gen = np.random.Generator(np.random.PCG64(0))
+    gen.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": states[0], "inc": incs[0]},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    dist.draw(gen, n)
+    raw = gen.bit_generator.random_raw(-(-count // 2))[None, :]
+    mapped, flagged = bounded_uint32(raw, count, period)
+    assert flagged[0]
+    rng = np.random.default_rng((REJECTING_SEED, REJECTING_TRIAL))
+    dist.draw(rng, n)
+    want = rng.integers(0, period, size=count)
+    # the rejection moves every later phase, so the plain mapping is wrong here
+    assert not np.array_equal(mapped[0], want)
+
+    shared = dict(n_inputs=n, distribution=dist, seed=REJECTING_SEED, trials=REJECTING_TRIAL + 2)
+    conv = PipelineConfig(variant="conventional", lfsr_width=width, lfsr_taps=taps, **shared)
+    prop = PipelineConfig(variant="proposed", **shared)
+    _assert_lanes_match_default_rng(None, None, conv, prop, monkeypatch=monkeypatch)
