@@ -241,7 +241,11 @@ def cmd_mac(args) -> int:
     for s in (*ins, *mags):
         if len(s) != m:
             raise SizeMismatchError(f"stream {s.to_string()} is not {m} bits wide")
-    cfg = MacConfig(m, len(ins), args.vdd)
+    try:
+        cfg = MacConfig(m, len(ins), args.vdd)
+    except MacError as exc:
+        # a bad --m or --vdd is a bad argument, not a size mismatch
+        raise ConfigError(str(exc)) from None
     inputs = MacInputs(
         [s.bits for s in ins], [s.bits for s in mags], signs
     )

@@ -245,8 +245,12 @@ def asc_levels(x, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ConversionError("ladder needs m >= 1 taps")
     xc, clamped = _clip_unit(x)
     scaled = xc * (m + 1)
-    levels = np.minimum(np.floor(scaled), m).astype(np.int64)
+    # the boundary flags come first, so that their float temporaries are
+    # freed before the levels are built
     near = np.abs(scaled - np.rint(scaled)) < _BOUNDARY_TOL * (m + 1)
+    levels = np.minimum(np.floor(scaled), m).astype(np.int64)
     for i in np.flatnonzero(near):
         levels.flat[i] = thermometer_quantize(Fraction(float(xc.flat[i])), m)
-    return levels, 1 + np.minimum(levels, m - 1), clamped
+    fired = np.minimum(levels, m - 1)
+    fired += 1
+    return levels, fired, clamped

@@ -217,7 +217,13 @@ def accumulate(log: ActivityLog, table: EnergyTable, **report_kwargs) -> EnergyR
     if unknown:
         raise EnergyModelError(f"log has events with no table entry: {sorted(unknown)}")
     cats = {k: log.counts[k] * units[k] for k in EVENT_KEYS if k in log.counts}
-    return EnergyReport(categories_fj=cats, **report_kwargs)
+    report = EnergyReport(categories_fj=cats, **report_kwargs)
+    # finite unit energies can still overflow the total or the power drawn;
+    # the total bounds every category and the per-output figures
+    for name, value in (("total", report.total_fj), ("power", report.power_uw or 0.0)):
+        if not math.isfinite(value):
+            raise EnergyModelError(f"energy {name} overflows to {value}")
+    return report
 
 
 def efficiency(ops_per_output: int, energy_per_output_j: float) -> float:
@@ -226,7 +232,12 @@ def efficiency(ops_per_output: int, energy_per_output_j: float) -> float:
         raise EnergyModelError("op count must be positive")
     if energy_per_output_j <= 0:
         raise EnergyModelError("energy per output must be positive")
-    return ops_per_output / energy_per_output_j
+    ops_per_joule = ops_per_output / energy_per_output_j
+    if not math.isfinite(ops_per_joule):
+        raise EnergyModelError(
+            f"efficiency overflows: {ops_per_output} ops per {energy_per_output_j} J"
+        )
+    return ops_per_joule
 
 
 def fom(energy_per_output_j: float, steps: int, ops: int) -> float:
@@ -240,7 +251,10 @@ def reduction_percent(baseline: EnergyReport, candidate: EnergyReport) -> float:
     """100 * (1 - candidate/baseline), on per-output totals."""
     if baseline.per_output_fj <= 0:
         raise EnergyModelError("baseline energy must be positive")
-    return 100.0 * (1.0 - candidate.per_output_fj / baseline.per_output_fj)
+    percent = 100.0 * (1.0 - candidate.per_output_fj / baseline.per_output_fj)
+    if not math.isfinite(percent):
+        raise EnergyModelError("candidate energy overflows the reduction against the baseline")
+    return percent
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,6 +31,15 @@ import numpy as np
 
 from .bitstream import Bitstream
 from .errors import ConversionError, MacError
+
+
+# The largest m*N whose float decode is exact. Each side voltage, their sum,
+# the division by vdd and the product with the m*N + 1 capacitors round once,
+# by at most 2^-53 relative; a side voltage or the halved sum below the
+# smallest normal float adds at most 2^-1075, which is at most 2^-53 * (m*N + 1)
+# counts while vdd is normal. The decoded count then errs by less than
+# 13 * 2^-53 * (m*N + 1), which stays under half a count up to this bound.
+MAX_COUNT = (1 << 48) - 1
 
 
 @dataclass(frozen=True)
@@ -45,8 +55,18 @@ class MacConfig:
             raise MacError(f"m must be >= 1, got {self.m}")
         if self.n_inputs < 1:
             raise MacError(f"n_inputs must be >= 1, got {self.n_inputs}")
-        if not (0 < self.vdd < math.inf):
-            raise MacError(f"vdd must be positive and finite, got {self.vdd}")
+        if self.m * self.n_inputs > MAX_COUNT:
+            raise MacError(
+                f"m*N = {self.m * self.n_inputs} exceeds {MAX_COUNT}, "
+                "the largest product count the voltage decode recovers exactly"
+            )
+        # the decode divides a voltage by vdd, so a subnormal vdd loses that
+        # voltage's low bits, and it adds the two side voltages, up to 2 vdd
+        if not (sys.float_info.min <= self.vdd <= sys.float_info.max / 2):
+            raise MacError(
+                f"vdd must be finite and at least {sys.float_info.min} and at most "
+                f"{sys.float_info.max / 2}, got {self.vdd}"
+            )
 
     @property
     def max_count(self) -> int:

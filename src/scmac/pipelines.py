@@ -21,7 +21,6 @@ logged per event with bit-level SRAM counting; energy pricing happens in
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -34,7 +33,7 @@ from .bitstream import mux_tree_scale
 from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
 from .energy import ActivityLog, EnergyReport
-from .errors import ConfigError, SizeMismatchError
+from .errors import ConfigError, MacError, SizeMismatchError
 from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
 from .mac import MacConfig
 
@@ -104,11 +103,10 @@ class PipelineConfig:
             raise ConfigError(f"output rate must be positive and finite, got {self.output_rate_hz}")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise ConfigError("flip_probability must lie in [0, 1]")
-        # the decode divides a voltage by vdd: a subnormal vdd loses that voltage's low bits
-        if not (sys.float_info.min <= self.vdd < math.inf):
-            raise ConfigError(
-                f"vdd must be finite and at least {sys.float_info.min}, got {self.vdd}"
-            )
+        try:
+            MacConfig(self.m, self.n_inputs, self.vdd)
+        except MacError as exc:
+            raise ConfigError(str(exc)) from None
         taps = self.lfsr_taps
         if taps is None:
             if self.lfsr_width not in MAXIMAL_TAPS:
@@ -185,7 +183,9 @@ def _comparator_thresholds(x, binary_bits: int, period: int) -> tuple[np.ndarray
             "comparator thresholds would overflow int64"
         )
     codes, saturated = adc_codes(x, binary_bits)
-    return (codes * period) // top, saturated
+    codes *= period
+    codes //= top
+    return codes, saturated
 
 
 # the grouped oracle sums N threshold products of up to period^2 each; at or
@@ -193,47 +193,68 @@ def _comparator_thresholds(x, binary_bits: int, period: int) -> tuple[np.ndarray
 _INT64_SUM_BOUND = 1 << 63
 
 
-def _expected_numerators(
-    thr_s, thr_w, positive, width: int, period: int, flip: Fraction
-) -> tuple[list[int], int]:
-    """Exact expected conventional decodes of a (T, N) batch, over one denominator.
+class _OraclePlan:
+    """The part of the exact conventional oracle that depends on (N, width, period, flip) alone.
 
     Input j sits at MUX leaf j. The selects are LFSR LSBs, and 2^(w-1) of
     the period's states are odd, so the tree reaches leaf j with weight
     w_k = one^k * zero^(levels-k) / period^levels, k = popcount(j),
     one = 2^(w-1), zero = period - one. Flips turn the product
     one-probability p = a_j b_j / period^2 into p(1-f) + (1-p)f. Grouping
-    the inputs by popcount leaves levels + 1 big-int terms per trial:
+    the inputs by popcount leaves one big-int term per non-empty group:
 
-        total = sum_k w_k ((f_den - 2 f_num) S_k + f_num period^2 C_k)
+        total = scale * sum_k w_k ((f_den - 2 f_num) S_k + f_num period^2 C_k)
 
-    where S_k and C_k sum sign_j * a_j * b_j and sign_j over popcount(j) = k.
-    The flip denominator (2^58 for f = 0.02) times the leaf weights
-    overflows any fixed-width integer, so only S_k and C_k are int64.
+    over `den`, where S_k and C_k sum sign_j * a_j * b_j and sign_j over
+    popcount(j) = k. The flip denominator (2^58 for f = 0.02) times the leaf
+    weights overflows any fixed-width integer, so only S_k and C_k are
+    arrays of fixed-width integers, and the weights are Python ints.
     """
-    n = thr_s.shape[1]
-    scale = mux_tree_scale(n)
-    levels = scale.bit_length() - 1
-    full = period * period
-    leaves = np.arange(n)
-    popcount = np.zeros(n, dtype=np.int64)
-    for level in range(levels):
-        popcount += (leaves >> level) & 1
-    dtype = np.int64 if n * full < _INT64_SUM_BOUND else object
-    groups = popcount[:, None] == np.arange(levels + 1)
-    sign = np.where(positive, 1, -1)
-    products = thr_s.astype(dtype) * thr_w.astype(dtype) * sign.astype(dtype)
-    s_sums = products @ groups.astype(dtype)
-    c_sums = sign @ groups.astype(np.int64)
 
-    one = 1 << (width - 1)
-    weights = [one**k * (period - one) ** (levels - k) for k in range(levels + 1)]
-    a, b = flip.denominator - 2 * flip.numerator, flip.numerator * full
-    nums = [
-        scale * sum(w * (a * s + b * c) for w, s, c in zip(weights, s_row, c_row))
-        for s_row, c_row in zip(s_sums.tolist(), c_sums.tolist())
-    ]
-    return nums, period**levels * full * flip.denominator
+    def __init__(self, n: int, width: int, period: int, flip: Fraction):
+        scale = mux_tree_scale(n)
+        self.levels = scale.bit_length() - 1
+        popcount = np.array([j.bit_count() for j in range(n)])
+        # an N below 2^levels leaves the top group empty; reduceat sums no empty group
+        groups = np.flatnonzero(np.bincount(popcount))
+        self.order = np.argsort(popcount, kind="stable")
+        self.starts = np.searchsorted(popcount[self.order], groups)
+        full = period * period
+        self.dtype = np.int64 if n * full < _INT64_SUM_BOUND else object
+        one = 1 << (width - 1)
+        weights = np.array(
+            [scale * one**k * (period - one) ** (self.levels - k) for k in groups.tolist()], object
+        )
+        self.s_weights = weights * (flip.denominator - 2 * flip.numerator)
+        # without flips the C_k terms vanish
+        self.c_weights = weights * (flip.numerator * full) if flip else None
+        self.den = period**self.levels * full * flip.denominator
+
+    def group_sums(self, products, positive):
+        """(T, groups) S_k and C_k of a (T, N) batch from its `dtype` threshold products.
+
+        The products are signed in place. C_k is None without flips.
+        """
+        sign = np.where(positive, 1, -1)
+        products *= sign
+        s_sums = np.add.reduceat(products[:, self.order], self.starts, axis=1)
+        if self.c_weights is None:
+            return s_sums, None
+        return s_sums, np.add.reduceat(sign[:, self.order], self.starts, axis=1)
+
+    def numerators(self, s_sums, c_sums):
+        """The exact expected decodes times `den`, as Python ints."""
+        nums = s_sums.astype(object) @ self.s_weights
+        return nums if c_sums is None else nums + c_sums.astype(object) @ self.c_weights
+
+
+def _expected_numerators(
+    thr_s, thr_w, positive, width: int, period: int, flip: Fraction
+) -> tuple[np.ndarray, int]:
+    """Exact expected conventional decodes of a (T, N) batch, over one denominator."""
+    plan = _OraclePlan(thr_s.shape[1], width, period, flip)
+    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype)
+    return plan.numerators(*plan.group_sums(products, positive)), plan.den
 
 
 def _conventional_expected_value(samples, weights, quant: LfsrStreamQuantizer) -> Fraction:
@@ -304,98 +325,154 @@ def _selected_inputs(lsb2, sel_phases, length: int, n: int):
     return np.broadcast_to(np.arange(length), real.shape)[real], flat[real]
 
 
+class _ConventionalRun:
+    """What the conventional chunks of one run share, and the per-trial summaries they return.
+
+    A chunk only counts: it returns its trials' decoded values and the
+    integer popcount-group sums of their oracles. `finish` turns the sums
+    into exact oracle values and writes the activity log, once per run.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        self.seq = state_cycle(cfg.lfsr_width, cfg.lfsr_taps)[0]
+        self.lsb2 = select_table(cfg.lfsr_width, cfg.lfsr_taps)
+        flip = Fraction(cfg.flip_probability)
+        self.plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.seq.size, flip)
+        groups = (cfg.trials, self.plan.starts.size)
+        self.decoded = np.empty(cfg.trials)
+        self.s_sums = np.empty(groups, self.plan.dtype)
+        # |C_k| is at most N
+        self.c_sums = np.empty(groups, np.min_scalar_type(-cfg.n_inputs)) if flip else None
+        self.saturated = 0
+
+    def store(self, rows, decoded, s_sums, c_sums, saturated):
+        self.decoded[rows], self.s_sums[rows] = decoded, s_sums
+        if c_sums is not None:
+            self.c_sums[rows] = c_sums
+        self.saturated += saturated
+
+    def finish(self, cfg: PipelineConfig):
+        """(decoded, oracle, activity log) of the run."""
+        plan, t, n, n_bits = self.plan, cfg.trials, cfg.n_inputs, cfg.binary_bits
+        oracle = np.empty(t)
+        step = max(1, _FINISH_BLOCK // plan.starts.size)
+        for lo in range(0, t, step):
+            rows = slice(lo, lo + step)
+            c_sums = None if self.c_sums is None else self.c_sums[rows]
+            # int true division is correctly rounded, as float(Fraction(num, den)) is
+            oracle[rows] = plan.numerators(self.s_sums[rows], c_sums) / plan.den
+
+        meta = {"adc_saturation": self.saturated} if self.saturated else {}
+        meta["mux_pad_streams"] = t * 2 * ((1 << plan.levels) - n)
+        # the ADC converts sensor samples only, as weights are preloaded. The
+        # binary store writes fresh samples, reads samples + weights (+1 sign
+        # bit), then takes the assumed write-back of both counts
+        sram = n * n_bits + n * n_bits + n * (n_bits + 1) + 2 * cfg.stream_length.bit_length()
+        counts = {
+            "adc_convert": t * n,
+            "sram_cell_access": t * sram,
+            "bsc_convert": t * 2 * n,
+            "sc_logic_eval": t * n,
+            "sbc_convert": t * 2,
+        }
+        return self.decoded, oracle, ActivityLog(counts, meta)
+
+
 def _conventional_batch(
-    cfg: PipelineConfig, trials, samples, weights, phases_s, phases_w, sel_phases, log
+    cfg: PipelineConfig, trials, samples, weights, phases_s, phases_w, sel_phases, run
 ):
-    """Conventional outputs of a chunk of trials, evaluating only the selected MUX leaf.
+    """Count a chunk of conventional trials, evaluating only the selected MUX leaf.
 
     Inputs are (T, N) arrays, one row per trial, and `sel_phases` is
     (T, levels). Each output bit is one product bit S_j[t] & W_j[t] of the
     leaf j(t) the tree selects (flipped by its keyed draw), or 0 at a
     padding leaf; the work is O(T * (N + L * levels)), never T * N * L.
+    Returns what `_ConventionalRun.store` takes after the rows.
     """
-    n_bits = cfg.binary_bits
-    width = cfg.lfsr_width
-    seq, _ = state_cycle(width, cfg.lfsr_taps)
-    period = seq.size
-    length = cfg.stream_length
     n_trials, n = samples.shape
-
     positive = weights >= 0.0
-    thr_s, sat_s = _comparator_thresholds(samples, n_bits, period)
-    thr_w, sat_w = _comparator_thresholds(np.abs(weights), n_bits, period)
-    saturated = np.count_nonzero(sat_s | sat_w)
-    if saturated:
-        log.note("adc_saturation", saturated)
-    log.record("adc_convert", n_trials * n)  # sensor samples only; weights are preloaded
-    # binary store: write fresh samples, read samples + weights (+1 sign bit),
-    # then the assumed write-back of both counts
-    sram_per_trial = n * n_bits + n * n_bits + n * (n_bits + 1) + 2 * length.bit_length()
-    log.record("sram_cell_access", n_trials * sram_per_trial)
-    log.record("bsc_convert", n_trials * 2 * n)
-    log.record("sc_logic_eval", n_trials * n)
-    log.record("sbc_convert", n_trials * 2)
-
-    scale = mux_tree_scale(n)
-    log.note("mux_pad_streams", n_trials * 2 * (scale - n))
+    # the weights first, so that their absolute values are freed before the samples convert
+    thr_w, sat_w = _comparator_thresholds(np.abs(weights), cfg.binary_bits, run.seq.size)
+    thr_s, sat_s = _comparator_thresholds(samples, cfg.binary_bits, run.seq.size)
 
     # one select network feeds both trees, as a single MUX array would
-    t, flat = _selected_inputs(select_table(width, cfg.lfsr_taps), sel_phases, length, n)
-    bits = np.take(seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
-    bits &= np.take(seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
+    t, flat = _selected_inputs(run.lsb2, sel_phases, cfg.stream_length, n)
+    bits = np.take(run.seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
+    bits &= np.take(run.seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
     if cfg.flip_probability > 0.0:
         keys = _flip_row_keys(cfg.seed, trials, n).ravel()[flat]
         bits ^= unit_floats(keys, t) < cfg.flip_probability
     pos = positive.ravel()[flat]
     counts = np.bincount(flat[bits & pos] // n, minlength=n_trials)
     counts -= np.bincount(flat[bits & ~pos] // n, minlength=n_trials)
+    decoded = counts * (1 << run.plan.levels) / cfg.stream_length
+    # a threshold is at most the period, below 2^20, so int64 holds every product
+    products = thr_s.astype(run.plan.dtype, copy=False)
+    products *= thr_w
+    return decoded, *run.plan.group_sums(products, positive), np.count_nonzero(sat_s | sat_w)
 
-    decoded = counts * scale / length
-    flip = Fraction(cfg.flip_probability)
-    nums, den = _expected_numerators(thr_s, thr_w, positive, width, period, flip)
-    # int true division is correctly rounded, as float(Fraction(num, den)) is
-    return decoded, [num / den for num in nums]
+
+class _ProposedRun:
+    """The per-trial product counts and oracles of one proposed run, decoded once per run."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.n_p, self.n_n, self.oracle = np.empty((3, cfg.trials), dtype=np.int64)
+        self.fired = self.clamped = 0
+
+    def store(self, rows, n_p, n_n, oracle, fired, clamped):
+        self.n_p[rows], self.n_n[rows], self.oracle[rows] = n_p, n_n, oracle
+        self.fired += fired
+        self.clamped += clamped
+
+    def finish(self, cfg: PipelineConfig):
+        """(decoded, oracle, activity log) of the run."""
+        t, n, m, mac_cfg = cfg.trials, cfg.n_inputs, cfg.m, cfg.mac_config
+        decoded = np.empty(t)
+        for lo in range(0, t, _FINISH_BLOCK):
+            rows = slice(lo, lo + _FINISH_BLOCK)
+            decoded[rows] = mac_mod.decode_counts(self.n_p[rows], self.n_n[rows], mac_cfg)
+
+        # gated pricing: only fired SAs draw energy; per-conversion and
+        # disabled tallies stay in metadata so nothing is double-priced
+        meta = {"asc_conversions": t * n, "sa_disabled": t * n * m - self.fired}
+        if self.clamped:
+            meta["asc_input_clamped"] = self.clamped
+        meta.update((f"mac_phase_{phase.value}", t) for phase in mac_mod.PHASE_SEQUENCE)
+        # stochastic store: write fresh sample codes, read samples + weights
+        # (+ sign), then the assumed output write-back
+        sram = n * m + n * m + n * (m + 1) + (2 * m * n).bit_length()
+        counts = {
+            "sa_fire": self.fired,
+            "sram_cell_access": t * sram,
+            "mixed_signal_mac_eval": t * n,
+        }
+        return decoded, self.oracle.astype(np.float64), ActivityLog(counts, meta)
 
 
-def _proposed_batch(cfg: PipelineConfig, trials, samples, weights, log):
-    """Proposed outputs of a chunk of trials; inputs are (T, N) arrays."""
+def _proposed_batch(cfg: PipelineConfig, trials, samples, weights, run):
+    """Count a chunk of proposed trials; inputs are (T, N) arrays.
+
+    Returns what `_ProposedRun.store` takes after the rows.
+    """
     m = cfg.m
-    n_trials, n = samples.shape
-
     positive = weights >= 0.0
-    in_levels, fired, clamped = asc_levels(samples, m)
-    w_levels, _, _ = asc_levels(np.abs(weights), m)
-    # gated pricing: only fired SAs draw energy; per-conversion and
-    # disabled tallies stay in metadata so nothing is double-priced
-    fired_total = int(fired.sum())
-    log.record("sa_fire", fired_total)
-    log.note("asc_conversions", n_trials * n)
-    log.note("sa_disabled", n_trials * n * m - fired_total)
-    n_clamped = np.count_nonzero(clamped)
-    if n_clamped:
-        log.note("asc_input_clamped", n_clamped)
-
-    # stochastic store: write fresh sample codes, read samples + weights
-    # (+ sign), then the assumed output write-back
-    sram_per_trial = n * m + n * m + n * (m + 1) + (2 * m * n).bit_length()
-    log.record("sram_cell_access", n_trials * sram_per_trial)
-    log.record("mixed_signal_mac_eval", n_trials * n)
-    for phase in mac_mod.PHASE_SEQUENCE:
-        log.note(f"mac_phase_{phase.value}", n_trials)
-
+    # each (T, N) temporary is freed as soon as it is summed
+    exact, fired, clamped = asc_levels(samples, m)
+    fired, clamped = int(fired.sum()), np.count_nonzero(clamped)
     # the AND of two thermometer codes has min(count_a, count_b) leading ones
-    exact = np.minimum(in_levels, w_levels)
-    per_pair = exact
+    np.minimum(exact, asc_levels(np.abs(weights), m)[0], out=exact)
+    n_p = np.where(positive, exact, 0).sum(axis=1)
+    n_n = exact.sum(axis=1) - n_p
+    # the quantized oracle reads the same levels: sign * min(level_s, level_w)
+    oracle = n_p - n_n
     if cfg.flip_probability > 0.0:
         products = np.arange(m) < exact[:, :, None]
-        keys = _flip_row_keys(cfg.seed, trials, n)[:, :, None]
+        keys = _flip_row_keys(cfg.seed, trials, samples.shape[1])[:, :, None]
         products ^= unit_floats(keys, np.arange(m)) < cfg.flip_probability
         per_pair = products.sum(axis=2, dtype=np.int64)
-    n_p = np.where(positive, per_pair, 0).sum(axis=1)
-    n_n = np.where(positive, 0, per_pair).sum(axis=1)
-    decoded = mac_mod.decode_counts(n_p, n_n, cfg.mac_config)
-    # the quantized oracle reads the same levels: sign * min(level_s, level_w)
-    return decoded, np.where(positive, exact, -exact).sum(axis=1)
+        n_p = np.where(positive, per_pair, 0).sum(axis=1)
+        n_n = per_pair.sum(axis=1) - n_p
+    return n_p, n_n, oracle, fired, clamped
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +554,11 @@ def _check_fixed_inputs(samples, weights, cfg: PipelineConfig):
 
 
 # trials per batched-worker call: about this many (trial, input or bit) elements
-_CHUNK_ELEMENTS = 1 << 12
+_CHUNK_ELEMENTS = 1 << 13
+
+# Python ints (conventional oracle) or trials (proposed decode) per block of
+# a run's finishing pass, which bounds the memory the pass takes
+_FINISH_BLOCK = 1 << 10
 
 
 def _chunk_trials(cfg: PipelineConfig) -> int:
@@ -580,16 +661,14 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
         fixed = _check_fixed_inputs(samples, weights, cfg)
 
     n = cfg.n_inputs
+    runs = [_ConventionalRun(c) if c.variant == "conventional" else _ProposedRun(c) for c in cfgs]
     phase_sizes, period = (), 0
-    for c in cfgs:
-        if c.variant == "conventional":
-            period = state_cycle(c.lfsr_width, c.lfsr_taps)[0].size
+    for run in runs:
+        if isinstance(run, _ConventionalRun):
+            period = run.seq.size
             # phases_s, phases_w, then the select phases, one per tree level
-            phase_sizes = (n, n, mux_tree_scale(n).bit_length() - 1)
+            phase_sizes = (n, n, run.plan.levels)
     chunks = [_chunk_trials(c) for c in cfgs]
-    logs = [ActivityLog() for _ in cfgs]
-    decoded = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
-    oracle = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
     # per config: the first trial not yet evaluated and its drawn rows, if
     # they came from an earlier chunk
     held = [(0, None)] * len(cfgs)
@@ -616,21 +695,19 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
             for lo in range(first, end, chunks[k]):
                 hi = min(lo + chunks[k], end)
                 rows = slice(lo - first, hi - first)
-                decoded[k][lo:hi], oracle[k][lo:hi] = worker(
-                    c, range(lo, hi), *(a[rows] for a in columns), logs[k]
-                )
-            held[k] = (end, [a[end - first :] for a in columns] if end < stop else None)
+                summaries = worker(c, range(lo, hi), *(a[rows] for a in columns), runs[k])
+                runs[k].store(slice(lo, hi), *summaries)
+            # a copy of the rows carried over lets the block be freed
+            held[k] = (end, [a[end - first :].copy() for a in columns] if end < stop else None)
+            if c.variant == "conventional":
+                # the proposed worker reads no phases, so they are freed before it runs
+                del arrays[2:]
+        # a block's rows are freed before the next block is drawn
+        del arrays, columns
 
     return [
-        ExperimentResult(
-            variant=c.variant,
-            config=c.to_json_dict(),
-            seed=c.seed,
-            decoded=decoded[k],
-            oracle=oracle[k],
-            activity=logs[k],
-        )
-        for k, c in enumerate(cfgs)
+        ExperimentResult(c.variant, c.to_json_dict(), c.seed, *run.finish(c))
+        for c, run in zip(cfgs, runs)
     ]
 
 

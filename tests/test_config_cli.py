@@ -401,3 +401,45 @@ def test_cli_smallest_normal_vdd_decodes_exactly(tmp_path, capsys):
     summary = json.loads((tmp_path / "out" / "compare_summary.json").read_text())
     assert summary["proposed"]["config"]["vdd"] == sys.float_info.min
     assert summary["proposed"]["statistics"]["max_abs_error"] == 0
+
+
+@pytest.mark.parametrize("vdd", ("5e-324", "1e-320", "0", "-1", "inf", "1.7e308"))
+def test_cli_mac_rejects_bad_vdd_exit_2(capsys, vdd):
+    assert main(["mac", "--in", "111,110", "--w=111,-100", "--vdd", vdd]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "vdd must be finite and at least" in err
+
+
+def test_cli_mac_extreme_supported_vdd_decodes_exactly(capsys):
+    import sys
+
+    for vdd in (str(sys.float_info.min), "1", str(sys.float_info.max / 2)):
+        assert main(["mac", "--in", "111,110", "--w=111,-100", "--vdd", vdd]) == 0
+        assert "decoded = 2" in capsys.readouterr().out
+
+
+# m*N = 2^48 - 1 is the largest array the voltage decode recovers exactly
+@pytest.mark.parametrize(
+    "m, n, rc",
+    [((2**48 - 1) // 3, 3, 0), (2**44, 16, 2), (2**50, 16, 2), (2**48, 1, 2)],
+)
+def test_cli_compare_bounds_the_product_count(tmp_path, capsys, m, n, rc):
+    text = json.dumps({"mac": {"m": m}, "pipeline": {"n_inputs": n}})
+    got, out = _compare_with_config(tmp_path, text, "--trials", "3")
+    assert got == rc
+    if rc:
+        assert "exceeds 281474976710655" in capsys.readouterr().err
+        assert not os.path.exists(out)
+    else:
+        summary = json.loads((tmp_path / "out" / "compare_summary.json").read_text())
+        assert summary["proposed"]["statistics"]["max_abs_error"] == 0
+
+
+def test_cli_rejects_energy_that_overflows_exit_2(tmp_path, capsys):
+    table = {"asc_convert": 1e308, "sa_fire": 1e308}
+    text = json.dumps({"energy_tables": {"proposed": table}})
+    rc, out = _compare_with_config(tmp_path, text, "--trials", "2", "--n-inputs", "4")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "overflows" in err
+    assert not os.path.exists(out)

@@ -93,6 +93,27 @@ def test_efficiency_guards():
         efficiency(10, 0.0)
 
 
+def test_accumulate_rejects_finite_units_that_overflow():
+    table = EnergyTable(asc_convert=1e308, sa_fire=1e308)
+    assert accumulate(ActivityLog({"sa_fire": 1}), table).total_fj == 1e308
+    with pytest.raises(EnergyModelError, match="total overflows"):
+        accumulate(ActivityLog({"sa_fire": 2}), table)
+    with pytest.raises(EnergyModelError, match="total overflows"):
+        accumulate(ActivityLog({"sa_fire": 1, "asc_convert": 1}), table)
+    # the total fits, the power it draws at this rate does not
+    log = ActivityLog({"sa_fire": 1})
+    assert accumulate(log, EnergyTable(sa_fire=1e300), rate_hz=1e8).power_uw == pytest.approx(1e299)
+    with pytest.raises(EnergyModelError, match="power overflows"):
+        accumulate(log, EnergyTable(sa_fire=1e300), rate_hz=1e10)
+
+
+def test_derived_figures_reject_overflow():
+    with pytest.raises(EnergyModelError, match="efficiency overflows"):
+        efficiency(150, 1e-310)
+    with pytest.raises(EnergyModelError, match="overflows the reduction"):
+        reduction_percent(EnergyReport({"sa_fire": 1e-10}), EnergyReport({"sa_fire": 1e300}))
+
+
 def test_fom_examples():
     assert fom(0.91e-12, 2395, 1) / 1e-15 == pytest.approx(0.38, abs=0.005)
     assert fom(1e-12, 1, 1) == pytest.approx(1e-12)

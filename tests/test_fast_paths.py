@@ -237,6 +237,37 @@ def test_conventional_trial_oracle_matches_scalar_reference(n, flip):
     assert res.oracle[0] == float(_scalar_expected_value(samples, weights, quant))
 
 
+def _popcount_matmul_sums(thr_s, thr_w, positive, levels: int):
+    """S_k and C_k as the oracle summed them before the plan: one 0/1 column per popcount."""
+    leaves = np.arange(thr_s.shape[1])
+    popcount = np.zeros(leaves.size, dtype=np.int64)
+    for level in range(levels):
+        popcount += (leaves >> level) & 1
+    groups = (popcount[:, None] == np.arange(levels + 1)).astype(np.int64)
+    sign = np.where(positive, 1, -1)
+    return (thr_s * thr_w * sign) @ groups, sign @ groups, groups.any(axis=0)
+
+
+# an N that is not a power of two leaves the top popcount group empty
+@pytest.mark.parametrize("n", (1, 2, 3, 7, 300, 512, 513))
+@pytest.mark.parametrize("dtype", ("int64", "object"))
+def test_oracle_plan_group_sums_match_popcount_matmul(n, dtype, monkeypatch):
+    if dtype == "object":
+        monkeypatch.setattr(pipelines, "_INT64_SUM_BOUND", 1)
+    width, period = 15, 2**15 - 1
+    rng = np.random.default_rng(n)
+    thr_s, thr_w = rng.integers(0, period + 1, size=(2, 6, n))
+    positive = rng.uniform(size=(6, n)) < 0.5
+    positive[0] = True
+    plan = pipelines._OraclePlan(n, width, period, Fraction(0.02))
+    assert plan.dtype == (object if dtype == "object" else np.int64)
+    got_s, got_c = plan.group_sums((thr_s * thr_w).astype(plan.dtype), positive)
+    want_s, want_c, present = _popcount_matmul_sums(thr_s, thr_w, positive, plan.levels)
+    assert present.all() == (n & (n - 1) == 0)
+    assert got_s.tolist() == want_s[:, present].tolist()
+    assert got_c.tolist() == want_c[:, present].tolist()
+
+
 # Per-trial reference workers: the conventional and proposed trials as they
 # ran before trials were batched, one generator and one call per trial, with
 # the per-input Python-int oracle. The batched workers must equal them.
@@ -572,15 +603,22 @@ def _full_matrix_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, l
     return decoded, float(_expected_value(thr_s, thr_w, positive, width, period, flip))
 
 
-def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int, log: ActivityLog):
-    """One trial through the batched conventional worker, drawn as the pipeline draws it."""
+def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int):
+    """(decoded, oracle, log) of one trial through the batched conventional worker.
+
+    The trial is drawn as the pipeline draws it, counted as a one-trial
+    chunk, stored as the only row of a one-trial run and finished as a run is.
+    """
     rng = np.random.default_rng((cfg.seed, trial))
     period = cycle_length(cfg.lfsr_width, cfg.lfsr_taps)
     levels = mux_tree_scale(cfg.n_inputs).bit_length() - 1
     phases = [rng.integers(0, period, size=k)[None] for k in (cfg.n_inputs, cfg.n_inputs, levels)]
     rows = np.asarray(samples)[None], np.asarray(weights)[None]
-    decoded, oracle = _conventional_batch(cfg, range(trial, trial + 1), *rows, *phases, log)
-    return decoded[0], oracle[0]
+    run_cfg = dataclasses.replace(cfg, trials=1)
+    run = pipelines._ConventionalRun(run_cfg)
+    run.store(slice(0, 1), *_conventional_batch(cfg, range(trial, trial + 1), *rows, *phases, run))
+    decoded, oracle, log = run.finish(run_cfg)
+    return decoded[0], oracle[0], log
 
 
 # the full-matrix reference holds int64 (N, L) index matrices: cap N * L
@@ -615,13 +653,13 @@ def test_selected_leaf_trial_matches_full_matrix(register, n):
                 )
                 weights = sign * magnitudes
                 trial = 3
-                got_log, want_log = ActivityLog(), ActivityLog()
-                got = _batched_trial(samples, weights, cfg, trial, got_log)
+                want_log = ActivityLog()
+                decoded, oracle, got_log = _batched_trial(samples, weights, cfg, trial)
                 want = _full_matrix_trial(
                     samples, weights, cfg, np.random.default_rng((cfg.seed, trial)), trial, want_log
                 )
                 case = (length, flip, label)
-                assert got == want, case
+                assert (decoded, oracle) == want, case
                 assert got_log == want_log, case
 
 
@@ -974,9 +1012,10 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
             # phases_s, phases_w, then the select phases, one per tree level
             phase_sizes = (n, n, mux_tree_scale(n).bit_length() - 1)
     chunks = [_chunk_trials(c) for c in cfgs]
-    logs = [ActivityLog() for _ in cfgs]
-    decoded = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
-    oracle = [np.empty(cfg.trials, dtype=np.float64) for _ in cfgs]
+    runs = [
+        pipelines._ConventionalRun(c) if c.variant == "conventional" else pipelines._ProposedRun(c)
+        for c in cfgs
+    ]
     # per config: the first trial not yet evaluated and its drawn rows, if
     # they came from an earlier chunk
     held = [(0, None)] * len(cfgs)
@@ -1010,22 +1049,24 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
             for lo in range(first, end, chunks[k]):
                 hi = min(lo + chunks[k], end)
                 rows = slice(lo - first, hi - first)
-                decoded[k][lo:hi], oracle[k][lo:hi] = worker(
-                    c, range(lo, hi), *(a[rows] for a in columns), logs[k]
-                )
+                summaries = worker(c, range(lo, hi), *(a[rows] for a in columns), runs[k])
+                runs[k].store(slice(lo, hi), *summaries)
             held[k] = (end, [a[end - first :] for a in columns] if end < stop else None)
 
-    return [
-        pipelines.ExperimentResult(
-            variant=c.variant,
-            config=c.to_json_dict(),
-            seed=c.seed,
-            decoded=decoded[k],
-            oracle=oracle[k],
-            activity=logs[k],
+    results = []
+    for c, run in zip(cfgs, runs):
+        decoded, oracle, log = run.finish(c)
+        results.append(
+            pipelines.ExperimentResult(
+                variant=c.variant,
+                config=c.to_json_dict(),
+                seed=c.seed,
+                decoded=decoded,
+                oracle=oracle,
+                activity=log,
+            )
         )
-        for k, c in enumerate(cfgs)
-    ]
+    return results
 
 
 LANE_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3, 2**130 + 7)

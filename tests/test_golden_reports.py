@@ -5,6 +5,7 @@ refactor of the datapaths must reproduce every report file byte for byte.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,7 +13,9 @@ import os
 
 import pytest
 
+from scmac import pipelines
 from scmac.cli import main
+from scmac.config import load_config
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.json")
 REPORTS = (
@@ -97,3 +100,36 @@ def _run_case(case: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_compare_reports_match_golden_digests(case, tmp_path):
     assert _run_case(case, tmp_path) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("flip", (0.0, 0.02))
+def test_reports_and_results_do_not_depend_on_the_chunk_size(flip, tmp_path, monkeypatch):
+    """N=300, 40 trials: chunks of one trial, the default and the whole run agree byte for byte."""
+    with open(REFERENCE, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["pipeline"]["flip_probability"] = flip
+    raw["experiment"]["energy_profile"] = "measured"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(raw), encoding="utf-8")
+    cfg = load_config(str(config))
+    seen = []
+    for elements in (1 << 7, pipelines._CHUNK_ELEMENTS, 1 << 20):
+        monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", elements)
+        out = tmp_path / str(elements)
+        argv = ["compare", "--config", str(config), "--out", str(out), "--trials", "40"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        reports = {name: (out / name).read_bytes() for name in REPORTS}
+        both = pipelines.run_comparison(
+            dataclasses.replace(cfg.pipeline_config("conventional"), trials=40),
+            dataclasses.replace(cfg.pipeline_config("proposed"), trials=40),
+            energy_profile="measured",
+        )
+        # the logs in insertion order, which the sorted JSON reports hide
+        results = [
+            (r.decoded.tolist(), r.oracle.tolist(), list(r.activity.counts.items()))
+            + (list(r.activity.meta.items()),)
+            for r in (both.conventional, both.proposed)
+        ]
+        seen.append((reports, results))
+    assert seen[0] == seen[1] == seen[2]

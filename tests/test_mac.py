@@ -1,5 +1,7 @@
 """Capacitor-array MAC: closed form, charge oracle, decode, invariants."""
 
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -26,7 +28,7 @@ from scmac import (
 )
 from scmac.converters import ThermometerCode
 from scmac.errors import ConversionError
-from scmac.mac import baseline_voltage, max_voltage
+from scmac.mac import MAX_COUNT, baseline_voltage, decode_counts, max_voltage
 
 
 def worked_inputs():
@@ -259,6 +261,30 @@ def test_inputs_validation():
         MacConfig(0, 1)
     with pytest.raises(MacError):
         mac_evaluate(worked_inputs(), MacConfig(3, 4, 1.0))
+
+
+def test_config_bounds_the_product_count():
+    assert MacConfig((2**48 - 1) // 3, 3).max_count == MAX_COUNT == 2**48 - 1
+    for m, n in ((2**44, 16), (2**48, 1), (2**50, 16)):
+        with pytest.raises(MacError, match="exceeds"):
+            MacConfig(m, n)
+
+
+@pytest.mark.parametrize("vdd", ("5e-324", "1e-310", "0", "-1", "inf", "nan", "9e307"))
+def test_config_rejects_vdd_outside_the_exact_decode(vdd):
+    with pytest.raises(MacError, match="vdd must be finite and at least"):
+        MacConfig(3, 2, float(vdd))
+
+
+@pytest.mark.parametrize("vdd", (1.0, 0.8, 1.3, 0.1, sys.float_info.min, sys.float_info.max / 2))
+def test_decode_counts_exact_at_the_product_count_bound(vdd):
+    cfg = MacConfig((2**48 - 1) // 3, 3, vdd)
+    top = cfg.max_count
+    edges = np.array([0, 1, 2, top // 2, top // 2 + 1, top - 2, top - 1, top])
+    rng = np.random.default_rng(48)
+    n_p = np.concatenate([np.repeat(edges, edges.size), rng.integers(0, top + 1, 4000)])
+    n_n = np.concatenate([np.tile(edges, edges.size), rng.integers(0, top + 1, 4000)])
+    assert np.array_equal(decode_counts(n_p, n_n, cfg), n_p - n_n)
 
 
 def test_voltages_use_exact_fractions():

@@ -205,6 +205,12 @@ def test_reference_shape_peak_memory(variant):
     assert _traced_peak(run, cfg) < 2**20
 
 
+def test_many_trial_conventional_peak_memory():
+    """Criterion 6's longest streams: 10^4 trials' summaries and outputs stay under 1 MB."""
+    cfg = conv_cfg(n_inputs=4, trials=10_000, seed=42, stream_length=1024)
+    assert _traced_peak(conventional_pipeline, cfg) <= 2**20
+
+
 def test_conventional_unbiased_over_many_trials():
     cfg = conv_cfg(n_inputs=4, trials=10_000, seed=7, stream_length=64)
     res = conventional_pipeline(None, None, cfg)
