@@ -8,16 +8,14 @@ This walk-through mirrors the classic blackboard examples.
 from fractions import Fraction
 
 from scmac import (
-    Alternating,
     Bitstream,
-    ExplicitStream,
-    PseudoRandomLfsr,
     inject_bitflips,
     mux_add,
     mux_tree_accumulate,
     sc_mul,
     value,
 )
+from scmac.lfsr import MAXIMAL_TAPS, phase_of_state, select_bits
 
 A = Bitstream.from_string("01011100")
 B = Bitstream.from_string("11101000")
@@ -35,7 +33,7 @@ print("not bit-exactly; these particular streams land on 2/8)")
 print("\n== scaled addition is a MUX ==")
 a = Bitstream.from_string("11110000")
 b = Bitstream.from_string("00001111")
-out = mux_add(a, b, Alternating())
+out = mux_add(a, b, Bitstream.from_string("01010101"))
 print(f"mux(a, b, 0101...) = {out.to_string()}  value = {value(out)}")
 print(f"(value(a) + value(b)) / 2 = {(value(a) + value(b)) / 2}")
 
@@ -46,7 +44,11 @@ streams = [
     Bitstream.from_string("11000000"),
     Bitstream.from_string("10000000"),
 ]
-tree_out = mux_tree_accumulate(streams, PseudoRandomLfsr(seed=0b1101))
+# each tree level takes the next 8 select bits (output LSBs) of one LFSR run
+taps = MAXIMAL_TAPS[15]
+phase = phase_of_state(15, taps, 0b1101)
+selects = [Bitstream(select_bits(15, taps, phase + level * 8, 8)) for level in range(2)]
+tree_out = mux_tree_accumulate(streams, selects)
 total = sum(value(s) for s in streams)
 print(f"stream values: {[str(value(s)) for s in streams]}")
 print(f"tree output value = {value(tree_out)}  (expected around sum/4 = {total / 4})")
@@ -64,6 +66,6 @@ print(f"|delta| = {abs(flipped_msb - word)} = 2^3, half the full scale in one hi
 print("\n== explicit select streams give exact, auditable results ==")
 ones = Bitstream.from_string("11111111")
 zeros = Bitstream.from_string("00000000")
-half = mux_add(ones, zeros, ExplicitStream(Bitstream.from_string("01010101")))
+half = mux_add(ones, zeros, Bitstream.from_string("01010101"))
 assert value(half) == Fraction(1, 2)
 print(f"mux(1s, 0s, balanced select) = {half.to_string()}  value = {value(half)}")

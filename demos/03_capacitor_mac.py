@@ -14,7 +14,7 @@ from scmac import (
     MacConfig,
     MacInputs,
     SignedStochNumber,
-    charge_oracle_trace,
+    charge_oracle,
     count_products,
     decode_voltage,
     mac_evaluate,
@@ -42,11 +42,9 @@ print(f"phase 2 (S2 on): charge share lands at V = {v:.9f} V (= 5/14)")
 print(f"decoded n_p - n_n = {decode_voltage(v, cfg)}")
 
 print("\n== the independent charge ledger agrees ==")
-trace = charge_oracle_trace(inputs, cfg)
-print(f"per-side voltages from explicit capacitor sums: VP={trace.vp:.6f}, VN={trace.vn:.6f}")
-print(f"shared-node voltage: {trace.v_shared:.9f} V")
-print(f"charge before share: {trace.charge_phase1:.12f}, after: {trace.charge_shared:.12f}")
-print(f"|closed form - ledger| = {abs(v - trace.v_shared):.2e}")
+ledger = charge_oracle(inputs, cfg)
+print(f"shared-node voltage from explicit capacitor sums: {ledger:.9f} V")
+print(f"|closed form - ledger| = {abs(v - ledger):.2e}")
 
 print("\n== one bit is one capacitor: exact voltage steps ==")
 step = 0.5 * cfg.vdd / cfg.caps_per_side
@@ -67,7 +65,7 @@ inputs = MacInputs(
     rng.integers(0, 2, (300, 15)), rng.integers(0, 2, (300, 15)), rng.integers(0, 2, 300)
 )
 v, counts = mac_evaluate(inputs, big)
-trace = charge_oracle_trace(inputs, big)
+ledger = charge_oracle(inputs, big)
 print(f"n_p = {counts.n_p}, n_n = {counts.n_n}, V = {v:.6f} V "
-      f"(oracle agrees to {abs(v - trace.v_shared):.1e})")
+      f"(oracle agrees to {abs(v - ledger):.1e})")
 print(f"decoded signed count: {decode_voltage(v, big)} (exact: {counts.difference})")

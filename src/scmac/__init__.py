@@ -9,11 +9,7 @@ energy model comparing the two.
 """
 
 from .bitstream import (
-    Alternating,
     Bitstream,
-    ExplicitStream,
-    PseudoRandomLfsr,
-    SelectSource,
     inject_bitflips,
     mux_add,
     mux_tree_accumulate,
@@ -24,15 +20,12 @@ from .bitstream import (
 from .config import ExperimentConfig, config_from_dict, default_config, load_config
 from .converters import (
     AscActivity,
-    Lfsr,
     RefLadder,
     ThermometerCode,
     adc_quantize,
     adc_quantize_flagged,
     asc_encode,
     bsc_encode,
-    default_lfsr,
-    lfsr_next,
     ref_ladder,
     sbc_decode,
     thermometer_quantize,
@@ -62,15 +55,13 @@ from .errors import (
     SizeMismatchError,
     StreamError,
 )
+from .lfsr import Lfsr, default_lfsr, lfsr_next
 from .mac import (
     MacConfig,
     MacInputs,
-    MacPhase,
-    PHASE_SEQUENCE,
     ProductCounts,
     SignedStochNumber,
     charge_oracle,
-    charge_oracle_trace,
     charge_share,
     count_products,
     decode_voltage,
@@ -80,9 +71,7 @@ from .mac import (
 from .pipelines import (
     ComparisonResult,
     ExperimentResult,
-    LfsrStreamQuantizer,
     PipelineConfig,
-    ThermometerQuantizer,
     conventional_pipeline,
     exact_oracle,
     proposed_pipeline,

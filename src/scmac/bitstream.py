@@ -8,12 +8,10 @@ equivalence tests never depend on float rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import lfsr as _lfsr
 from ._prng import unit_floats
 from .errors import LengthMismatchError, StreamError
 
@@ -102,60 +100,13 @@ def sc_mul(a: Bitstream, b: Bitstream) -> Bitstream:
     return Bitstream(a.bits & b.bits)
 
 
-@dataclass(frozen=True)
-class SelectSource:
-    """Source of MUX select bits; subclasses define the pattern."""
-
-    def level_bits(self, level: int, length: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Alternating(SelectSource):
-    """0,1,0,1,... deterministic select."""
-
-    def level_bits(self, level: int, length: int) -> np.ndarray:
-        return (np.arange(length, dtype=np.int64) & 1).astype(np.uint8)
-
-
-@dataclass(frozen=True)
-class ExplicitStream(SelectSource):
-    """A caller-supplied select stream, reused at every tree level."""
-
-    stream: Bitstream
-
-    def level_bits(self, level: int, length: int) -> np.ndarray:
-        if len(self.stream) != length:
-            raise LengthMismatchError(
-                f"select stream length {len(self.stream)} != operand length {length}"
-            )
-        return self.stream.bits
-
-
-@dataclass(frozen=True)
-class PseudoRandomLfsr(SelectSource):
-    """Select bits taken from an LFSR run, one slice per tree level.
-
-    Successive levels consume successive slices of the same run so the
-    levels are mutually decorrelated. Keep the seed/taps distinct from any
-    data-stream LFSR to avoid correlation with the operands.
-    """
-
-    width: int = 15
-    taps: tuple[int, ...] = _lfsr.MAXIMAL_TAPS[15]
-    seed: int = 0b101
-
-    def level_bits(self, level: int, length: int) -> np.ndarray:
-        phase = _lfsr.phase_of_state(self.width, self.taps, self.seed)
-        return _lfsr.select_bits(self.width, self.taps, phase + level * length, length)
-
-
-def _coerce_select(sel) -> SelectSource:
-    if isinstance(sel, SelectSource):
-        return sel
-    if isinstance(sel, Bitstream):
-        return ExplicitStream(sel)
-    raise StreamError(f"cannot use {type(sel).__name__} as a select source")
+def _select_bits(sel, length: int) -> np.ndarray:
+    """The select stream's bits as booleans, checked against the operand length."""
+    if not isinstance(sel, Bitstream):
+        raise StreamError(f"cannot use {type(sel).__name__} as a select stream")
+    if len(sel) != length:
+        raise LengthMismatchError(f"select stream length {len(sel)} != operand length {length}")
+    return sel.bits.astype(bool)
 
 
 def mux_add(a: Bitstream, b: Bitstream, sel) -> Bitstream:
@@ -165,8 +116,7 @@ def mux_add(a: Bitstream, b: Bitstream, sel) -> Bitstream:
     """
     if len(a) != len(b):
         raise LengthMismatchError(f"operand lengths differ: {len(a)} vs {len(b)}")
-    sel_bits = _coerce_select(sel).level_bits(0, len(a))
-    return Bitstream(np.where(sel_bits.astype(bool), b.bits, a.bits))
+    return Bitstream(np.where(_select_bits(sel, len(a)), b.bits, a.bits))
 
 
 def mux_tree_scale(k: int) -> int:
@@ -182,8 +132,11 @@ def mux_tree_scale(k: int) -> int:
 def mux_tree_accumulate(streams, sel) -> Bitstream:
     """Binary MUX tree over the streams; output value is (sum of values)/2^ceil(log2 k).
 
-    Non-power-of-two inputs are padded with all-zero streams; the caller
-    accounts for the resulting scale via mux_tree_scale(len(streams)).
+    `sel` is one select `Bitstream` shared by every tree level, or a
+    sequence of them, one per level from the leaves up (an LFSR select takes
+    successive slices of `lfsr.select_bits`). Non-power-of-two inputs are
+    padded with all-zero streams; the caller accounts for the resulting
+    scale via mux_tree_scale(len(streams)).
     """
     streams = list(streams)
     if not streams:
@@ -196,12 +149,15 @@ def mux_tree_accumulate(streams, sel) -> Bitstream:
     stack = np.zeros((size, length), dtype=np.uint8)
     for i, s in enumerate(streams):
         stack[i] = s.bits
-    source = _coerce_select(sel)
-    level = 0
-    while stack.shape[0] > 1:
-        bits = source.level_bits(level, length).astype(bool)
-        stack = np.where(bits[None, :], stack[1::2], stack[0::2])
-        level += 1
+    levels = size.bit_length() - 1
+    if isinstance(sel, Bitstream):
+        sel = [sel] * levels
+    elif not isinstance(sel, (list, tuple)):
+        raise StreamError(f"cannot use {type(sel).__name__} as a select stream")
+    if len(sel) != levels:
+        raise StreamError(f"a {size}-leaf tree needs {levels} select streams, got {len(sel)}")
+    for level_sel in sel:
+        stack = np.where(_select_bits(level_sel, length)[None, :], stack[1::2], stack[0::2])
     return Bitstream(stack[0])
 
 

@@ -24,6 +24,7 @@ from .config import ExperimentConfig, default_config, load_config
 from .converters import ref_ladder
 from .distributions import Uniform, ZeroPeakedGaussian
 from .energy import (
+    ENERGY_PROFILES,
     EVENT_KEYS,
     brute_force_enabled_average,
     expected_enabled_sas,
@@ -41,7 +42,6 @@ from .errors import (
 )
 from .mac import MacConfig, MacInputs, decode_voltage, mac_evaluate
 from .pipelines import ComparisonResult, run_comparison
-from .selftest import run_selftest
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,6 +228,8 @@ def cmd_mac(args) -> int:
         raise SizeMismatchError(
             f"got {len(in_tokens)} input streams but {len(w_tokens)} weights"
         )
+    if not in_tokens:
+        raise ConfigError("--in and --w need at least one stream each")
     ins = [Bitstream.from_string(t) for t in in_tokens]
     signs, mags = [], []
     for t in w_tokens:
@@ -370,6 +372,9 @@ def cmd_asc_stats(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here, so that the other subcommands do not load the suites
+    from .selftest import run_selftest
+
     return EXIT_OK if run_selftest(verbose=True) else 1
 
 
@@ -412,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, default=None)
             p.add_argument(
                 "--profile",
-                choices=("calibrated", "naive", "measured"),
+                choices=ENERGY_PROFILES,
                 default=None,
                 help="activity profile for energy pricing",
             )

@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .distributions import InputDistribution, ZeroPeakedGaussian, distribution_from_dict
-from .energy import EnergyTable, default_tables
+from .energy import ENERGY_PROFILES, EnergyTable, default_tables
 from .errors import ConfigError
 from .pipelines import PipelineConfig
 
@@ -98,12 +98,10 @@ class ExperimentConfig:
     fom_ops: int = 1
 
     def __post_init__(self):
-        if self.energy_profile not in ("calibrated", "naive", "measured"):
+        if self.energy_profile not in ENERGY_PROFILES:
             raise ConfigError(f"unknown energy_profile {self.energy_profile!r}")
-        if self.n_inputs < 1:
-            raise ConfigError(f"n_inputs must be positive, got {self.n_inputs}")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
+        # a bad pipeline field fails here, at load time, not when the run starts
+        self.pipeline_config("proposed")
         if self.fom_steps < 1 or self.fom_ops < 1:
             raise ConfigError("fom_steps and fom_ops must be positive")
         # derived label, recomputed whenever n_inputs changes; on a copy,
@@ -122,21 +120,8 @@ class ExperimentConfig:
             raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
 
     def pipeline_config(self, variant: str) -> PipelineConfig:
-        return PipelineConfig(
-            variant=variant,
-            n_inputs=self.n_inputs,
-            m=self.m,
-            vdd=self.vdd,
-            binary_bits=self.binary_bits,
-            stream_length=self.stream_length,
-            lfsr_width=self.lfsr_width,
-            lfsr_taps=self.lfsr_taps,
-            output_rate_hz=self.output_rate_hz,
-            distribution=self.distribution,
-            flip_probability=self.flip_probability,
-            trials=self.trials,
-            seed=self.seed,
-        )
+        names = [f.name for f in fields(PipelineConfig) if f.name != "variant"]
+        return PipelineConfig(variant=variant, **{name: getattr(self, name) for name in names})
 
     def to_json_dict(self) -> dict:
         conv, prop = self.tables

@@ -22,17 +22,7 @@ import numpy as np
 
 from .bitstream import Bitstream
 from .errors import ConversionError
-from .lfsr import (  # noqa: F401  (re-exported: the LFSR is a converter building block)
-    MAXIMAL_TAPS,
-    Lfsr,
-    cycle_length,
-    default_lfsr,
-    lfsr_next,
-    lfsr_outputs,
-    phase_of_state,
-    state_cycle,
-    threshold_bits,
-)
+from .lfsr import Lfsr, cycle_length, phase_of_state, threshold_bits
 
 
 def bsc_encode(value: int, l: Lfsr) -> Bitstream:
@@ -162,9 +152,6 @@ class ThermometerCode:
     @property
     def count(self) -> int:
         return sum(self.bits)
-
-    def to_bitstream(self) -> Bitstream:
-        return Bitstream(self.bits)
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,10 @@ def reduction_percent(baseline: EnergyReport, candidate: EnergyReport) -> float:
 # Shipped activity profiles
 # ---------------------------------------------------------------------------
 
+# the activity profiles a comparison can price: the two shipped ones, or the
+# pipelines' own measured logs
+ENERGY_PROFILES = ("calibrated", "naive", "measured")
+
 # Back-solved counts per output for the 15-bit, 300-input reference
 # configuration. The conventional counts admit a structural reading (one
 # 4-bit word in SRAM, one sample + one weight conversion each way, two

@@ -20,8 +20,6 @@ exact rational count / (m*N + 1) * vdd, rounded to float once.
 
 from __future__ import annotations
 
-import enum
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,16 +176,6 @@ class ProductCounts:
         return self.n_p - self.n_n
 
 
-class MacPhase(enum.Enum):
-    IDLE = "idle"
-    ACCUMULATE = "accumulate"
-    SHARE = "share"
-
-
-# One MAC evaluation walks this sequence exactly once (EN low -> S1 -> S2).
-PHASE_SEQUENCE: tuple[MacPhase, ...] = (MacPhase.IDLE, MacPhase.ACCUMULATE, MacPhase.SHARE)
-
-
 def product_matrix(inputs: MacInputs) -> np.ndarray:
     """Bitwise AND products, shape (N, m)."""
     return inputs.in_bits & inputs.w_bits
@@ -231,9 +219,9 @@ def charge_share(vp: float, vn: float, cfg: MacConfig) -> float:
 def mac_evaluate(inputs: MacInputs, cfg: MacConfig) -> tuple[float, ProductCounts]:
     """Full signed MAC: count products, divide voltage, share charge.
 
-    Returns the shared-node voltage and the product counts. The phase walk
-    for one evaluation is PHASE_SEQUENCE; activity accounting is the
-    caller's job.
+    Returns the shared-node voltage and the product counts. One evaluation
+    walks idle (EN low), accumulate (S1) and share (S2) once; activity
+    accounting is the caller's job.
     """
     inputs.matches(cfg)
     counts = count_products(inputs)
@@ -295,35 +283,16 @@ def decode_counts(n_p, n_n, cfg: MacConfig) -> np.ndarray:
     return np.rint(raw).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class ChargeTrace:
-    """Intermediate quantities of one explicit charge-conservation run."""
-
-    vp: float
-    vn: float
-    v_shared: float
-    charge_phase1: float
-    charge_shared: float
-
-
-def charge_oracle(inputs: MacInputs, cfg: MacConfig, cap_scale=None) -> float:
-    """Shared-node voltage from explicit per-capacitor bookkeeping."""
-    return charge_oracle_trace(inputs, cfg, cap_scale).v_shared
-
-
-def charge_oracle_trace(inputs: MacInputs, cfg: MacConfig, cap_scale=None) -> ChargeTrace:
-    """Simulate every unit capacitor and conserve charge through both phases.
+def charge_oracle(inputs: MacInputs, cfg: MacConfig) -> float:
+    """Shared-node voltage from explicit per-capacitor bookkeeping.
 
     Positive side: a capacitor is driven to vdd where its AND product is 1
     on a positive-signed pair, to 0 otherwise; the tail capacitor sits at
     0. Negative side: driven to 0 where the product is 1 on a
-    negative-signed pair, to vdd otherwise; tail again at 0. Phase 1 node
-    voltage is total charge over total capacitance per side; phase 2
-    connects the nodes and recomputes from the conserved total charge.
-
-    `cap_scale`, if given, is a pair of per-capacitor size factors (arrays
-    of length m*N + 1 per side) for mismatch studies; the default is ideal
-    equal unit capacitors, evaluated in exact arithmetic.
+    negative-signed pair, to vdd otherwise; tail again at 0. Phase 2
+    connects the two sides of equal unit capacitors, so the shared node
+    holds the total charge over both sides' capacitance, in exact
+    arithmetic rounded once.
     """
     inputs.matches(cfg)
     products = product_matrix(inputs).ravel()
@@ -333,37 +302,5 @@ def charge_oracle_trace(inputs: MacInputs, cfg: MacConfig, cap_scale=None) -> Ch
     pos_levels = np.concatenate([(products & pos_pair).astype(np.int64), [0]])
     neg_levels = np.concatenate([1 - (products & ~pos_pair).astype(np.int64), [0]])
 
-    if cap_scale is None:
-        vdd = Fraction(cfg.vdd)
-        cap_side = Fraction(cfg.caps_per_side)
-        qp = Fraction(int(pos_levels.sum())) * vdd
-        qn = Fraction(int(neg_levels.sum())) * vdd
-        vp = qp / cap_side
-        vn = qn / cap_side
-        v = (qp + qn) / (2 * cap_side)
-        return ChargeTrace(
-            vp=float(vp),
-            vn=float(vn),
-            v_shared=float(v),
-            charge_phase1=float(qp + qn),
-            charge_shared=float(v * 2 * cap_side),
-        )
-
-    caps_p = np.asarray(cap_scale[0], dtype=np.float64)
-    caps_n = np.asarray(cap_scale[1], dtype=np.float64)
-    if caps_p.shape != (cfg.caps_per_side,) or caps_n.shape != (cfg.caps_per_side,):
-        raise MacError(f"cap_scale arrays must have length {cfg.caps_per_side}")
-    if (caps_p <= 0).any() or (caps_n <= 0).any():
-        raise MacError("capacitor scale factors must be positive")
-    qp = float((caps_p * pos_levels).sum()) * cfg.vdd
-    qn = float((caps_n * neg_levels).sum()) * cfg.vdd
-    vp = qp / caps_p.sum()
-    vn = qn / caps_n.sum()
-    v = (qp + qn) / (caps_p.sum() + caps_n.sum())
-    return ChargeTrace(
-        vp=vp,
-        vn=vn,
-        v_shared=v,
-        charge_phase1=qp + qn,
-        charge_shared=v * (caps_p.sum() + caps_n.sum()),
-    )
+    charge = Fraction(int(pos_levels.sum()) + int(neg_levels.sum())) * Fraction(cfg.vdd)
+    return float(charge / (2 * cfg.caps_per_side))

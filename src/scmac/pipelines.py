@@ -32,7 +32,7 @@ from ._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_floa
 from .bitstream import mux_tree_scale
 from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
-from .energy import ActivityLog, EnergyReport
+from .energy import ENERGY_PROFILES, ActivityLog, EnergyReport
 from .errors import ConfigError, MacError, SizeMismatchError
 from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
 from .mac import MacConfig
@@ -150,29 +150,6 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThermometerQuantizer:
-    """Oracle spec for the proposed coding: AND of thermometer codes counts min."""
-
-    m: int
-
-
-@dataclass(frozen=True)
-class LfsrStreamQuantizer:
-    """Oracle spec for the conventional coding: exact expected decoded value.
-
-    Covers the whole stochastic path: floor-scaled comparator thresholds,
-    AND products of independently phased streams, per-level MUX selects
-    (LFSR LSB, so P(1) = 2^(w-1)/(2^w - 1)), optional bit flips on the
-    product streams, and the 2^ceil(log2 N) tree rescale.
-    """
-
-    binary_bits: int
-    lfsr_width: int
-    lfsr_taps: tuple[int, ...]
-    flip_probability: float = 0.0
-
-
 def _comparator_thresholds(x, binary_bits: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     # floor-scale the n-bit ADC codes onto the LFSR range; the full-period
     # ones count is exactly this threshold
@@ -257,36 +234,44 @@ def _expected_numerators(
     return plan.numerators(*plan.group_sums(products, positive)), plan.den
 
 
-def _conventional_expected_value(samples, weights, quant: LfsrStreamQuantizer) -> Fraction:
-    period = _maximal_period(quant.lfsr_width, quant.lfsr_taps)
-    weights = np.asarray(weights, dtype=np.float64)[None, :]
-    thr_s, _ = _comparator_thresholds(np.asarray(samples)[None, :], quant.binary_bits, period)
-    thr_w, _ = _comparator_thresholds(np.abs(weights), quant.binary_bits, period)
-    flip = Fraction(quant.flip_probability)
-    nums, den = _expected_numerators(thr_s, thr_w, weights >= 0.0, quant.lfsr_width, period, flip)
-    return Fraction(nums[0], den)
+def _check_fixed_inputs(samples, weights, cfg: PipelineConfig):
+    samples = np.asarray(samples, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    if samples.shape != (cfg.n_inputs,) or weights.shape != (cfg.n_inputs,):
+        raise SizeMismatchError(
+            f"expected {cfg.n_inputs} samples and weights, got "
+            f"{samples.shape} and {weights.shape}"
+        )
+    return samples, weights
 
 
-def exact_oracle(samples, weights, quantizer):
-    """Exact reference value for a quantized signed dot product.
+def exact_oracle(samples, weights, cfg: PipelineConfig):
+    """Exact reference value of one trial's signed dot product under `cfg.variant`'s coding.
 
-    ThermometerQuantizer: integer sum of sign * min(level_s, level_w),
-    because the AND of two thermometer codes has min(count_a, count_b)
-    ones. LfsrStreamQuantizer: the exact expected decoded value of the
-    conventional stochastic path, as a Fraction.
+    proposed: the integer sum of sign * min(level_s, level_w), because the
+    AND of two thermometer codes has min(count_a, count_b) ones.
+    conventional: the exact expected decoded value of the stochastic path,
+    as a Fraction. It covers the floor-scaled comparator thresholds, AND
+    products of independently phased streams, per-level MUX selects (LFSR
+    LSB, so P(1) = 2^(w-1)/(2^w - 1)), optional bit flips on the product
+    streams, and the 2^ceil(log2 N) tree rescale.
     """
-    if len(samples) != len(weights):
-        raise SizeMismatchError(f"{len(samples)} samples vs {len(weights)} weights")
-    if isinstance(quantizer, ThermometerQuantizer):
+    samples, weights = _check_fixed_inputs(samples, weights, cfg)
+    if cfg.variant == "proposed":
         total = 0
         for s, w in zip(samples, weights):
-            a = thermometer_quantize(Fraction(float(s)), quantizer.m)
-            b = thermometer_quantize(Fraction(abs(float(w))), quantizer.m)
+            a = thermometer_quantize(Fraction(float(s)), cfg.m)
+            b = thermometer_quantize(Fraction(abs(float(w))), cfg.m)
             total += min(a, b) if float(w) >= 0.0 else -min(a, b)
         return total
-    if isinstance(quantizer, LfsrStreamQuantizer):
-        return _conventional_expected_value(samples, weights, quantizer)
-    raise ConfigError(f"unknown quantizer spec {quantizer!r}")
+    # the config has checked that the taps are maximal
+    period = (1 << cfg.lfsr_width) - 1
+    thr_s, _ = _comparator_thresholds(samples[None, :], cfg.binary_bits, period)
+    thr_w, _ = _comparator_thresholds(np.abs(weights)[None, :], cfg.binary_bits, period)
+    flip = Fraction(cfg.flip_probability)
+    positive = weights[None, :] >= 0.0
+    nums, den = _expected_numerators(thr_s, thr_w, positive, cfg.lfsr_width, period, flip)
+    return Fraction(nums[0], den)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +422,8 @@ class _ProposedRun:
         meta = {"asc_conversions": t * n, "sa_disabled": t * n * m - self.fired}
         if self.clamped:
             meta["asc_input_clamped"] = self.clamped
-        meta.update((f"mac_phase_{phase.value}", t) for phase in mac_mod.PHASE_SEQUENCE)
+        # one evaluation walks idle (EN low), accumulate (S1) and share (S2) once
+        meta.update(mac_phase_idle=t, mac_phase_accumulate=t, mac_phase_share=t)
         # stochastic store: write fresh sample codes, read samples + weights
         # (+ sign), then the assumed output write-back
         sram = n * m + n * m + n * (m + 1) + (2 * m * n).bit_length()
@@ -519,15 +505,6 @@ class ExperimentResult:
             "mean_error": self.mean_error,
         }
 
-    def trial_rows(self):
-        for t in range(self.trials):
-            yield {
-                "trial": t,
-                "decoded": float(self.decoded[t]),
-                "oracle": float(self.oracle[t]),
-                "error": float(self.decoded[t] - self.oracle[t]),
-            }
-
     def to_json_dict(self) -> dict:
         return {
             "variant": self.variant,
@@ -540,17 +517,6 @@ class ExperimentResult:
             "activity": {"counts": dict(self.activity.counts), "meta": dict(self.activity.meta)},
             "energy": self.energy.to_json_dict() if self.energy else None,
         }
-
-
-def _check_fixed_inputs(samples, weights, cfg: PipelineConfig):
-    samples = np.asarray(samples, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if samples.shape != (cfg.n_inputs,) or weights.shape != (cfg.n_inputs,):
-        raise SizeMismatchError(
-            f"expected {cfg.n_inputs} samples and weights, got "
-            f"{samples.shape} and {weights.shape}"
-        )
-    return samples, weights
 
 
 # trials per batched-worker call: about this many (trial, input or bit) elements
@@ -785,7 +751,7 @@ def run_comparison(
             "comparison requires both variants to share n_inputs, trials, seed, "
             "rate, distribution and flip probability"
         )
-    if energy_profile not in ("calibrated", "naive", "measured"):
+    if energy_profile not in ENERGY_PROFILES:
         raise ConfigError(f"unknown energy profile {energy_profile!r}")
 
     conv_table, prop_table = tables if tables is not None else default_tables()

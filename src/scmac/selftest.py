@@ -15,18 +15,16 @@ from .bitstream import Bitstream, inject_bitflips, value
 from .converters import (
     asc_encode,
     bsc_encode,
-    default_lfsr,
     ref_ladder,
     sbc_decode,
     thermometer_quantize,
 )
 from .distributions import Uniform
 from .energy import ActivityLog, CONVENTIONAL_TABLE, accumulate
-from .lfsr import MAXIMAL_TAPS, cycle_length
+from .lfsr import MAXIMAL_TAPS, cycle_length, default_lfsr
 from .mac import MacConfig, MacInputs, charge_oracle, count_products, decode_voltage, mac_evaluate
 from .pipelines import (
     PipelineConfig,
-    ThermometerQuantizer,
     exact_oracle,
     proposed_pipeline,
     run_comparison,
@@ -89,12 +87,11 @@ def check_thermometer_gating():
 
 def check_proposed_exactness():
     cfg = PipelineConfig(variant="proposed", n_inputs=2, m=3, trials=1, seed=5)
-    quant = ThermometerQuantizer(3)
     levels = [(c + 0.5) / 4 for c in range(4)]
     for sa, sb in itertools.product(levels, repeat=2):
         for wa, wb in itertools.product([-l for l in levels] + levels, repeat=2):
             res = proposed_pipeline([sa, sb], [wa, wb], cfg)
-            assert res.decoded[0] == exact_oracle([sa, sb], [wa, wb], quant)
+            assert res.decoded[0] == exact_oracle([sa, sb], [wa, wb], cfg)
 
 
 def check_bitflips():

@@ -18,7 +18,6 @@ from scmac import (
     MacConfig,
     MacInputs,
     PipelineConfig,
-    ThermometerQuantizer,
     charge_oracle,
     conventional_pipeline,
     decode_voltage,
@@ -30,7 +29,7 @@ from scmac import (
     value,
 )
 from scmac.cli import comparison_summary_lines, main
-from scmac.converters import asc_encode, bsc_encode, default_lfsr, ref_ladder, sbc_decode
+from scmac.converters import asc_encode, bsc_encode, ref_ladder, sbc_decode
 from scmac.energy import (
     brute_force_enabled_average,
     expected_enabled_sas,
@@ -38,7 +37,8 @@ from scmac.energy import (
     uniform_survival,
     zero_peaked_survival,
 )
-from scmac.lfsr import MAXIMAL_TAPS, Lfsr, cycle_length, lfsr_next
+from scmac.lfsr import MAXIMAL_TAPS, Lfsr, cycle_length, default_lfsr, lfsr_next
+from scmac.selftest import _all_mac_inputs
 
 
 def _verdict(num: int, name: str):
@@ -52,15 +52,6 @@ def _verdict(num: int, name: str):
             return False
 
     return _Reporter()
-
-
-def _all_mac_inputs(m, n):
-    for in_word in range(1 << (m * n)):
-        in_bits = [[(in_word >> (i * m + j)) & 1 for j in range(m)] for i in range(n)]
-        for w_word in range(1 << (m * n)):
-            w_bits = [[(w_word >> (i * m + j)) & 1 for j in range(m)] for i in range(n)]
-            for sign_word in range(1 << n):
-                yield MacInputs(in_bits, w_bits, [(sign_word >> i) & 1 for i in range(n)])
 
 
 def test_criterion_1_mac_equation_vs_charge_oracle():
@@ -95,7 +86,6 @@ def test_criterion_2_proposed_pipeline_exactness():
         t0 = time.time()
         # full datapath, every code pair and sign, N in {1, 2}
         for m in (1, 2, 3, 4):
-            quant = ThermometerQuantizer(m)
             levels = [(c + 0.5) / (m + 1) for c in range(m + 1)]
             signed = [-x for x in levels] + levels
             for n in (1, 2):
@@ -103,7 +93,7 @@ def test_criterion_2_proposed_pipeline_exactness():
                 for samples in itertools.product(levels, repeat=n):
                     for weights in itertools.product(signed, repeat=n):
                         res = proposed_pipeline(list(samples), list(weights), cfg)
-                        assert res.decoded[0] == exact_oracle(samples, weights, quant)
+                        assert res.decoded[0] == exact_oracle(samples, weights, cfg)
         # analog -> level mapping is exhaustive per level, so N=3 can sweep
         # the engine over every level combination directly
         for m in (1, 2, 3, 4):

@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmac import (
-    Alternating,
     Bitstream,
-    ExplicitStream,
     LengthMismatchError,
-    PseudoRandomLfsr,
     StreamError,
     inject_bitflips,
     mux_add,
@@ -21,6 +18,7 @@ from scmac import (
     value,
 )
 from scmac._prng import unit_floats
+from scmac.lfsr import MAXIMAL_TAPS, phase_of_state, select_bits
 
 def test_value_examples():
     assert value(Bitstream.from_string("01011100")) == Fraction(4, 8)
@@ -85,21 +83,21 @@ def test_sc_mul_bounded_by_min(pair):
 
 def test_mux_add_identical_operands():
     x = Bitstream.from_string("10101010")
-    for sel in (Alternating(), ExplicitStream(Bitstream.from_string("01110001"))):
+    for sel in (Bitstream.from_string("01010101"), Bitstream.from_string("01110001")):
         assert mux_add(x, x, sel) == x
 
 
 def test_mux_add_explicit_selection():
     a = Bitstream.from_string("11111111")
     b = Bitstream.from_string("00000000")
-    out = mux_add(a, b, ExplicitStream(Bitstream.from_string("01010101")))
+    out = mux_add(a, b, Bitstream.from_string("01010101"))
     assert value(out) == Fraction(4, 8)
 
 
 def test_mux_add_alternating_worked_example():
     a = Bitstream.from_string("11110000")
     b = Bitstream.from_string("00001111")
-    out = mux_add(a, b, Alternating())
+    out = mux_add(a, b, Bitstream.from_string("01010101"))
     assert out == Bitstream.from_string("10100101")
     assert value(out) == Fraction(4, 8) == (value(a) + value(b)) / 2
 
@@ -115,7 +113,7 @@ def test_mux_add_select_length_mismatch():
         mux_add(
             Bitstream.from_string("1100"),
             Bitstream.from_string("0011"),
-            ExplicitStream(Bitstream.from_string("01")),
+            Bitstream.from_string("01"),
         )
 
 
@@ -131,7 +129,7 @@ def test_mux_add_select_length_mismatch():
 def test_mux_add_exact_count_form(triple):
     """value(out) = (ones of a at sel=0 + ones of b at sel=1) / L, exactly."""
     a, b, sel = (Bitstream(bits) for bits in triple)
-    out = mux_add(a, b, ExplicitStream(sel))
+    out = mux_add(a, b, sel)
     expect = sum(
         (bv if sv else av) for av, bv, sv in zip(a.bits, b.bits, sel.bits)
     )
@@ -140,26 +138,30 @@ def test_mux_add_exact_count_form(triple):
 
 def test_mux_tree_singleton():
     x = Bitstream.from_string("0110")
-    assert mux_tree_accumulate([x], Alternating()) == x
+    assert mux_tree_accumulate([x], Bitstream.from_string("0101")) == x
 
 
 def test_mux_tree_all_ones():
     ones = [Bitstream.ones(8)] * 4
-    out = mux_tree_accumulate(ones, PseudoRandomLfsr())
+    # one slice of a width-15 LFSR run per tree level
+    taps = MAXIMAL_TAPS[15]
+    phase = phase_of_state(15, taps, 0b101)
+    sels = [Bitstream(select_bits(15, taps, phase + level * 8, 8)) for level in range(2)]
+    out = mux_tree_accumulate(ones, sels)
     assert value(out) == 1
 
 
 def test_mux_tree_two_streams_explicit():
     out = mux_tree_accumulate(
         [Bitstream.from_string("1111"), Bitstream.from_string("0000")],
-        ExplicitStream(Bitstream.from_string("0101")),
+        Bitstream.from_string("0101"),
     )
     assert value(out) == Fraction(2, 4)
 
 
 def test_mux_tree_pads_to_power_of_two():
     streams = [Bitstream.ones(4)] * 3
-    out = mux_tree_accumulate(streams, ExplicitStream(Bitstream.zeros(4)))
+    out = mux_tree_accumulate(streams, Bitstream.zeros(4))
     # sel always 0 walks down the leftmost leaf
     assert out == Bitstream.ones(4)
     assert mux_tree_scale(3) == 4
@@ -167,7 +169,41 @@ def test_mux_tree_pads_to_power_of_two():
 
 def test_mux_tree_empty_rejected():
     with pytest.raises(StreamError):
-        mux_tree_accumulate([], Alternating())
+        mux_tree_accumulate([], Bitstream.from_string("01"))
+
+
+def test_mux_tree_per_level_selects():
+    streams = [Bitstream.from_string(s) for s in ("0000", "1111", "0011", "0101")]
+    # level 0 picks the odd leaves, level 1 the lower pair: leaf 1
+    out = mux_tree_accumulate(streams, [Bitstream.ones(4), Bitstream.zeros(4)])
+    assert out == streams[1]
+    # leaf j(t) = sel_0[t] + 2 sel_1[t]: leaves 0, 1, 2, 3 at t = 0..3
+    sels = [Bitstream.from_string("0101"), Bitstream.from_string("0011")]
+    assert mux_tree_accumulate(streams, sels) == Bitstream.from_string("0111")
+
+
+def test_mux_tree_select_sequence_needs_one_stream_per_level():
+    streams = [Bitstream.ones(4)] * 3  # padded to four leaves, two levels
+    for sels in ([], [Bitstream.zeros(4)], [Bitstream.zeros(4)] * 3):
+        with pytest.raises(StreamError, match="needs 2 select streams"):
+            mux_tree_accumulate(streams, sels)
+
+
+def test_non_bitstream_select_rejected():
+    a, b = Bitstream.from_string("1100"), Bitstream.from_string("0011")
+    for sel in ("0101", [0, 1, 0, 1], None):
+        with pytest.raises(StreamError, match="select stream"):
+            mux_add(a, b, sel)
+    for sel in (5, "0101", ["0101", "0101"], (Bitstream.zeros(4), None)):
+        with pytest.raises(StreamError, match="select stream"):
+            mux_tree_accumulate([a, b, a], sel)
+
+
+def test_mux_tree_select_length_mismatch():
+    streams = [Bitstream.ones(4)] * 3
+    for sel in (Bitstream.zeros(3), [Bitstream.zeros(4), Bitstream.zeros(5)]):
+        with pytest.raises(LengthMismatchError):
+            mux_tree_accumulate(streams, sel)
 
 
 def test_inject_bitflips_endpoints():

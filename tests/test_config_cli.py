@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -307,6 +309,12 @@ def test_zero_inputs_error_names_n_inputs():
         config_from_dict({"pipeline": {"n_inputs": 0}})
 
 
+def test_config_rejects_non_maximal_taps_at_load():
+    # period 6, not 15: caught when the config loads, before any run starts
+    with pytest.raises(ConfigError, match="not maximal"):
+        config_from_dict({"pipeline": {"lfsr_width": 4, "lfsr_taps": [4, 2], "stream_length": 6}})
+
+
 def _compare_with_config(tmp_path, text: str, *flags: str) -> tuple[int, str]:
     p = tmp_path / "cfg.json"
     p.write_text(text)
@@ -408,6 +416,29 @@ def test_cli_mac_rejects_bad_vdd_exit_2(capsys, vdd):
     assert main(["mac", "--in", "111,110", "--w=111,-100", "--vdd", vdd]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "vdd must be finite and at least" in err
+
+
+@pytest.mark.parametrize("streams", ("", ","))
+def test_cli_mac_without_streams_exit_2(capsys, streams):
+    assert main(["mac", "--in", streams, "--w", streams]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "at least one stream" in err
+
+
+def test_cli_compare_does_not_load_the_selftest_suites():
+    # a fresh interpreter: other tests in this process import the suites
+    code = (
+        "import sys\n"
+        "from scmac.cli import main\n"
+        "assert main(['compare', '--trials', '2', '--n-inputs', '4']) == 0\n"
+        "assert 'scmac.selftest' not in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_mac_extreme_supported_vdd_decodes_exactly(capsys):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from scmac import (
     ConfigError,
     ConversionError,
-    LfsrStreamQuantizer,
     MacConfig,
     MacError,
     PipelineConfig,
@@ -138,7 +137,7 @@ def test_adc_codes_widest_supported_width():
             adc_codes([0.5], bits)
 
 
-def _scalar_expected_value(samples, weights, quant: LfsrStreamQuantizer) -> Fraction:
+def _scalar_expected_value(samples, weights, quant: PipelineConfig) -> Fraction:
     """Per-input loop over scalar ADC codes and comparator thresholds.
 
     The reference the array oracle must equal exactly.
@@ -165,6 +164,18 @@ def _scalar_expected_value(samples, weights, quant: LfsrStreamQuantizer) -> Frac
     return Fraction(scale * total, period**levels * den)
 
 
+def _oracle_cfg(n: int, bits: int, register, flip: float) -> PipelineConfig:
+    """A one-trial conventional config that the exact oracle reads."""
+    return PipelineConfig(
+        variant="conventional",
+        n_inputs=n,
+        binary_bits=bits,
+        lfsr_width=register[0],
+        lfsr_taps=register[1],
+        flip_probability=flip,
+    )
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -180,7 +191,7 @@ def test_expected_value_matches_scalar_reference(seed, n, flip, register, bits):
     weights = rng.uniform(-1.2, 1.2, n)
     samples[::5] = 0.0
     weights[1::6] = -0.0
-    quant = LfsrStreamQuantizer(bits, register[0], register[1], flip)
+    quant = _oracle_cfg(n, bits, register, flip)
     want = _scalar_expected_value(samples, weights, quant)
     assert exact_oracle(samples, weights, quant) == want
 
@@ -209,7 +220,7 @@ def test_expected_value_int64_bound_boundary(n, monkeypatch):
     period = cycle_length(width, taps)
     rng = np.random.default_rng(n)
     samples, weights = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-    quant = LfsrStreamQuantizer(8, width, taps, 0.02)
+    quant = _oracle_cfg(n, 8, (width, taps), 0.02)
     want = _scalar_expected_value(samples, weights, quant)
     for bound in (n * period**2, n * period**2 + 1):
         monkeypatch.setattr(pipelines, "_INT64_SUM_BOUND", bound)
@@ -233,8 +244,7 @@ def test_conventional_trial_oracle_matches_scalar_reference(n, flip):
     rng = np.random.default_rng(n)
     samples, weights = rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     res = conventional_pipeline(samples, weights, cfg)
-    quant = LfsrStreamQuantizer(cfg.binary_bits, width, taps, flip)
-    assert res.oracle[0] == float(_scalar_expected_value(samples, weights, quant))
+    assert res.oracle[0] == float(_scalar_expected_value(samples, weights, cfg))
 
 
 def _popcount_matmul_sums(thr_s, thr_w, positive, levels: int):
@@ -411,8 +421,8 @@ def _proposed_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, log:
     vp, vn = mac_mod.phase1_voltages(counts, mac_cfg)
     v = mac_mod.charge_share(vp, vn, mac_cfg)
     log.record("mixed_signal_mac_eval", n)
-    for phase in mac_mod.PHASE_SEQUENCE:
-        log.note(f"mac_phase_{phase.value}")
+    for phase in ("idle", "accumulate", "share"):
+        log.note(f"mac_phase_{phase}")
     log.record("sram_cell_access", (2 * m * n).bit_length())  # assumed output write-back
 
     decoded = mac_mod.decode_voltage(v, mac_cfg)

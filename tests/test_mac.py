@@ -14,12 +14,9 @@ from scmac import (
     MacConfig,
     MacError,
     MacInputs,
-    MacPhase,
-    PHASE_SEQUENCE,
     ProductCounts,
     SignedStochNumber,
     charge_oracle,
-    charge_oracle_trace,
     charge_share,
     count_products,
     decode_voltage,
@@ -116,10 +113,6 @@ def test_mac_evaluate_zero_inputs_give_baseline():
     assert v == pytest.approx(baseline_voltage(CFG32), abs=1e-15)
 
 
-def test_phase_sequence_shape():
-    assert PHASE_SEQUENCE == (MacPhase.IDLE, MacPhase.ACCUMULATE, MacPhase.SHARE)
-
-
 def test_decode_voltage_examples():
     assert decode_voltage(5 / 14, CFG32) == -1
     assert decode_voltage(baseline_voltage(CFG32), CFG32) == 0
@@ -153,18 +146,6 @@ def test_charge_oracle_equals_closed_form_random(m, n, seed, vdd):
     inputs = random_inputs(rng, m, n)
     v, _ = mac_evaluate(inputs, cfg)
     assert abs(v - charge_oracle(inputs, cfg)) <= 1e-12 * vdd
-
-
-def test_charge_conservation_through_share():
-    rng = np.random.default_rng(5)
-    cfg = MacConfig(4, 3, 1.0)
-    for _ in range(200):
-        trace = charge_oracle_trace(random_inputs(rng, 4, 3), cfg)
-        if trace.charge_phase1 == 0.0:
-            assert trace.charge_shared == 0.0
-        else:
-            rel = abs(trace.charge_shared - trace.charge_phase1) / abs(trace.charge_phase1)
-            assert rel <= 1e-15
 
 
 def test_single_bit_monotonicity():
@@ -218,34 +199,6 @@ def test_mac_semantics_brute_force(in_bits, w_bits, signs):
         for row_i, row_w, s in zip(in_bits, w_bits, signs)
     )
     assert counts.difference == brute
-
-
-def test_mismatch_hook_ideal_scales_agree():
-    rng = np.random.default_rng(3)
-    cfg = MacConfig(3, 2, 1.0)
-    ones = np.ones(cfg.caps_per_side)
-    for _ in range(50):
-        inputs = random_inputs(rng, 3, 2)
-        ideal = charge_oracle(inputs, cfg)
-        scaled = charge_oracle(inputs, cfg, cap_scale=(ones, ones))
-        assert scaled == pytest.approx(ideal, abs=1e-12)
-
-
-def test_mismatch_hook_perturbs_voltage():
-    cfg = MacConfig(3, 2, 1.0)
-    inputs = worked_inputs()
-    rng = np.random.default_rng(8)
-    caps = 1.0 + 0.05 * rng.standard_normal(cfg.caps_per_side)
-    v = charge_oracle(inputs, cfg, cap_scale=(caps, caps))
-    ideal = charge_oracle(inputs, cfg)
-    assert v != ideal
-    assert abs(v - ideal) < 0.1 * cfg.vdd
-
-
-def test_mismatch_hook_validates_shapes():
-    cfg = MacConfig(3, 2, 1.0)
-    with pytest.raises(MacError):
-        charge_oracle(worked_inputs(), cfg, cap_scale=(np.ones(3), np.ones(7)))
 
 
 def test_inputs_validation():

@@ -9,10 +9,8 @@ import pytest
 
 from scmac import (
     ConfigError,
-    LfsrStreamQuantizer,
     PipelineConfig,
     SizeMismatchError,
-    ThermometerQuantizer,
     conventional_pipeline,
     exact_oracle,
     proposed_pipeline,
@@ -21,7 +19,7 @@ from scmac import (
 from scmac.distributions import ZeroPeakedGaussian
 from scmac.energy import EVENT_KEYS, accumulate, default_tables
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_bits, threshold_bits
-from scmac.bitstream import Bitstream, ExplicitStream, mux_tree_accumulate, mux_tree_scale
+from scmac.bitstream import Bitstream, mux_tree_accumulate, mux_tree_scale
 
 
 def conv_cfg(**kw):
@@ -37,16 +35,24 @@ def prop_cfg(**kw):
 
 
 def test_exact_oracle_thermometer_examples():
-    q = ThermometerQuantizer(3)
+    q = prop_cfg(n_inputs=1, m=3)
     # counts 2 and 1 overlap in the leading position: AND count is min
     assert exact_oracle([0.625], [0.375], q) == 1
     assert exact_oracle([0.0], [0.9], q) == 0
-    assert exact_oracle([1.0, 1.0], [1.0, 1.0], q) == 6  # m per pair
+    assert exact_oracle([1.0, 1.0], [1.0, 1.0], prop_cfg(n_inputs=2, m=3)) == 6  # m per pair
 
 
 def test_exact_oracle_size_mismatch():
     with pytest.raises(SizeMismatchError):
-        exact_oracle([0.1, 0.2], [0.3], ThermometerQuantizer(3))
+        exact_oracle([0.1, 0.2], [0.3], prop_cfg(n_inputs=2, m=3))
+
+
+@pytest.mark.parametrize("make_cfg", (prop_cfg, conv_cfg))
+def test_exact_oracle_needs_n_inputs_samples(make_cfg):
+    cfg = make_cfg(n_inputs=3)
+    for n in (2, 4):
+        with pytest.raises(SizeMismatchError):
+            exact_oracle([0.5] * n, [0.5] * n, cfg)
 
 
 def test_proposed_worked_instance():
@@ -68,13 +74,12 @@ def test_proposed_exhaustive_grid_small():
     """Full-pipeline exhaustive exactness at m=3, N=2 (all code pairs, both signs)."""
     m, n = 3, 2
     cfg = prop_cfg(n_inputs=n, m=m, trials=1)
-    quant = ThermometerQuantizer(m)
     levels = [(c + 0.5) / (m + 1) for c in range(m + 1)]
     signed = [-x for x in levels] + levels
     for samples in itertools.product(levels, repeat=n):
         for weights in itertools.product(signed, repeat=n):
             res = proposed_pipeline(list(samples), list(weights), cfg)
-            assert res.decoded[0] == exact_oracle(samples, weights, quant)
+            assert res.decoded[0] == exact_oracle(samples, weights, cfg)
             assert res.max_abs_error == 0.0
 
 
@@ -122,7 +127,7 @@ def test_conventional_oracle_matches_phase_enumeration():
         for i in range(n)
     ]
     zero = Bitstream.zeros(length)
-    sels = [ExplicitStream(Bitstream(select_bits(w, taps, p, length))) for p in range(period)]
+    sels = [Bitstream(select_bits(w, taps, p, length)) for p in range(period)]
 
     total = Fraction(0)
     combos = 0
@@ -136,7 +141,10 @@ def test_conventional_oracle_matches_phase_enumeration():
         total += Fraction(diff * scale, length)
         combos += 1
     enumerated = total / combos
-    oracle = exact_oracle(samples, weights, LfsrStreamQuantizer(n_bits, w, taps, 0.0))
+    cfg = conv_cfg(
+        n_inputs=n, binary_bits=n_bits, lfsr_width=w, lfsr_taps=taps, stream_length=length
+    )
+    oracle = exact_oracle(samples, weights, cfg)
     assert enumerated == oracle
 
 
@@ -159,7 +167,15 @@ def test_conventional_oracle_with_flips_phase_enumeration():
         prod = (ss & sw) ^ 1
         total += Fraction(int(prod.sum()), length)
     enumerated = total / period**2
-    oracle = exact_oracle(samples, weights, LfsrStreamQuantizer(n_bits, w, taps, 1.0))
+    cfg = conv_cfg(
+        n_inputs=1,
+        binary_bits=n_bits,
+        lfsr_width=w,
+        lfsr_taps=taps,
+        stream_length=length,
+        flip_probability=1.0,
+    )
+    oracle = exact_oracle(samples, weights, cfg)
     assert enumerated == oracle
 
 
@@ -370,8 +386,6 @@ def test_non_maximal_taps_rejected():
     # without the width tap the cycle never returns to state 1
     with pytest.raises(ConfigError, match="include the width"):
         conv_cfg(lfsr_width=4, lfsr_taps=(3,))
-    with pytest.raises(ConfigError, match="not maximal"):
-        exact_oracle([1.0], [1.0], LfsrStreamQuantizer(4, 4, (4, 2)))
     assert conv_cfg(lfsr_width=4, lfsr_taps=(4, 3)).lfsr_taps == (4, 3)
 
 
@@ -381,7 +395,7 @@ def test_too_wide_binary_bits_rejected():
     with pytest.raises(ConfigError, match="overflow"):
         conventional_pipeline([1.0], [1.0], cfg)
     with pytest.raises(ConfigError, match="overflow"):
-        exact_oracle([1.0], [1.0], LfsrStreamQuantizer(50, 15, MAXIMAL_TAPS[15]))
+        exact_oracle([1.0], [1.0], cfg)
 
 
 @pytest.mark.parametrize(
