@@ -59,7 +59,7 @@ def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     a uint64 array that broadcasts against `indices`, one key per element.
     """
     if isinstance(seed, np.ndarray):
-        seed = seed.astype(np.uint64)
+        seed = seed.astype(np.uint64, copy=False)
     else:
         seed = np.uint64(int(seed) & _MASK64)
     with np.errstate(over="ignore"):

@@ -21,8 +21,7 @@ import sys
 
 from .bitstream import Bitstream
 from .config import ExperimentConfig, default_config, load_config
-from .converters import ref_ladder
-from .distributions import Uniform, ZeroPeakedGaussian
+from .distributions import ZeroPeakedGaussian
 from .energy import (
     ENERGY_PROFILES,
     EVENT_KEYS,
@@ -221,6 +220,14 @@ def _comparison_for(cfg: ExperimentConfig) -> ComparisonResult:
     )
 
 
+def _parse_stream(token: str) -> Bitstream:
+    try:
+        return Bitstream.from_string(token)
+    except StreamError as exc:
+        # a malformed literal is a bad flag, not a size mismatch
+        raise ConfigError(str(exc)) from None
+
+
 def cmd_mac(args) -> int:
     in_tokens = [t for t in args.in_streams.split(",") if t]
     w_tokens = [t for t in args.w_streams.split(",") if t]
@@ -230,7 +237,7 @@ def cmd_mac(args) -> int:
         )
     if not in_tokens:
         raise ConfigError("--in and --w need at least one stream each")
-    ins = [Bitstream.from_string(t) for t in in_tokens]
+    ins = [_parse_stream(t) for t in in_tokens]
     signs, mags = [], []
     for t in w_tokens:
         sign = 1
@@ -238,7 +245,7 @@ def cmd_mac(args) -> int:
             sign = 1 if t[0] == "+" else 0
             t = t[1:]
         signs.append(sign)
-        mags.append(Bitstream.from_string(t))
+        mags.append(_parse_stream(t))
     m = args.m if args.m is not None else len(ins[0])
     for s in (*ins, *mags):
         if len(s) != m:
@@ -466,6 +473,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy refused an allocation up front: the run is too large to hold
+        print(f"error: out of memory: {exc or 'an allocation was refused'}", file=sys.stderr)
+        return EXIT_CONFIG
     except ScmacError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

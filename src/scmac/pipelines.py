@@ -43,6 +43,10 @@ VARIANTS = ("conventional", "proposed")
 # 34 MB peak at width 20, doubling per extra bit
 MAX_LFSR_WIDTH = 20
 
+# a run keeps several 8-byte words per trial, so 2^48 trials would need
+# petabytes; far enough beyond that, numpy cannot even size the arrays
+MAX_TRIALS = 1 << 48
+
 
 def _maximal_period(width: int, taps: tuple[int, ...]) -> int:
     """Period of a maximal-length (width, taps) LFSR; ConfigError otherwise.
@@ -95,8 +99,8 @@ class PipelineConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.n_inputs < 1 or self.m < 1 or self.binary_bits < 1:
             raise ConfigError("n_inputs, m and binary_bits must be positive")
-        if self.trials < 1:
-            raise ConfigError("trials must be positive")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must lie in [1, 2^48], got {self.trials}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (0 < self.output_rate_hz < math.inf):
@@ -286,7 +290,7 @@ def _flip_row_keys(seed: int, trials, n: int) -> np.ndarray:
 
 
 def _selected_inputs(lsb2, sel_phases, length: int, n: int):
-    """Bit position and flat input index row * N + j(t) of every real selected bit.
+    """Bit position, flat input index row * N + j(t) and trial row of every real selected bit.
 
     Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the tree
     outputs leaf j(t) = sum_l sel_l[t] << l. Leaves j >= N are all-zero
@@ -298,16 +302,20 @@ def _selected_inputs(lsb2, sel_phases, length: int, n: int):
     windows = np.lib.stride_tricks.as_strided(
         lsb2, (lsb2.size - length + 1, length), lsb2.strides * 2, writeable=False
     )
-    # the narrowest dtype that holds every leaf; cast before shifting, as a
-    # uint8 select shifted by 8 or more levels would overflow
+    # the narrowest dtype that holds every leaf; each uint8 select is
+    # multiplied by its level's weight in that dtype, so no level overflows
     dtype = np.min_scalar_type((1 << levels) - 1)
     leaf = np.zeros((n_trials, length), dtype=dtype)
     for level in range(levels):
-        leaf |= windows[sel_phases[:, level] + 1].astype(dtype) << level
-    real = leaf < n
-    flat = leaf.astype(np.int64)
-    flat += np.arange(0, n_trials * n, n)[:, None]
-    return np.broadcast_to(np.arange(length), real.shape)[real], flat[real]
+        leaf += windows[sel_phases[:, level] + 1] * dtype.type(1 << level)
+    # real leaves by flat position and one gather: 2-D boolean masks of the
+    # (T, L) arrays cost 5-7 times as much at L=32767
+    pos = np.flatnonzero(leaf < n)
+    flat = leaf.ravel()[pos].astype(np.int64)
+    rows = pos // length
+    flat += rows * n
+    pos -= rows * length
+    return pos, flat, rows
 
 
 class _ConventionalRun:
@@ -381,15 +389,15 @@ def _conventional_batch(
     thr_s, sat_s = _comparator_thresholds(samples, cfg.binary_bits, run.seq.size)
 
     # one select network feeds both trees, as a single MUX array would
-    t, flat = _selected_inputs(run.lsb2, sel_phases, cfg.stream_length, n)
+    t, flat, rows = _selected_inputs(run.lsb2, sel_phases, cfg.stream_length, n)
     bits = np.take(run.seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
     bits &= np.take(run.seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
     if cfg.flip_probability > 0.0:
         keys = _flip_row_keys(cfg.seed, trials, n).ravel()[flat]
         bits ^= unit_floats(keys, t) < cfg.flip_probability
     pos = positive.ravel()[flat]
-    counts = np.bincount(flat[bits & pos] // n, minlength=n_trials)
-    counts -= np.bincount(flat[bits & ~pos] // n, minlength=n_trials)
+    counts = np.bincount(rows[bits & pos], minlength=n_trials)
+    counts -= np.bincount(rows[bits & ~pos], minlength=n_trials)
     decoded = counts * (1 << run.plan.levels) / cfg.stream_length
     # a threshold is at most the period, below 2^20, so int64 holds every product
     products = thr_s.astype(run.plan.dtype, copy=False)

@@ -19,7 +19,6 @@ from .converters import (
     sbc_decode,
     thermometer_quantize,
 )
-from .distributions import Uniform
 from .energy import ActivityLog, CONVENTIONAL_TABLE, accumulate
 from .lfsr import MAXIMAL_TAPS, cycle_length, default_lfsr
 from .mac import MacConfig, MacInputs, charge_oracle, count_products, decode_voltage, mac_evaluate

@@ -474,3 +474,24 @@ def test_cli_rejects_energy_that_overflows_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "overflows" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("stream", ("12", "1x"))
+def test_cli_mac_malformed_literal_exit_2(capsys, stream):
+    assert main(["mac", "--in", stream, "--w", "11"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config:") and f"invalid bitstream literal {stream!r}" in err
+
+
+# 10^13 trials' decodes are 72.8 TiB, which numpy refuses before touching
+# any memory; past 2^48 trials the config itself is rejected
+@pytest.mark.parametrize(
+    "trials, message", [(10**13, "error: out of memory:"), (2**62, "error: bad config: trials")]
+)
+def test_cli_run_too_large_to_hold_exit_2(tmp_path, capsys, trials, message):
+    text = json.dumps({"experiment": {"trials": trials}})
+    rc, out = _compare_with_config(tmp_path, text)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not os.path.exists(out)

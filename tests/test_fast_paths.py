@@ -1001,6 +1001,56 @@ def test_selected_inputs_match_wrapped_gather(n):
         assert got[1].dtype == np.int64
 
 
+# The select layer gathered by flat position. The version it replaced, kept
+# verbatim: the (T, L) leaf index selected with 2-D boolean masks.
+
+
+def _masked_selected_inputs(lsb2, sel_phases, length: int, n: int):
+    """Bit position and flat input index row * N + j(t) of every real selected bit.
+
+    Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the tree
+    outputs leaf j(t) = sum_l sel_l[t] << l. Leaves j >= N are all-zero
+    padding, never flipped, and are dropped. A select stream of phase p is
+    the contiguous window lsb2[p + 1 : p + 1 + L] of the doubled LSB table.
+    """
+    n_trials, levels = sel_phases.shape
+    # row p is the window lsb2[p : p + L]; rows stop at size - L, inside the table
+    windows = np.lib.stride_tricks.as_strided(
+        lsb2, (lsb2.size - length + 1, length), lsb2.strides * 2, writeable=False
+    )
+    # the narrowest dtype that holds every leaf; cast before shifting, as a
+    # uint8 select shifted by 8 or more levels would overflow
+    dtype = np.min_scalar_type((1 << levels) - 1)
+    leaf = np.zeros((n_trials, length), dtype=dtype)
+    for level in range(levels):
+        leaf |= windows[sel_phases[:, level] + 1].astype(dtype) << level
+    real = leaf < n
+    flat = leaf.astype(np.int64)
+    flat += np.arange(0, n_trials * n, n)[:, None]
+    return np.broadcast_to(np.arange(length), real.shape)[real], flat[real]
+
+
+# leaf widths on both sides of the uint8 and uint16 boundaries
+@pytest.mark.parametrize("n", (1, 2, 255, 256, 257, 300, 65536, 65537))
+@pytest.mark.parametrize("n_trials", (1, 4))
+def test_selected_inputs_match_masked_reference(n, n_trials):
+    width, taps = 15, MAXIMAL_TAPS[15]
+    lsb2 = select_table(width, taps)
+    period = lsb2.size // 2
+    levels = mux_tree_scale(n).bit_length() - 1
+    rng = np.random.default_rng((n, n_trials))
+    sel_phases = rng.integers(0, period, size=(n_trials, levels))
+    # phases at the end of the cycle wrap mid-stream
+    sel_phases[0] = period - 1
+    sel_phases[-1, :1] = period - 2
+    for length in (1, 15, 8191, period):
+        t, flat, rows = pipelines._selected_inputs(lsb2, sel_phases, length, n)
+        want_t, want_flat = _masked_selected_inputs(lsb2, sel_phases, length, n)
+        assert np.array_equal(t, want_t) and np.array_equal(flat, want_flat), length
+        assert np.array_equal(rows, want_flat // n), length
+        assert t.dtype == flat.dtype == rows.dtype == np.int64
+
+
 # Batched PCG64 lanes: every trial's generator seeded on arrays and its LFSR
 # phases mapped from one raw block. The draw loop they replaced, kept
 # verbatim: one `np.random.default_rng((seed, t))` per trial.

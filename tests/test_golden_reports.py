@@ -81,6 +81,15 @@ GOLDEN = {
 }
 
 
+# `scmac sweep` on the long-stream benchmark grid (N=300, four trials per
+# point), where every chunk is one trial of 8191 or 32767 bits; recorded
+# before the select layer gathered real leaves by position
+SWEEP_GOLDEN = {
+    "sweep_results.csv": "9dc7452571ec22653674e3402ffa95503ae43ad280a9d1d95fbf4ad287d6efd0",
+    "sweep_results.json": "e2560dc20dae27f0dc939df16792fd9275da6ddec6177d0bb408d7aa8ca3e561",
+}
+
+
 def _run_case(case: str, tmp_path) -> dict[str, str]:
     pipeline, mac, experiment = CASES[case]
     with open(REFERENCE, encoding="utf-8") as fh:
@@ -100,6 +109,17 @@ def _run_case(case: str, tmp_path) -> dict[str, str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_compare_reports_match_golden_digests(case, tmp_path):
     assert _run_case(case, tmp_path) == GOLDEN[case]
+
+
+def test_long_stream_sweep_matches_golden_digests(tmp_path):
+    argv = ["sweep", "--config", REFERENCE, "--n-inputs", "300", "--length", "8191,32767"]
+    argv += ["--flip-p", "0,0.02", "--trials", "4", "--out", str(tmp_path), "--format", "both"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SWEEP_GOLDEN
+    }
+    assert digests == SWEEP_GOLDEN
 
 
 @pytest.mark.parametrize("flip", (0.0, 0.02))
