@@ -278,7 +278,13 @@ def cmd_compare(args) -> int:
 
 
 def _parse_list(text, cast):
-    return [cast(tok) for tok in text.split(",") if tok]
+    try:
+        values = [cast(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        values = []
+    if not values:
+        raise ConfigError(f"{text!r} is not a comma-separated list of {cast.__name__} values")
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -300,7 +306,6 @@ def cmd_sweep(args) -> int:
                             n_inputs=n,
                             stream_length=length,
                             flip_probability=flip,
-                            efficiency_ops={},
                         )
                         if sigma is not None:
                             point["distribution"] = ZeroPeakedGaussian(sigma)

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
 
 import numpy as np
 
@@ -32,7 +31,16 @@ from ._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_floa
 from .bitstream import mux_tree_scale
 from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
-from .energy import ENERGY_PROFILES, ActivityLog, EnergyReport
+from .energy import (
+    ENERGY_PROFILES,
+    ActivityLog,
+    EnergyReport,
+    accumulate,
+    calibrated_activity,
+    default_tables,
+    naive_activity,
+    reduction_percent,
+)
 from .errors import ConfigError, MacError, SizeMismatchError
 from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
 from .mac import MacConfig
@@ -229,15 +237,6 @@ class _OraclePlan:
         return nums if c_sums is None else nums + c_sums.astype(object) @ self.c_weights
 
 
-def _expected_numerators(
-    thr_s, thr_w, positive, width: int, period: int, flip: Fraction
-) -> tuple[np.ndarray, int]:
-    """Exact expected conventional decodes of a (T, N) batch, over one denominator."""
-    plan = _OraclePlan(thr_s.shape[1], width, period, flip)
-    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype)
-    return plan.numerators(*plan.group_sums(products, positive)), plan.den
-
-
 def _check_fixed_inputs(samples, weights, cfg: PipelineConfig):
     samples = np.asarray(samples, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -272,14 +271,14 @@ def exact_oracle(samples, weights, cfg: PipelineConfig):
     period = (1 << cfg.lfsr_width) - 1
     thr_s, _ = _comparator_thresholds(samples[None, :], cfg.binary_bits, period)
     thr_w, _ = _comparator_thresholds(np.abs(weights)[None, :], cfg.binary_bits, period)
-    flip = Fraction(cfg.flip_probability)
-    positive = weights[None, :] >= 0.0
-    nums, den = _expected_numerators(thr_s, thr_w, positive, cfg.lfsr_width, period, flip)
-    return Fraction(nums[0], den)
+    plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, period, Fraction(cfg.flip_probability))
+    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype)
+    nums = plan.numerators(*plan.group_sums(products, weights[None, :] >= 0.0))
+    return Fraction(nums[0], plan.den)
 
 
 # ---------------------------------------------------------------------------
-# Batched trial workers
+# Datapath runs
 # ---------------------------------------------------------------------------
 
 
@@ -319,18 +318,24 @@ def _selected_inputs(lsb2, sel_phases, length: int, n: int):
 
 
 class _ConventionalRun:
-    """What the conventional chunks of one run share, and the per-trial summaries they return.
+    """One conventional run: the tables its chunks share and the per-trial summaries they count.
 
-    A chunk only counts: it returns its trials' decoded values and the
+    A chunk only counts: it writes its trials' decoded values and the
     integer popcount-group sums of their oracles. `finish` turns the sums
     into exact oracle values and writes the activity log, once per run.
     """
 
     def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
         self.seq = state_cycle(cfg.lfsr_width, cfg.lfsr_taps)[0]
         self.lsb2 = select_table(cfg.lfsr_width, cfg.lfsr_taps)
         flip = Fraction(cfg.flip_probability)
         self.plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.seq.size, flip)
+        # the widest per-trial array is (N,) or the (L,) leaf index
+        self.chunk = max(1, _CHUNK_ELEMENTS // max(cfg.n_inputs, cfg.stream_length))
+        # phases_s, phases_w, then the select phases, one per tree level
+        self.phase_sizes = (cfg.n_inputs, cfg.n_inputs, self.plan.levels)
+        self.period = self.seq.size
         groups = (cfg.trials, self.plan.starts.size)
         self.decoded = np.empty(cfg.trials)
         self.s_sums = np.empty(groups, self.plan.dtype)
@@ -338,15 +343,45 @@ class _ConventionalRun:
         self.c_sums = np.empty(groups, np.min_scalar_type(-cfg.n_inputs)) if flip else None
         self.saturated = 0
 
-    def store(self, rows, decoded, s_sums, c_sums, saturated):
-        self.decoded[rows], self.s_sums[rows] = decoded, s_sums
-        if c_sums is not None:
-            self.c_sums[rows] = c_sums
-        self.saturated += saturated
+    def count(self, trials, samples, weights, phases_s, phases_w, sel_phases):
+        """Count a chunk of trials, evaluating only the selected MUX leaf.
 
-    def finish(self, cfg: PipelineConfig):
-        """(decoded, oracle, activity log) of the run."""
-        plan, t, n, n_bits = self.plan, cfg.trials, cfg.n_inputs, cfg.binary_bits
+        Inputs are (T, N) arrays, one row per trial, and `sel_phases` is
+        (T, levels). Each output bit is one product bit S_j[t] & W_j[t] of the
+        leaf j(t) the tree selects (flipped by its keyed draw), or 0 at a
+        padding leaf; the work is O(T * (N + L * levels)), never T * N * L.
+        """
+        cfg, plan, seq = self.cfg, self.plan, self.seq
+        out = slice(trials.start, trials.stop)
+        positive = weights >= 0.0
+        # the weights first, so that their absolute values are freed before the samples convert
+        thr_w, sat_w = _comparator_thresholds(np.abs(weights), cfg.binary_bits, self.period)
+        thr_s, sat_s = _comparator_thresholds(samples, cfg.binary_bits, self.period)
+
+        # one select network feeds both trees, as a single MUX array would
+        t, flat, rows = _selected_inputs(self.lsb2, sel_phases, cfg.stream_length, cfg.n_inputs)
+        bits = np.take(seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
+        bits &= np.take(seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
+        if cfg.flip_probability > 0.0:
+            keys = _flip_row_keys(cfg.seed, trials, cfg.n_inputs).ravel()[flat]
+            bits ^= unit_floats(keys, t) < cfg.flip_probability
+        pos = positive.ravel()[flat]
+        counts = np.bincount(rows[bits & pos], minlength=len(trials))
+        counts -= np.bincount(rows[bits & ~pos], minlength=len(trials))
+        self.decoded[out] = counts * (1 << plan.levels) / cfg.stream_length
+        # a threshold is at most the period, below 2^20, so int64 holds every product
+        products = thr_s.astype(plan.dtype, copy=False)
+        products *= thr_w
+        s_sums, c_sums = plan.group_sums(products, positive)
+        self.s_sums[out] = s_sums
+        if c_sums is not None:
+            self.c_sums[out] = c_sums
+        self.saturated += np.count_nonzero(sat_s | sat_w)
+
+    def finish(self) -> ExperimentResult:
+        """The run's result: its decodes, exact oracle values and activity log."""
+        cfg, plan = self.cfg, self.plan
+        t, n, n_bits = cfg.trials, cfg.n_inputs, cfg.binary_bits
         oracle = np.empty(t)
         step = max(1, _FINISH_BLOCK // plan.starts.size)
         for lo in range(0, t, step):
@@ -368,57 +403,53 @@ class _ConventionalRun:
             "sc_logic_eval": t * n,
             "sbc_convert": t * 2,
         }
-        return self.decoded, oracle, ActivityLog(counts, meta)
-
-
-def _conventional_batch(
-    cfg: PipelineConfig, trials, samples, weights, phases_s, phases_w, sel_phases, run
-):
-    """Count a chunk of conventional trials, evaluating only the selected MUX leaf.
-
-    Inputs are (T, N) arrays, one row per trial, and `sel_phases` is
-    (T, levels). Each output bit is one product bit S_j[t] & W_j[t] of the
-    leaf j(t) the tree selects (flipped by its keyed draw), or 0 at a
-    padding leaf; the work is O(T * (N + L * levels)), never T * N * L.
-    Returns what `_ConventionalRun.store` takes after the rows.
-    """
-    n_trials, n = samples.shape
-    positive = weights >= 0.0
-    # the weights first, so that their absolute values are freed before the samples convert
-    thr_w, sat_w = _comparator_thresholds(np.abs(weights), cfg.binary_bits, run.seq.size)
-    thr_s, sat_s = _comparator_thresholds(samples, cfg.binary_bits, run.seq.size)
-
-    # one select network feeds both trees, as a single MUX array would
-    t, flat, rows = _selected_inputs(run.lsb2, sel_phases, cfg.stream_length, n)
-    bits = np.take(run.seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
-    bits &= np.take(run.seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
-    if cfg.flip_probability > 0.0:
-        keys = _flip_row_keys(cfg.seed, trials, n).ravel()[flat]
-        bits ^= unit_floats(keys, t) < cfg.flip_probability
-    pos = positive.ravel()[flat]
-    counts = np.bincount(rows[bits & pos], minlength=n_trials)
-    counts -= np.bincount(rows[bits & ~pos], minlength=n_trials)
-    decoded = counts * (1 << run.plan.levels) / cfg.stream_length
-    # a threshold is at most the period, below 2^20, so int64 holds every product
-    products = thr_s.astype(run.plan.dtype, copy=False)
-    products *= thr_w
-    return decoded, *run.plan.group_sums(products, positive), np.count_nonzero(sat_s | sat_w)
+        return ExperimentResult(
+            cfg.variant, cfg.to_json_dict(), cfg.seed, self.decoded, oracle, ActivityLog(counts, meta)
+        )
 
 
 class _ProposedRun:
     """The per-trial product counts and oracles of one proposed run, decoded once per run."""
 
+    # the capacitor array reads no LFSR phases
+    phase_sizes, period = (), 0
+
     def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        # the widest per-trial array is (N,) or the (N, m) flip masks
+        per_trial = cfg.n_inputs * cfg.m if cfg.flip_probability > 0.0 else cfg.n_inputs
+        self.chunk = max(1, _CHUNK_ELEMENTS // per_trial)
         self.n_p, self.n_n, self.oracle = np.empty((3, cfg.trials), dtype=np.int64)
         self.fired = self.clamped = 0
 
-    def store(self, rows, n_p, n_n, oracle, fired, clamped):
-        self.n_p[rows], self.n_n[rows], self.oracle[rows] = n_p, n_n, oracle
+    def count(self, trials, samples, weights):
+        """Count a chunk of trials; inputs are (T, N) arrays."""
+        cfg, m = self.cfg, self.cfg.m
+        positive = weights >= 0.0
+        # each (T, N) temporary is freed as soon as it is summed
+        exact, fired, clamped = asc_levels(samples, m)
+        fired, clamped = int(fired.sum()), np.count_nonzero(clamped)
+        # the AND of two thermometer codes has min(count_a, count_b) leading ones
+        np.minimum(exact, asc_levels(np.abs(weights), m)[0], out=exact)
+        n_p = np.where(positive, exact, 0).sum(axis=1)
+        n_n = exact.sum(axis=1) - n_p
+        # the quantized oracle reads the same levels: sign * min(level_s, level_w)
+        oracle = n_p - n_n
+        if cfg.flip_probability > 0.0:
+            products = np.arange(m) < exact[:, :, None]
+            keys = _flip_row_keys(cfg.seed, trials, cfg.n_inputs)[:, :, None]
+            products ^= unit_floats(keys, np.arange(m)) < cfg.flip_probability
+            per_pair = products.sum(axis=2, dtype=np.int64)
+            n_p = np.where(positive, per_pair, 0).sum(axis=1)
+            n_n = per_pair.sum(axis=1) - n_p
+        out = slice(trials.start, trials.stop)
+        self.n_p[out], self.n_n[out], self.oracle[out] = n_p, n_n, oracle
         self.fired += fired
         self.clamped += clamped
 
-    def finish(self, cfg: PipelineConfig):
-        """(decoded, oracle, activity log) of the run."""
+    def finish(self) -> ExperimentResult:
+        """The run's result: its decodes, exact oracle values and activity log."""
+        cfg = self.cfg
         t, n, m, mac_cfg = cfg.trials, cfg.n_inputs, cfg.m, cfg.mac_config
         decoded = np.empty(t)
         for lo in range(0, t, _FINISH_BLOCK):
@@ -440,33 +471,10 @@ class _ProposedRun:
             "sram_cell_access": t * sram,
             "mixed_signal_mac_eval": t * n,
         }
-        return decoded, self.oracle.astype(np.float64), ActivityLog(counts, meta)
-
-
-def _proposed_batch(cfg: PipelineConfig, trials, samples, weights, run):
-    """Count a chunk of proposed trials; inputs are (T, N) arrays.
-
-    Returns what `_ProposedRun.store` takes after the rows.
-    """
-    m = cfg.m
-    positive = weights >= 0.0
-    # each (T, N) temporary is freed as soon as it is summed
-    exact, fired, clamped = asc_levels(samples, m)
-    fired, clamped = int(fired.sum()), np.count_nonzero(clamped)
-    # the AND of two thermometer codes has min(count_a, count_b) leading ones
-    np.minimum(exact, asc_levels(np.abs(weights), m)[0], out=exact)
-    n_p = np.where(positive, exact, 0).sum(axis=1)
-    n_n = exact.sum(axis=1) - n_p
-    # the quantized oracle reads the same levels: sign * min(level_s, level_w)
-    oracle = n_p - n_n
-    if cfg.flip_probability > 0.0:
-        products = np.arange(m) < exact[:, :, None]
-        keys = _flip_row_keys(cfg.seed, trials, samples.shape[1])[:, :, None]
-        products ^= unit_floats(keys, np.arange(m)) < cfg.flip_probability
-        per_pair = products.sum(axis=2, dtype=np.int64)
-        n_p = np.where(positive, per_pair, 0).sum(axis=1)
-        n_n = per_pair.sum(axis=1) - n_p
-    return n_p, n_n, oracle, fired, clamped
+        oracle = self.oracle.astype(np.float64)
+        return ExperimentResult(
+            cfg.variant, cfg.to_json_dict(), cfg.seed, decoded, oracle, ActivityLog(counts, meta)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -527,28 +535,12 @@ class ExperimentResult:
         }
 
 
-# trials per batched-worker call: about this many (trial, input or bit) elements
+# trials per `count` call: about this many (trial, input or bit) elements
 _CHUNK_ELEMENTS = 1 << 13
 
 # Python ints (conventional oracle) or trials (proposed decode) per block of
 # a run's finishing pass, which bounds the memory the pass takes
 _FINISH_BLOCK = 1 << 10
-
-
-def _chunk_trials(cfg: PipelineConfig) -> int:
-    """Trials per batched-worker call: the widest per-trial array sets the count.
-
-    That array is (N,) or the (L,) leaf index for the conventional worker,
-    and (N,) or the (N, m) flip masks for the proposed one.
-    """
-    if cfg.variant == "conventional":
-        per_trial = max(cfg.n_inputs, cfg.stream_length)
-    elif cfg.flip_probability > 0.0:
-        per_trial = cfg.n_inputs * cfg.m
-    else:
-        per_trial = cfg.n_inputs
-    return max(1, _CHUNK_ELEMENTS // per_trial)
-
 
 # trials seeded per `pcg64_lanes` call: a call has a fixed cost of about
 # 0.08 ms, about 60 lanes' worth, and its lanes are Python ints of about
@@ -614,8 +606,7 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
         if fixed is None:
             cfg.distribution.draw(rng, n)
         phases[row] = rng.integers(0, period, size=count)
-    edges = list(accumulate(phase_sizes, initial=0))
-    return columns + [phases[:, lo:hi] for lo, hi in zip(edges, edges[1:])]
+    return columns + np.split(phases, np.cumsum(phase_sizes[:-1]), axis=1)
 
 
 def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
@@ -623,9 +614,9 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
 
     The configs share `_shared_parameters`, so they would draw the same
     inputs; the conventional LFSR phases follow the inputs in each trial's
-    draw. Trials are drawn in blocks of at least the largest worker chunk,
-    and each worker evaluates its own chunks, carrying a partial one to the
-    next block.
+    draw. Every draw block holds whole chunks of each run, so each run
+    counts its own chunks of the block and only a run's last chunk can be
+    partial.
     """
     cfg = cfgs[0]
     fixed = None
@@ -634,55 +625,34 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
             raise SizeMismatchError("provide both samples and weights, or neither")
         fixed = _check_fixed_inputs(samples, weights, cfg)
 
-    n = cfg.n_inputs
     runs = [_ConventionalRun(c) if c.variant == "conventional" else _ProposedRun(c) for c in cfgs]
-    phase_sizes, period = (), 0
+    # of the one or two runs, the larger chunk becomes a multiple of the smaller
+    smallest = min(run.chunk for run in runs)
     for run in runs:
-        if isinstance(run, _ConventionalRun):
-            period = run.seq.size
-            # phases_s, phases_w, then the select phases, one per tree level
-            phase_sizes = (n, n, run.plan.levels)
-    chunks = [_chunk_trials(c) for c in cfgs]
-    # per config: the first trial not yet evaluated and its drawn rows, if
-    # they came from an earlier chunk
-    held = [(0, None)] * len(cfgs)
-    # a draw block holds at least a chunk's worth of drawn elements, as each
-    # block pays a fixed cost for its phases
+        run.chunk -= run.chunk % smallest
+    largest = max(run.chunk for run in runs)
+    # at most one run reads LFSR phases
+    phase_sizes, period = max((run.phase_sizes, run.period) for run in runs)
+    # a draw block holds about a chunk's worth of drawn elements, as each
+    # block pays a fixed cost for its phases, and at least one chunk
     words = -(-sum(phase_sizes) // 2)
-    step = max(*chunks, _CHUNK_ELEMENTS // (2 * n + words))
+    step = largest * max(1, _CHUNK_ELEMENTS // (2 * cfg.n_inputs + words) // largest)
     lanes = _trial_lanes(cfg.seed, cfg.trials)
     gen = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.trials, step):
-        stop = min(start + step, cfg.trials)
-        arrays = _draw_trials(cfg, fixed, range(start, stop), lanes, gen, phase_sizes, period)
-        for k, c in enumerate(cfgs):
-            if c.variant == "conventional":
-                worker, columns = _conventional_batch, arrays
-            else:
-                worker, columns = _proposed_batch, arrays[:2]
-            first, rest = held[k]
-            if rest is not None:
-                columns = [np.concatenate(pair) for pair in zip(rest, columns)]
-            # only whole chunks run before the last trial, so every worker
-            # sees the slices a single-variant run would give it
-            end = stop if stop == cfg.trials else stop - (stop - first) % chunks[k]
-            for lo in range(first, end, chunks[k]):
-                hi = min(lo + chunks[k], end)
-                rows = slice(lo - first, hi - first)
-                summaries = worker(c, range(lo, hi), *(a[rows] for a in columns), runs[k])
-                runs[k].store(slice(lo, hi), *summaries)
-            # a copy of the rows carried over lets the block be freed
-            held[k] = (end, [a[end - first :].copy() for a in columns] if end < stop else None)
-            if c.variant == "conventional":
-                # the proposed worker reads no phases, so they are freed before it runs
-                del arrays[2:]
+        block = range(start, min(start + step, cfg.trials))
+        arrays = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, period)
+        for run in runs:
+            columns = 2 + len(run.phase_sizes)
+            for lo in range(0, len(block), run.chunk):
+                rows = slice(lo, lo + run.chunk)
+                run.count(block[rows], *(a[rows] for a in arrays[:columns]))
+            # no other run reads this run's phases, so they are freed before the next run counts
+            del arrays[2:columns]
         # a block's rows are freed before the next block is drawn
-        del arrays, columns
+        del arrays
 
-    return [
-        ExperimentResult(c.variant, c.to_json_dict(), c.seed, *run.finish(c))
-        for c, run in zip(cfgs, runs)
-    ]
+    return [run.finish() for run in runs]
 
 
 def _require_variant(cfg: PipelineConfig, variant: str) -> None:
@@ -751,9 +721,6 @@ def run_comparison(
     own logs, per-bit SRAM). The default op-count conventions report both
     the back-solved 150-op figure and the structural 2N-1 figure.
     """
-    from .energy import accumulate, calibrated_activity, default_tables, naive_activity
-    from .energy import reduction_percent as _reduction
-
     if _shared_parameters(conv_cfg) != _shared_parameters(prop_cfg):
         raise ConfigError(
             "comparison requires both variants to share n_inputs, trials, seed, "
@@ -788,6 +755,6 @@ def run_comparison(
     prop_res.energy = accumulate(
         prop_log, prop_table, outputs=outputs[1], rate_hz=prop_cfg.output_rate_hz, **common
     )
-    red = _reduction(conv_res.energy, prop_res.energy)
+    red = reduction_percent(conv_res.energy, prop_res.energy)
     prop_res.energy.reduction_vs_baseline_percent = red
     return ComparisonResult(conv_res, prop_res, red, energy_profile)

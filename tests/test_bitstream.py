@@ -212,16 +212,6 @@ def test_inject_bitflips_endpoints():
     assert inject_bitflips(a, 1.0, 99) == Bitstream(1 - a.bits)
 
 
-def test_single_flip_moves_value_one_eighth():
-    a = Bitstream.from_string("01101010")
-    assert value(a) == Fraction(4, 8)
-    for i in range(8):
-        bits = a.bits.copy()
-        bits[i] ^= 1
-        v = value(Bitstream(bits))
-        assert v in (Fraction(3, 8), Fraction(5, 8))
-
-
 @given(st.integers(0, 2**63 - 1), st.floats(0.0, 1.0), st.integers(1, 128))
 @settings(max_examples=60)
 def test_inject_bitflips_reproducible(seed, p, length):

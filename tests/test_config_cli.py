@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from scmac import ConfigError, config_from_dict, default_config, load_config
+from scmac import ConfigError, cli, config_from_dict, default_config, load_config
 from scmac.cli import comparison_summary_lines, main
 from scmac.distributions import Explicit, Uniform, ZeroPeakedGaussian
 
@@ -223,6 +223,39 @@ def test_cli_sweep_writes_grid(tmp_path, capsys):
         (8, 64),
     }
     assert (tmp_path / "sweep_results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "flags", (["--m", "a"], ["--flip-p", "0.1,zz"], ["--m", ","]), ids=("int", "float", "empty")
+)
+def test_cli_sweep_rejects_bad_lists(flags, tmp_path, capsys):
+    rc = main(["sweep", "--trials", "2", *flags, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: bad config:") and "comma-separated list" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "cfg.json"
+    cfg = default_config().to_json_dict()
+    cfg["experiment"]["efficiency_ops"] = {"back_solved": 150, "paper_ops": 42}
+    path.write_text(json.dumps(cfg))
+    seen = []
+    real = cli._comparison_for
+
+    def spy(point):
+        seen.append(dict(point.efficiency_ops))
+        return real(point)
+
+    monkeypatch.setattr(cli, "_comparison_for", spy)
+    rc = main(["sweep", "--config", str(path), "--trials", "2", "--n-inputs", "4,8"])
+    capsys.readouterr()
+    assert rc == 0
+    assert seen == [
+        {"back_solved": 150, "paper_ops": 42, "structural_2n_minus_1": 2 * n - 1} for n in (4, 8)
+    ]
 
 
 def test_cli_asc_stats(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -31,12 +31,7 @@ from scmac.distributions import InputDistribution, Uniform, ZeroPeakedGaussian
 from scmac.energy import ActivityLog
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
 from scmac.mac import ProductCounts, charge_share, decode_voltage, phase1_voltages
-from scmac.pipelines import (
-    _chunk_trials,
-    _comparator_thresholds,
-    _conventional_batch,
-    _flip_row_keys,
-)
+from scmac.pipelines import _comparator_thresholds, _flip_row_keys
 
 MS = (1, 3, 7, 14, 15, 16)
 VDDS = (1.0, 0.8, 1.3)
@@ -207,10 +202,12 @@ def test_expected_value_sums_python_ints_past_int64(flip):
     thr_s[0, 0] = thr_w[0, 0] = period
     positive = rng.uniform(size=(3, n)) < 0.5
     f = Fraction(flip)
-    nums, den = pipelines._expected_numerators(thr_s, thr_w, positive, width, period, f)
+    plan = pipelines._OraclePlan(n, width, period, f)
+    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype)
+    nums = plan.numerators(*plan.group_sums(products, positive))
     for k in range(3):
         want = _expected_value(thr_s[k], thr_w[k], positive[k], width, period, f)
-        assert Fraction(nums[k], den) == want
+        assert Fraction(nums[k], plan.den) == want
 
 
 @pytest.mark.parametrize("n", (1, 7, 300))
@@ -468,9 +465,19 @@ def _assert_batched_matches_per_trial(samples, weights, cfg):
     return res
 
 
+def _run(cfg):
+    """The run object `_run_pipeline` builds for `cfg`."""
+    if cfg.variant == "conventional":
+        return pipelines._ConventionalRun(cfg)
+    return pipelines._ProposedRun(cfg)
+
+
+def _boundary_counts(*chunks):
+    return sorted({t for c in chunks for t in (c - 1, c, c + 1, 2 * c + 1) if t >= 1})
+
+
 def _trial_counts(cfg):
-    chunk = _chunk_trials(cfg)
-    return sorted({c for c in (chunk - 1, chunk, chunk + 1, 2 * chunk + 1) if c >= 1})
+    return _boundary_counts(_run(cfg).chunk)
 
 
 @pytest.mark.parametrize("variant", ("conventional", "proposed"))
@@ -614,21 +621,25 @@ def _full_matrix_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, l
 
 
 def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int):
-    """(decoded, oracle, log) of one trial through the batched conventional worker.
+    """(decoded, oracle, log) of one trial through the conventional run's `count`.
 
-    The trial is drawn as the pipeline draws it, counted as a one-trial
-    chunk, stored as the only row of a one-trial run and finished as a run is.
+    The trial is drawn as the pipeline draws it and counted as a one-trial
+    chunk at its own row; that row alone is then finished as a one-trial run.
     """
     rng = np.random.default_rng((cfg.seed, trial))
     period = cycle_length(cfg.lfsr_width, cfg.lfsr_taps)
     levels = mux_tree_scale(cfg.n_inputs).bit_length() - 1
     phases = [rng.integers(0, period, size=k)[None] for k in (cfg.n_inputs, cfg.n_inputs, levels)]
     rows = np.asarray(samples)[None], np.asarray(weights)[None]
-    run_cfg = dataclasses.replace(cfg, trials=1)
-    run = pipelines._ConventionalRun(run_cfg)
-    run.store(slice(0, 1), *_conventional_batch(cfg, range(trial, trial + 1), *rows, *phases, run))
-    decoded, oracle, log = run.finish(run_cfg)
-    return decoded[0], oracle[0], log
+    run = pipelines._ConventionalRun(dataclasses.replace(cfg, trials=trial + 1))
+    run.count(range(trial, trial + 1), *rows, *phases)
+    # the rows before the trial were never counted
+    run.cfg = dataclasses.replace(cfg, trials=1)
+    run.decoded, run.s_sums = run.decoded[trial:], run.s_sums[trial:]
+    if run.c_sums is not None:
+        run.c_sums = run.c_sums[trial:]
+    res = run.finish()
+    return res.decoded[0], res.oracle[0], res.activity
 
 
 # the full-matrix reference holds int64 (N, L) index matrices: cap N * L
@@ -747,18 +758,18 @@ def _assert_logs_identical(got: ActivityLog, want: ActivityLog):
 
 
 def _comparison_trial_counts(conv, prop):
-    counts = set()
-    for cfg in (conv, prop):
-        counts.update(_trial_counts(cfg))
-    return sorted(counts)
+    # the boundaries of each run's own chunk and of its chunk in a comparison,
+    # where the larger is cut to a multiple of the smaller
+    own = [_run(cfg).chunk for cfg in (conv, prop)]
+    return _boundary_counts(*own, *(c - c % min(own) for c in own))
 
 
 @pytest.mark.parametrize("n", (1, 7, 300))
 @pytest.mark.parametrize("flip", (0.0, 0.02))
 @pytest.mark.parametrize("fixed", (True, False), ids=("fixed", "drawn"))
 def test_comparison_matches_separate_pipelines(n, flip, fixed, monkeypatch):
-    # a small budget gives the two workers different chunks, so the one with
-    # the smaller chunk carries partial chunks across draw steps
+    # a small budget gives the two runs different chunks, so the comparison
+    # cuts the larger one
     monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
     rng = np.random.default_rng(n + 1)
     samples = rng.uniform(-0.1, 1.1, n) if fixed else None
@@ -786,26 +797,33 @@ def test_comparison_matches_separate_pipelines(n, flip, fixed, monkeypatch):
 
 @pytest.mark.parametrize("flip", (0.0, 0.02))
 @pytest.mark.parametrize("length", (1, 15, 8191))
-def test_comparison_keeps_each_worker_chunk(flip, length, monkeypatch):
-    """Both workers get exactly the chunks a single-variant run gives them."""
+def test_runs_count_whole_aligned_chunks(flip, length, monkeypatch):
+    """Each run counts whole chunks in trial order; a comparison cuts the larger chunk.
+
+    In a comparison the run with the smaller chunk keeps it, and the other
+    run's chunk is the largest multiple of it not above its own.
+    """
     monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
-    calls = {"conventional": [], "proposed": []}
-    for name in ("_conventional_batch", "_proposed_batch"):
-        real = getattr(pipelines, name)
-
-        def spy(cfg, trials, *rest, _real=real):
-            calls[cfg.variant].append(len(trials))
-            return _real(cfg, trials, *rest)
-
-        monkeypatch.setattr(pipelines, name, spy)
     shared = dict(n_inputs=7, trials=41, flip_probability=flip, seed=3)
     conv = PipelineConfig(variant="conventional", stream_length=length, **shared)
-    prop = PipelineConfig(variant="proposed", **shared)
-    pipelines.run_comparison(conv, prop)
-    for cfg in (conv, prop):
-        chunk = _chunk_trials(cfg)
-        whole, part = divmod(cfg.trials, chunk)
-        assert calls[cfg.variant] == [chunk] * whole + [part] * (part > 0), cfg.variant
+    # with flips, m=5 gives a proposed chunk of 3, which does not divide the
+    # conventional chunk of 8 at L=15
+    for m in (15, 5):
+        prop = PipelineConfig(variant="proposed", m=m, **shared)
+        own = {cfg.variant: _run(cfg).chunk for cfg in (conv, prop)}
+        small = min(own.values())
+        aligned = {variant: chunk // small * small for variant, chunk in own.items()}
+        for cfgs, chunks in (((conv,), own), ((prop,), own), ((conv, prop), aligned)):
+            run = partial(pipelines._run_pipeline, None, None, *cfgs)
+            calls = _worker_inputs(monkeypatch, run)[1]
+            for cfg in cfgs:
+                sizes = [len(trials) for trials, _ in calls[cfg.variant]]
+                chunk = chunks[cfg.variant]
+                case = (m, len(cfgs), cfg.variant, chunk)
+                assert sizes[:-1] == [chunk] * (len(sizes) - 1), case
+                assert 1 <= sizes[-1] <= chunk, case
+                covered = [t for trials, _ in calls[cfg.variant] for t in trials]
+                assert covered == list(range(cfg.trials)), case
 
 
 @dataclass(frozen=True)
@@ -995,10 +1013,11 @@ def test_selected_inputs_match_wrapped_gather(n):
     # phases at the end of the cycle wrap mid-stream
     sel_phases[0] = seq.size - 1
     for length in (1, 15, seq.size):
-        got = pipelines._selected_inputs(select_table(width, taps), sel_phases, length, n)
+        t, flat, rows = pipelines._selected_inputs(select_table(width, taps), sel_phases, length, n)
         want = _gathered_selected_inputs(seq, sel_phases, length, n)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), length
-        assert got[1].dtype == np.int64
+        assert all(np.array_equal(g, w) for g, w in zip((t, flat), want, strict=True)), length
+        assert np.array_equal(rows, flat // n), length
+        assert flat.dtype == np.int64
 
 
 # The select layer gathered by flat position. The version it replaced, kept
@@ -1071,15 +1090,13 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
             period = state_cycle(c.lfsr_width, c.lfsr_taps)[0].size
             # phases_s, phases_w, then the select phases, one per tree level
             phase_sizes = (n, n, mux_tree_scale(n).bit_length() - 1)
-    chunks = [_chunk_trials(c) for c in cfgs]
-    runs = [
-        pipelines._ConventionalRun(c) if c.variant == "conventional" else pipelines._ProposedRun(c)
-        for c in cfgs
-    ]
-    # per config: the first trial not yet evaluated and its drawn rows, if
-    # they came from an earlier chunk
-    held = [(0, None)] * len(cfgs)
-    step = max(chunks)
+    runs = [_run(c) for c in cfgs]
+    # each run's chunk is cut to a multiple of the smallest, so every step
+    # holds whole chunks of each run
+    smallest = min(run.chunk for run in runs)
+    for run in runs:
+        run.chunk -= run.chunk % smallest
+    step = max(run.chunk for run in runs)
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
         arrays = None
@@ -1095,38 +1112,14 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
                 arrays = [np.empty((stop - start, d.size), d.dtype) for d in draws]
             for column, d in zip(arrays, draws):
                 column[row] = d
-        for k, c in enumerate(cfgs):
-            if c.variant == "conventional":
-                worker, columns = pipelines._conventional_batch, arrays
-            else:
-                worker, columns = pipelines._proposed_batch, arrays[:2]
-            first, rest = held[k]
-            if rest is not None:
-                columns = [np.concatenate(pair) for pair in zip(rest, columns)]
-            # only whole chunks run before the last trial, so every worker
-            # sees the slices a single-variant run would give it
-            end = stop if stop == cfg.trials else stop - (stop - first) % chunks[k]
-            for lo in range(first, end, chunks[k]):
-                hi = min(lo + chunks[k], end)
-                rows = slice(lo - first, hi - first)
-                summaries = worker(c, range(lo, hi), *(a[rows] for a in columns), runs[k])
-                runs[k].store(slice(lo, hi), *summaries)
-            held[k] = (end, [a[end - first :] for a in columns] if end < stop else None)
+        for c, run in zip(cfgs, runs):
+            columns = arrays if c.variant == "conventional" else arrays[:2]
+            for lo in range(start, stop, run.chunk):
+                hi = min(lo + run.chunk, stop)
+                rows = slice(lo - start, hi - start)
+                run.count(range(lo, hi), *(a[rows] for a in columns))
 
-    results = []
-    for c, run in zip(cfgs, runs):
-        decoded, oracle, log = run.finish(c)
-        results.append(
-            pipelines.ExperimentResult(
-                variant=c.variant,
-                config=c.to_json_dict(),
-                seed=c.seed,
-                decoded=decoded,
-                oracle=oracle,
-                activity=log,
-            )
-        )
-    return results
+    return [run.finish() for run in runs]
 
 
 LANE_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3, 2**130 + 7)
@@ -1174,17 +1167,16 @@ def test_bounded_uint32_matches_integers_across_calls():
 
 
 def _worker_inputs(monkeypatch, run):
-    """The result of `run()` and each worker's calls in it: variant -> [(trials, input arrays)]."""
+    """The result of `run()` and each run's `count` calls in it: variant -> [(trials, inputs)]."""
     calls = {"conventional": [], "proposed": []}
     with monkeypatch.context() as m:
-        for name in ("_conventional_batch", "_proposed_batch"):
-            real = getattr(pipelines, name)
+        for cls in (pipelines._ConventionalRun, pipelines._ProposedRun):
 
-            def spy(cfg, trials, *arrays, _real=real):
-                calls[cfg.variant].append((trials, [np.array(a) for a in arrays[:-1]]))
-                return _real(cfg, trials, *arrays)
+            def spy(self, trials, *arrays, _real=cls.count):
+                calls[self.cfg.variant].append((trials, [np.array(a) for a in arrays]))
+                return _real(self, trials, *arrays)
 
-            m.setattr(pipelines, name, spy)
+            m.setattr(cls, "count", spy)
         return run(), calls
 
 

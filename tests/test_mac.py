@@ -26,6 +26,7 @@ from scmac import (
 from scmac.converters import ThermometerCode
 from scmac.errors import ConversionError
 from scmac.mac import MAX_COUNT, baseline_voltage, decode_counts, max_voltage
+from scmac.selftest import _all_mac_inputs
 
 
 def worked_inputs():
@@ -46,15 +47,6 @@ def random_inputs(rng, m, n):
     return MacInputs(
         rng.integers(0, 2, (n, m)), rng.integers(0, 2, (n, m)), rng.integers(0, 2, n)
     )
-
-
-def all_inputs(m, n):
-    for in_word in range(1 << (m * n)):
-        in_bits = [[(in_word >> (i * m + j)) & 1 for j in range(m)] for i in range(n)]
-        for w_word in range(1 << (m * n)):
-            w_bits = [[(w_word >> (i * m + j)) & 1 for j in range(m)] for i in range(n)]
-            for sign_word in range(1 << n):
-                yield MacInputs(in_bits, w_bits, [(sign_word >> i) & 1 for i in range(n)])
 
 
 def test_count_products_worked_example():
@@ -126,13 +118,6 @@ def test_decode_voltage_rejects_out_of_range():
         decode_voltage(-0.01, CFG32)
 
 
-def test_charge_oracle_equals_closed_form_exhaustive_2x2():
-    cfg = MacConfig(2, 2, 1.0)
-    for inputs in all_inputs(2, 2):
-        v, _ = mac_evaluate(inputs, cfg)
-        assert abs(v - charge_oracle(inputs, cfg)) <= 1e-12
-
-
 @given(
     st.integers(1, 4),
     st.integers(1, 4),
@@ -172,15 +157,15 @@ def test_single_bit_monotonicity():
 
 def test_output_range_bounds_attained():
     cfg = MacConfig(2, 2, 1.0)
-    lo = min(mac_evaluate(i, cfg)[0] for i in all_inputs(2, 2))
-    hi = max(mac_evaluate(i, cfg)[0] for i in all_inputs(2, 2))
+    lo = min(mac_evaluate(i, cfg)[0] for i in _all_mac_inputs(2, 2))
+    hi = max(mac_evaluate(i, cfg)[0] for i in _all_mac_inputs(2, 2))
     assert lo == 0.0  # n_n = mN, n_p = 0
     assert hi == pytest.approx(max_voltage(cfg), abs=1e-15)
 
 
 def test_decode_matches_counts_everywhere():
     cfg = MacConfig(2, 2, 1.0)
-    for inputs in all_inputs(2, 2):
+    for inputs in _all_mac_inputs(2, 2):
         v, counts = mac_evaluate(inputs, cfg)
         assert decode_voltage(v, cfg) == counts.difference
 
