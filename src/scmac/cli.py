@@ -15,9 +15,11 @@ import argparse
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
+from functools import partial
 
 from .bitstream import Bitstream
 from .config import ExperimentConfig, default_config, load_config
@@ -29,6 +31,7 @@ from .energy import (
     expected_enabled_sas,
     gating_energy_saving,
     uniform_survival,
+    zero_peaked_survival,
 )
 from .errors import (
     ConfigError,
@@ -80,17 +83,9 @@ def comparison_summary_lines(d: dict) -> list[str]:
         )
     lines += ["", "per-module energy (fJ per output):"]
     lines.append(f"  {'module':<24}{'conventional':>14}{'proposed':>14}")
-    for key in EVENT_KEYS:
-        cv = conv_e["categories_fj"].get(key)
-        pv = prop_e["categories_fj"].get(key)
-        if cv is None and pv is None:
-            continue
-        cv_s = f"{cv / conv_e['outputs']:.2f}" if cv is not None else "-"
-        pv_s = f"{pv / prop_e['outputs']:.2f}" if pv is not None else "-"
-        lines.append(f"  {key:<24}{cv_s:>14}{pv_s:>14}")
-    lines.append(
-        f"  {'total':<24}{conv_e['per_output_fj']:>14.2f}{prop_e['per_output_fj']:>14.2f}"
-    )
+    for module, *per_output in _module_energies(d):
+        cv_s, pv_s = ("-" if v is None else f"{v:.2f}" for v in per_output)
+        lines.append(f"  {module:<24}{cv_s:>14}{pv_s:>14}")
     lines += ["", "summary:"]
     rate_mhz = prop_e["rate_hz"] / 1e6
     lines.append(f"  output rate: {rate_mhz:.1f} MHz   supply: {prop['config']['vdd']:.2f} V")
@@ -111,24 +106,15 @@ def comparison_summary_lines(d: dict) -> list[str]:
     return lines
 
 
-def _energy_csv_rows(d: dict):
-    conv_e = d["conventional"]["energy"]
-    prop_e = d["proposed"]["energy"]
+def _module_energies(d: dict):
+    """(module, conventional, proposed) fJ per output for each module either
+    side logs, None on a side without it; then the totals."""
+    sides = [d[variant]["energy"] for variant in ("conventional", "proposed")]
     for key in EVENT_KEYS:
-        cv = conv_e["categories_fj"].get(key)
-        pv = prop_e["categories_fj"].get(key)
-        if cv is None and pv is None:
-            continue
-        yield {
-            "module": key,
-            "conventional_fj_per_output": repr(cv / conv_e["outputs"]) if cv is not None else "",
-            "proposed_fj_per_output": repr(pv / prop_e["outputs"]) if pv is not None else "",
-        }
-    yield {
-        "module": "total",
-        "conventional_fj_per_output": repr(conv_e["per_output_fj"]),
-        "proposed_fj_per_output": repr(prop_e["per_output_fj"]),
-    }
+        fj = [e["categories_fj"].get(key) for e in sides]
+        if fj != [None, None]:
+            yield key, *(None if v is None else v / e["outputs"] for v, e in zip(fj, sides))
+    yield "total", *(e["per_output_fj"] for e in sides)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -139,73 +125,52 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_text(rows, fieldnames) -> str:
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(header, rows) -> str:
+    # csv writes floats by repr and None as an empty field
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def _trials_csv_text(res_dict: dict) -> str:
-    rows = []
-    for t, (dec, orc) in enumerate(zip(res_dict["decoded"], res_dict["oracle"])):
-        rows.append(
-            {"trial": t, "decoded": repr(dec), "oracle": repr(orc), "error": repr(dec - orc)}
-        )
-    return _csv_text(rows, ["trial", "decoded", "oracle", "error"])
+def _trials_csv(res: dict) -> str:
+    rows = (
+        (t, dec, orc, dec - orc) for t, (dec, orc) in enumerate(zip(res["decoded"], res["oracle"]))
+    )
+    return _csv_text(("trial", "decoded", "oracle", "error"), rows)
 
 
-def write_comparison_reports(d: dict, out_dir: str, fmt: str) -> list[str]:
-    written = []
-    if fmt in ("json", "both"):
-        path = os.path.join(out_dir, "compare_summary.json")
-        _write_text(path, json.dumps(d, indent=2, sort_keys=True) + "\n")
-        written.append(path)
-    if fmt in ("csv", "both"):
-        for variant in ("conventional", "proposed"):
-            path = os.path.join(out_dir, f"compare_trials_{variant}.csv")
-            _write_text(path, _trials_csv_text(d[variant]))
-            written.append(path)
-        path = os.path.join(out_dir, "compare_energy.csv")
-        _write_text(
-            path,
-            _csv_text(
-                _energy_csv_rows(d),
-                ["module", "conventional_fj_per_output", "proposed_fj_per_output"],
-            ),
-        )
-        written.append(path)
-    return written
+def _write_reports(out_dir: str, fmt: str, reports) -> None:
+    """Write, in order, each (file name, "csv" or "json", text builder) that `fmt` selects."""
+    for name, kind, text in reports:
+        if fmt in (kind, "both"):
+            path = os.path.join(out_dir, name)
+            _write_text(path, text())
+            print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
+# each override flag is stored under the ExperimentConfig field it sets
+_OVERRIDES = (
+    "seed", "m", "n_inputs", "stream_length", "flip_probability", "trials", "energy_profile"
+)
+
 
 def _load_or_default(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    for attr, field_name in (
-        ("m", "m"),
-        ("n_inputs", "n_inputs"),
-        ("length", "stream_length"),
-        ("flip_p", "flip_probability"),
-        ("trials", "trials"),
-        ("profile", "energy_profile"),
-    ):
-        val = getattr(args, attr, None)
-        if val is not None:
-            overrides[field_name] = val
-    if getattr(args, "sigma", None) is not None:
+    given = vars(args)
+    overrides = {name: given[name] for name in _OVERRIDES if given.get(name) is not None}
+    if given.get("sigma") is not None:
         overrides["distribution"] = ZeroPeakedGaussian(args.sigma)
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _comparison_for(cfg: ExperimentConfig) -> ComparisonResult:
@@ -267,13 +232,17 @@ def cmd_mac(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _load_or_default(args)
-    cmp_res = _comparison_for(cfg)
-    d = cmp_res.to_json_dict()
+    d = _comparison_for(cfg).to_json_dict()
     print("\n".join(comparison_summary_lines(d)))
     if args.out:
-        written = write_comparison_reports(d, args.out, args.format)
-        for path in written:
-            print(f"wrote {path}")
+        energy_header = ("module", "conventional_fj_per_output", "proposed_fj_per_output")
+        reports = [("compare_summary.json", "json", partial(_json_text, d))]
+        for side in ("conventional", "proposed"):
+            reports.append((f"compare_trials_{side}.csv", "csv", partial(_trials_csv, d[side])))
+        reports.append(
+            ("compare_energy.csv", "csv", partial(_csv_text, energy_header, _module_energies(d)))
+        )
+        _write_reports(args.out, args.format, reports)
     return EXIT_OK
 
 
@@ -296,72 +265,54 @@ def cmd_sweep(args) -> int:
     flips = _parse_list(args.flip_list, float) if args.flip_list else [base.flip_probability]
 
     rows = []
-    for m in ms:
-        for n in ns:
-            for length in lengths:
-                for sigma in sigmas:
-                    for flip in flips:
-                        point = dict(
-                            m=m,
-                            n_inputs=n,
-                            stream_length=length,
-                            flip_probability=flip,
-                        )
-                        if sigma is not None:
-                            point["distribution"] = ZeroPeakedGaussian(sigma)
-                        cfg = dataclasses.replace(base, **point)
-                        cmp_res = _comparison_for(cfg)
-                        rows.append(
-                            {
-                                "m": m,
-                                "n_inputs": n,
-                                "stream_length": length,
-                                "sigma": "" if sigma is None else repr(sigma),
-                                "flip_probability": repr(float(flip)),
-                                "conventional_rmse": repr(cmp_res.conventional.rmse),
-                                "proposed_rmse": repr(cmp_res.proposed.rmse),
-                                "conventional_max_abs_error": repr(
-                                    cmp_res.conventional.max_abs_error
-                                ),
-                                "proposed_max_abs_error": repr(cmp_res.proposed.max_abs_error),
-                                "reduction_percent": repr(cmp_res.reduction_percent),
-                            }
-                        )
-                        print(
-                            f"m={m} n={n} L={length} sigma={sigma} p={flip}: "
-                            f"conv rmse={cmp_res.conventional.rmse:.4g}, "
-                            f"prop rmse={cmp_res.proposed.rmse:.4g}, "
-                            f"reduction={cmp_res.reduction_percent:.1f}%"
-                        )
+    for m, n, length, sigma, flip in itertools.product(ms, ns, lengths, sigmas, flips):
+        point = dict(m=m, n_inputs=n, stream_length=length, flip_probability=flip)
+        if sigma is not None:
+            point["distribution"] = ZeroPeakedGaussian(sigma)
+        cmp_res = _comparison_for(dataclasses.replace(base, **point))
+        conv, prop = cmp_res.conventional, cmp_res.proposed
+        rows.append(
+            {
+                "m": m,
+                "n_inputs": n,
+                "stream_length": length,
+                "sigma": "" if sigma is None else repr(sigma),
+                "flip_probability": repr(float(flip)),
+                "conventional_rmse": repr(conv.rmse),
+                "proposed_rmse": repr(prop.rmse),
+                "conventional_max_abs_error": repr(conv.max_abs_error),
+                "proposed_max_abs_error": repr(prop.max_abs_error),
+                "reduction_percent": repr(cmp_res.reduction_percent),
+            }
+        )
+        print(
+            f"m={m} n={n} L={length} sigma={sigma} p={flip}: "
+            f"conv rmse={conv.rmse:.4g}, prop rmse={prop.rmse:.4g}, "
+            f"reduction={cmp_res.reduction_percent:.1f}%"
+        )
     if args.out:
-        fields = list(rows[0].keys())
-        if args.format in ("csv", "both"):
-            path = os.path.join(args.out, "sweep_results.csv")
-            _write_text(path, _csv_text(rows, fields))
-            print(f"wrote {path}")
-        if args.format in ("json", "both"):
-            path = os.path.join(args.out, "sweep_results.json")
-            _write_text(path, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-            print(f"wrote {path}")
+        table = partial(_csv_text, rows[0].keys(), [row.values() for row in rows])
+        reports = [("sweep_results.csv", "csv", table)]
+        reports.append(("sweep_results.json", "json", partial(_json_text, rows)))
+        _write_reports(args.out, args.format, reports)
     return EXIT_OK
 
 
 def cmd_asc_stats(args) -> int:
     m = args.m if args.m is not None else 15
     sigma = args.sigma if args.sigma is not None else 0.15
+    ZeroPeakedGaussian(sigma)  # rejects a sigma that is not positive and finite
     grid = args.grid
-    rng_xs = [(k + 0.5) / grid for k in range(grid)]
-
     entries = []
     for label, survival in (
         ("uniform", uniform_survival),
-        (f"zero_peaked_gaussian(sigma={sigma})", ZeroPeakedGaussian(sigma).sample_survival()),
+        (f"zero_peaked_gaussian(sigma={sigma})", zero_peaked_survival(sigma)),
     ):
         expected = expected_enabled_sas(m, survival)
         saving = gating_energy_saving(m, expected)
         entries.append({"distribution": label, "expected_enabled_sas": expected, "saving": saving})
 
-    brute = brute_force_enabled_average(m, rng_xs)
+    brute = brute_force_enabled_average(m, [(k + 0.5) / grid for k in range(grid)])
     d = {
         "m": m,
         "grid_points": grid,
@@ -377,9 +328,7 @@ def cmd_asc_stats(args) -> int:
     print(f"  uniform brute force over {grid} grid points: E[enabled]={brute:.4f}")
     print("  savings depend on the input distribution; compare against your own data")
     if args.out:
-        path = os.path.join(args.out, "asc_stats.json")
-        _write_text(path, json.dumps(d, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path}")
+        _write_reports(args.out, "json", [("asc_stats.json", "json", partial(_json_text, d))])
     return EXIT_OK
 
 
@@ -423,12 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
         if with_overrides:
             p.add_argument("--m", type=int, default=None)
             p.add_argument("--n-inputs", dest="n_inputs", type=int, default=None)
-            p.add_argument("--length", type=int, default=None, help="conventional stream length")
+            # each dest is the field the flag overrides; the metavars keep the usage text
+            p.add_argument(
+                "--length",
+                dest="stream_length",
+                metavar="LENGTH",
+                type=int,
+                default=None,
+                help="conventional stream length",
+            )
             p.add_argument("--sigma", type=float, default=None, help="zero-peaked sigma")
-            p.add_argument("--flip-p", dest="flip_p", type=float, default=None)
+            p.add_argument(
+                "--flip-p", dest="flip_probability", metavar="FLIP_P", type=float, default=None
+            )
             p.add_argument("--trials", type=int, default=None)
             p.add_argument(
                 "--profile",
+                dest="energy_profile",
                 choices=ENERGY_PROFILES,
                 default=None,
                 help="activity profile for energy pricing",

@@ -51,28 +51,8 @@ from .pipelines import PipelineConfig
 
 SCHEMA_VERSION = 1
 
-_SECTION_KEYS = {
-    "pipeline": {
-        "n_inputs",
-        "binary_bits",
-        "stream_length",
-        "lfsr_width",
-        "lfsr_taps",
-        "output_rate_hz",
-        "flip_probability",
-        "input_distribution",
-    },
-    "mac": {"m", "vdd"},
-    "energy_tables": {"conventional", "proposed"},
-    "experiment": {
-        "trials",
-        "seed",
-        "energy_profile",
-        "efficiency_ops",
-        "fom_steps",
-        "fom_ops",
-    },
-}
+# the `tables` field holds these two energy_tables entries as a pair
+_TABLE_SIDES = ("conventional", "proposed")
 
 
 @dataclass
@@ -124,41 +104,24 @@ class ExperimentConfig:
         return PipelineConfig(variant=variant, **{name: getattr(self, name) for name in names})
 
     def to_json_dict(self) -> dict:
-        conv, prop = self.tables
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "pipeline": {
-                "n_inputs": self.n_inputs,
-                "binary_bits": self.binary_bits,
-                "stream_length": self.stream_length,
-                "lfsr_width": self.lfsr_width,
-                "lfsr_taps": list(self.lfsr_taps) if self.lfsr_taps else None,
-                "output_rate_hz": self.output_rate_hz,
-                "flip_probability": self.flip_probability,
-                "input_distribution": self.distribution.to_json_dict(),
-            },
-            "mac": {"m": self.m, "vdd": self.vdd},
-            "energy_tables": {
-                "conventional": conv.as_dict(),
-                "proposed": prop.as_dict(),
-            },
-            "experiment": {
-                "trials": self.trials,
-                "seed": self.seed,
-                "energy_profile": self.energy_profile,
-                "efficiency_ops": dict(self.efficiency_ops),
-                "fom_steps": self.fom_steps,
-                "fom_ops": self.fom_ops,
-            },
-        }
+        # the schema names fields and table sides, as `_config_kwargs` reads them
+        values = {**vars(self), **dict(zip(_TABLE_SIDES, self.tables))}
+        d = {"schema_version": SCHEMA_VERSION}
+        for section, keys in _SCHEMA.items():
+            d[section] = {key: _json_value(values[name]) for key, (name, _) in keys.items()}
+        return d
 
 
-def _require_keys(section: str, d: dict) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    unknown = set(d) - _SECTION_KEYS[section]
-    if unknown:
-        raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+def _json_value(value):
+    if isinstance(value, EnergyTable):
+        return value.as_dict()
+    if isinstance(value, InputDistribution):
+        return value.to_json_dict()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 def _strict_int(key: str, value) -> int:
@@ -167,6 +130,48 @@ def _strict_int(key: str, value) -> int:
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(value)
+
+
+def _taps(key: str, value) -> tuple[int, ...] | None:
+    return None if value is None else tuple(_strict_int(key, t) for t in value)
+
+
+def _op_counts(key: str, value) -> dict[str, int]:
+    if not isinstance(value, dict):
+        raise ConfigError("efficiency_ops must map labels to op counts")
+    return {str(k): _strict_int(f"efficiency op count {k!r}", v) for k, v in value.items()}
+
+
+def _cast(convert):
+    """A parser that converts the value and does not need its key."""
+    return lambda key, value: convert(value)
+
+
+# section -> JSON key -> (ExperimentConfig field, or table side; parser). Keys
+# are read in this order, so a config with several faults reports the same
+# one first.
+_SCHEMA = {
+    "pipeline": {
+        "n_inputs": ("n_inputs", _strict_int),
+        "binary_bits": ("binary_bits", _strict_int),
+        "stream_length": ("stream_length", _strict_int),
+        "lfsr_width": ("lfsr_width", _strict_int),
+        "output_rate_hz": ("output_rate_hz", _cast(float)),
+        "flip_probability": ("flip_probability", _cast(float)),
+        "lfsr_taps": ("lfsr_taps", _taps),
+        "input_distribution": ("distribution", _cast(distribution_from_dict)),
+    },
+    "mac": {"m": ("m", _strict_int), "vdd": ("vdd", _cast(float))},
+    "energy_tables": {side: (side, _cast(EnergyTable.from_dict)) for side in _TABLE_SIDES},
+    "experiment": {
+        "trials": ("trials", _strict_int),
+        "seed": ("seed", _strict_int),
+        "fom_steps": ("fom_steps", _strict_int),
+        "fom_ops": ("fom_ops", _strict_int),
+        "energy_profile": ("energy_profile", _cast(str)),
+        "efficiency_ops": ("efficiency_ops", _op_counts),
+    },
+}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -182,7 +187,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 def _config_kwargs(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - {"schema_version", *_SECTION_KEYS}
+    unknown = set(raw) - {"schema_version", *_SCHEMA}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
     version = raw.get("schema_version", SCHEMA_VERSION)
@@ -190,49 +195,19 @@ def _config_kwargs(raw: dict) -> dict:
         raise ConfigError(f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}")
 
     kwargs: dict = {}
-    pipe = raw.get("pipeline", {})
-    _require_keys("pipeline", pipe)
-    for key in ("n_inputs", "binary_bits", "stream_length", "lfsr_width"):
-        if key in pipe:
-            kwargs[key] = _strict_int(key, pipe[key])
-    for key in ("output_rate_hz", "flip_probability"):
-        if key in pipe:
-            kwargs[key] = float(pipe[key])
-    if pipe.get("lfsr_taps") is not None:
-        kwargs["lfsr_taps"] = tuple(_strict_int("lfsr_taps", t) for t in pipe["lfsr_taps"])
-    if "input_distribution" in pipe:
-        kwargs["distribution"] = distribution_from_dict(pipe["input_distribution"])
-
-    mac_sec = raw.get("mac", {})
-    _require_keys("mac", mac_sec)
-    if "m" in mac_sec:
-        kwargs["m"] = _strict_int("m", mac_sec["m"])
-    if "vdd" in mac_sec:
-        kwargs["vdd"] = float(mac_sec["vdd"])
-
-    tables_sec = raw.get("energy_tables", {})
-    _require_keys("energy_tables", tables_sec)
-    conv, prop = default_tables()
-    if "conventional" in tables_sec:
-        conv = EnergyTable.from_dict(tables_sec["conventional"])
-    if "proposed" in tables_sec:
-        prop = EnergyTable.from_dict(tables_sec["proposed"])
-    kwargs["tables"] = (conv, prop)
-
-    exp = raw.get("experiment", {})
-    _require_keys("experiment", exp)
-    for key in ("trials", "seed", "fom_steps", "fom_ops"):
-        if key in exp:
-            kwargs[key] = _strict_int(key, exp[key])
-    if "energy_profile" in exp:
-        kwargs["energy_profile"] = str(exp["energy_profile"])
-    if "efficiency_ops" in exp:
-        ops = exp["efficiency_ops"]
-        if not isinstance(ops, dict):
-            raise ConfigError("efficiency_ops must map labels to op counts")
-        kwargs["efficiency_ops"] = {
-            str(k): _strict_int(f"efficiency op count {k!r}", v) for k, v in ops.items()
-        }
+    for section, keys in _SCHEMA.items():
+        values = raw.get(section, {})
+        if not isinstance(values, dict):
+            raise ConfigError(f"section {section!r} must be an object")
+        unknown = set(values) - set(keys)
+        if unknown:
+            raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+        for key, (name, parse) in keys.items():
+            if key in values:
+                kwargs[name] = parse(key, values[key])
+    kwargs["tables"] = tuple(
+        kwargs.pop(side, table) for side, table in zip(_TABLE_SIDES, default_tables())
+    )
     return kwargs
 
 

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .energy import uniform_survival, zero_peaked_survival
 from .errors import ConfigError
 
 
@@ -23,10 +21,6 @@ class InputDistribution:
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(samples in [0,1], weights in [-1,1]) for one trial."""
-        raise NotImplementedError
-
-    def sample_survival(self) -> Callable[[float], float]:
-        """P(sample magnitude >= a), for the gating closed form."""
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
@@ -39,9 +33,6 @@ class Uniform(InputDistribution):
 
     def draw(self, rng, n):
         return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-
-    def sample_survival(self):
-        return uniform_survival
 
 
 @dataclass(frozen=True)
@@ -61,9 +52,6 @@ class ZeroPeakedGaussian(InputDistribution):
         samples = np.minimum(np.abs(rng.normal(0.0, self.sigma, n)), 1.0)
         weights = np.minimum(np.maximum(rng.normal(0.0, self.sigma, n), -1.0), 1.0)
         return samples, weights
-
-    def sample_survival(self):
-        return zero_peaked_survival(self.sigma)
 
     def to_json_dict(self):
         return {"kind": self.kind, "sigma": self.sigma}
@@ -93,14 +81,6 @@ class Explicit(InputDistribution):
                 f"explicit distribution has {len(self.samples)} entries, need {n}"
             )
         return np.asarray(self.samples), np.asarray(self.weights)
-
-    def sample_survival(self):
-        samples = np.asarray(self.samples)
-
-        def survival(a: float) -> float:
-            return float((samples >= a).mean())
-
-        return survival
 
     def to_json_dict(self):
         return {"kind": self.kind, "samples": list(self.samples), "weights": list(self.weights)}

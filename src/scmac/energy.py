@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Mapping
 
-from .converters import asc_encode, ref_ladder
+from .converters import asc_levels
 from .errors import EnergyModelError
 
 FEMTO = 1e-15
@@ -349,17 +349,11 @@ def expected_enabled_sas(m: int, survival: Callable[[float], float]) -> float:
 
 
 def brute_force_enabled_average(m: int, xs: Iterable[float]) -> float:
-    """Average fired-SA count over explicit inputs, via the converter itself."""
-    ladder = ref_ladder(m, 1.0)
-    total = 0
-    n = 0
-    for x in xs:
-        _, activity = asc_encode(x, ladder)
-        total += activity.enabled_sa_count
-        n += 1
-    if n == 0:
+    """Average fired-SA count over explicit inputs, via the array converter."""
+    _, fired, _ = asc_levels(list(xs), m)
+    if fired.size == 0:
         raise EnergyModelError("need at least one sample")
-    return total / n
+    return int(fired.sum()) / fired.size
 
 
 def gating_energy_saving(m: int, expected_enabled: float) -> float:

@@ -134,6 +134,13 @@ class PipelineConfig:
                 f"stream_length must lie in [1, {period}] for a width-"
                 f"{self.lfsr_width} LFSR, got {self.stream_length}"
             )
+        # (2^n - 1) * period < 2^63 iff n + width <= 63, for a maximal period
+        # and 2 <= width <= 20; this form never builds 1 << n for a huge n
+        if self.binary_bits + self.lfsr_width > 63:
+            raise ConfigError(
+                f"binary_bits {self.binary_bits} is too wide for a period-{period} LFSR: "
+                "comparator thresholds would overflow int64"
+            )
 
     @property
     def mac_config(self) -> MacConfig:
@@ -164,16 +171,11 @@ class PipelineConfig:
 
 def _comparator_thresholds(x, binary_bits: int, period: int) -> tuple[np.ndarray, np.ndarray]:
     # floor-scale the n-bit ADC codes onto the LFSR range; the full-period
-    # ones count is exactly this threshold
-    top = (1 << binary_bits) - 1
-    if top * period >= 1 << 63:
-        raise ConfigError(
-            f"binary_bits {binary_bits} is too wide for a period-{period} LFSR: "
-            "comparator thresholds would overflow int64"
-        )
+    # ones count is exactly this threshold; PipelineConfig keeps the
+    # products below 2^63
     codes, saturated = adc_codes(x, binary_bits)
     codes *= period
-    codes //= top
+    codes //= (1 << binary_bits) - 1
     return codes, saturated
 
 

@@ -1,5 +1,7 @@
 """Config schema handling and the command-line front end."""
 
+import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -8,15 +10,57 @@ import time
 
 import pytest
 
-from scmac import ConfigError, cli, config_from_dict, default_config, load_config
+from scmac import ConfigError, cli, config_from_dict, default_config, load_config, pipelines
 from scmac.cli import comparison_summary_lines, main
 from scmac.distributions import Explicit, Uniform, ZeroPeakedGaussian
+from scmac.energy import default_tables
 
 
 def test_default_config_round_trips():
     cfg = default_config()
     again = config_from_dict(cfg.to_json_dict())
     assert again.to_json_dict() == cfg.to_json_dict()
+
+
+def test_config_setting_every_section_round_trips():
+    conv, prop = (table.as_dict() for table in default_tables())
+    conv["sram_cell_access"] = 30.0
+    prop["asc_convert"] = 12.5
+    raw = {
+        "schema_version": 1,
+        "pipeline": {
+            "n_inputs": 3,
+            "binary_bits": 5,
+            "stream_length": 20,
+            "lfsr_width": 5,
+            "lfsr_taps": [5, 3],
+            "output_rate_hz": 2e6,
+            "flip_probability": 0.01,
+            "input_distribution": {
+                "kind": "explicit",
+                "samples": [0.1, 0.5, 0.9],
+                "weights": [0.2, -0.7, 1.0],
+            },
+        },
+        "mac": {"m": 7, "vdd": 0.9},
+        "energy_tables": {"conventional": conv, "proposed": prop},
+        "experiment": {
+            "trials": 6,
+            "seed": 11,
+            "energy_profile": "measured",
+            "efficiency_ops": {"back_solved": 120, "other": 7},
+            "fom_steps": 100,
+            "fom_ops": 3,
+        },
+    }
+    cfg = config_from_dict(raw)
+    assert cfg.lfsr_taps == (5, 3) and isinstance(cfg.distribution, Explicit)
+    assert cfg.tables[0].sram_cell_access == 30.0 and cfg.tables[1].asc_convert == 12.5
+    # every key is written back as read, plus the derived 2N-1 op count
+    raw["experiment"]["efficiency_ops"]["structural_2n_minus_1"] = 5
+    assert cfg.to_json_dict() == raw
+    again = config_from_dict(cfg.to_json_dict())
+    assert again == cfg and again.to_json_dict() == raw
 
 
 def test_config_defaults():
@@ -237,6 +281,35 @@ def test_cli_sweep_rejects_bad_lists(flags, tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_compare_flags_land_on_their_fields(capsys, monkeypatch):
+    # flags are read by field name, so a flag whose dest drifted from its
+    # field would be dropped without an error
+    seen = []
+    real = cli._comparison_for
+
+    def spy(cfg):
+        seen.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "_comparison_for", spy)
+    argv = ["compare", "--seed", "7", "--m", "9", "--n-inputs", "5", "--length", "31"]
+    argv += ["--flip-p", "0.125", "--trials", "3", "--profile", "naive", "--sigma", "0.25"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    expected = dataclasses.replace(
+        default_config(),
+        seed=7,
+        m=9,
+        n_inputs=5,
+        stream_length=31,
+        flip_probability=0.125,
+        trials=3,
+        energy_profile="naive",
+        distribution=ZeroPeakedGaussian(0.25),
+    )
+    assert seen == [expected]
+
+
 def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch):
     path = tmp_path / "cfg.json"
     cfg = default_config().to_json_dict()
@@ -266,6 +339,13 @@ def test_cli_asc_stats(tmp_path, capsys):
     d = json.loads((tmp_path / "asc_stats.json").read_text())
     savings = {e["distribution"]: e["saving"] for e in d["closed_form"]}
     assert savings["zero_peaked_gaussian(sigma=0.15)"] > savings["uniform"]
+    # recorded while the brute force still stepped the scalar converter per point
+    printed = hashlib.sha256(out.replace(str(tmp_path), "OUT").encode()).hexdigest()
+    written = hashlib.sha256((tmp_path / "asc_stats.json").read_bytes()).hexdigest()
+    assert (printed, written) == (
+        "6556c64edb412bd6423ec03840b57104c98efcf94abc2f479aab6ff086d2b87c",
+        "9267fa99184889859a70f850b4f3873dfa25e7188f2a2b724c67b4f83a39473e",
+    )
 
 
 def test_cli_selftest(capsys):
@@ -284,16 +364,24 @@ def test_cli_selftest(capsys):
         '{"pipeline": {"lfsr_width": 4, "lfsr_taps": [4, 2], "stream_length": 6}}',
         '{"pipeline": {"lfsr_width": 4, "lfsr_taps": [3]}}',
         '{"pipeline": {"binary_bits": 64}}',
+        # (2^n - 1) * 32767 must fit int64: checked at load, never by building 1 << n
+        '{"pipeline": {"binary_bits": 62}}',
+        '{"pipeline": {"binary_bits": 1e30}}',
+        '{"pipeline": {"binary_bits": 1e308}}',
+        '{"pipeline": {"binary_bits": 9223372036854775808}}',
     ],
 )
-def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, text):
+def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, monkeypatch, text):
     p = tmp_path / "cfg.json"
     p.write_text(text)
     out = tmp_path / "out"
     argv = ["compare", "--config", str(p), "--trials", "2", "--n-inputs", "4", "--out", str(out)]
+    # a config error must come before any trial is drawn
+    monkeypatch.setattr(pipelines, "_draw_trials", lambda *args: pytest.fail("drew trials"))
     rc = main(argv)
     assert rc == 2
-    assert "bad config" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config:") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -329,8 +417,6 @@ def test_cli_rejects_wide_lfsr_before_walking_its_cycle(tmp_path, capsys):
 
 
 def test_replace_leaves_original_efficiency_ops_alone():
-    import dataclasses
-
     cfg = default_config()
     small = dataclasses.replace(cfg, n_inputs=64)
     assert small.efficiency_ops["structural_2n_minus_1"] == 127

@@ -2,6 +2,8 @@
 
 The digests were recorded before the trial workers were batched; any
 refactor of the datapaths must reproduce every report file byte for byte.
+The stdout digests, with the report directory replaced by `OUT`, were
+recorded before the report writers were shared between subcommands.
 """
 
 import contextlib
@@ -81,6 +83,16 @@ GOLDEN = {
 }
 
 
+STDOUT_GOLDEN = {
+    "flip_0.02": "72815e6a9b1ba8c8998c3b0bf3f38211f4caefed6d74299448aa4e4ca0764895",
+    "n_7": "77a3b4e957ea3a694507cb1b652e6b9c0204ee0c4b4ae09ee3ad07d223fb3ca4",
+    "n_7_sigma_0.9_measured": "f240382b513773166be1bfd8ce5f921fcde51388141bfd9f0e53fa79056395dd",
+    "reference": "0553750e8ccc788a86c5aa1053a8793f5950bc6dd02ea1a2cdd176f4c1473304",
+    "uniform": "5615919b4e05ff1e7fbfb3d1970794fa3a894f6fde0b525743e601a81b3b4066",
+    "vdd_0.8": "89fcebf4bf0712b42698cfef231c73607db21d69b17727ac0180ba80b90ff08b",
+}
+
+
 # `scmac sweep` on the long-stream benchmark grid (N=300, four trials per
 # point), where every chunk is one trial of 8191 or 32767 bits; recorded
 # before the select layer gathered real leaves by position
@@ -88,9 +100,18 @@ SWEEP_GOLDEN = {
     "sweep_results.csv": "9dc7452571ec22653674e3402ffa95503ae43ad280a9d1d95fbf4ad287d6efd0",
     "sweep_results.json": "e2560dc20dae27f0dc939df16792fd9275da6ddec6177d0bb408d7aa8ca3e561",
 }
+SWEEP_STDOUT_GOLDEN = "d37b2e948d777b1b88baa3ac180a94d8344b0067bdb8dac4800cb68e3e80b819"
 
 
-def _run_case(case: str, tmp_path) -> dict[str, str]:
+def stdout_digest(argv: list[str], out) -> str:
+    """Run the CLI; the sha256 of its stdout with the report directory written as `OUT`."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    return hashlib.sha256(buf.getvalue().replace(str(out), "OUT").encode()).hexdigest()
+
+
+def _run_case(case: str, tmp_path) -> tuple[dict[str, str], str]:
     pipeline, mac, experiment = CASES[case]
     with open(REFERENCE, encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -101,25 +122,24 @@ def _run_case(case: str, tmp_path) -> dict[str, str]:
     config.write_text(json.dumps(raw), encoding="utf-8")
     out = tmp_path / case
     argv = ["compare", "--config", str(config), "--out", str(out), "--format", "both"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv + ["--trials", "20"]) == 0
-    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REPORTS}
+    printed = stdout_digest(argv + ["--trials", "20"], out)
+    reports = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in REPORTS}
+    return reports, printed
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_compare_reports_match_golden_digests(case, tmp_path):
-    assert _run_case(case, tmp_path) == GOLDEN[case]
+    assert _run_case(case, tmp_path) == (GOLDEN[case], STDOUT_GOLDEN[case])
 
 
 def test_long_stream_sweep_matches_golden_digests(tmp_path):
     argv = ["sweep", "--config", REFERENCE, "--n-inputs", "300", "--length", "8191,32767"]
     argv += ["--flip-p", "0,0.02", "--trials", "4", "--out", str(tmp_path), "--format", "both"]
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0
+    printed = stdout_digest(argv, tmp_path)
     digests = {
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SWEEP_GOLDEN
     }
-    assert digests == SWEEP_GOLDEN
+    assert (digests, printed) == (SWEEP_GOLDEN, SWEEP_STDOUT_GOLDEN)
 
 
 @pytest.mark.parametrize("flip", (0.0, 0.02))

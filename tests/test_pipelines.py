@@ -390,12 +390,15 @@ def test_non_maximal_taps_rejected():
 
 
 def test_too_wide_binary_bits_rejected():
-    # (2^50 - 1) * 32767 thresholds would wrap in int64 and decode 0 for 1
-    cfg = conv_cfg(n_inputs=1, trials=1, binary_bits=50)
+    # (2^50 - 1) * 32767 thresholds would wrap in int64 and decode 0 for 1;
+    # the config itself is refused, before any run
     with pytest.raises(ConfigError, match="overflow"):
-        conventional_pipeline([1.0], [1.0], cfg)
+        conv_cfg(n_inputs=1, trials=1, binary_bits=50)
+    # n + width = 63 is the widest that fits: (2^48 - 1) * 32767 < 2^63
+    cfg = conv_cfg(n_inputs=1, trials=1, binary_bits=48)
+    assert conventional_pipeline([1.0], [1.0], cfg).oracle[0] == exact_oracle([1.0], [1.0], cfg)
     with pytest.raises(ConfigError, match="overflow"):
-        exact_oracle([1.0], [1.0], cfg)
+        conv_cfg(n_inputs=1, trials=1, binary_bits=49)
 
 
 @pytest.mark.parametrize(

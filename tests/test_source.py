@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module of `src/scmac` imports is used in it."""
+"""Source hygiene: every name a module of `src/scmac` imports is used in it, and
+every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,64 @@ def test_unused_import_check_finds_unused_names():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_import_is_used(module):
     assert _unused_imports((PACKAGE / module).read_text()) == []
+
+
+def _private_names(source: str) -> set[str]:
+    """Private (one leading underscore) names the module binds at its top level."""
+    bound = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            bound.update(n.id for n in stored if isinstance(n.ctx, ast.Store))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return {name for name in bound if name.startswith("_") and not name.startswith("__")}
+
+
+def _read_names(source: str) -> set[str]:
+    """Every name the module reads, as a name, an attribute or an import."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    read = set().union(*(_read_names(source) for source in sources.values()))
+    return sorted(
+        f"{module}:{name}"
+        for module, source in sources.items()
+        for name in _private_names(source) - read
+    )
+
+
+def test_unread_private_name_check_finds_unread_names():
+    sources = {
+        "a.py": (
+            "_USED = 1\n"
+            "_UNUSED, _ALSO = 2, 3\n"
+            "_ANNOTATED: int = 4\n"
+            "def _helper():\n"
+            "    return _USED\n"
+            "class _Dead:\n"
+            "    pass\n"
+            "def __getattr__(name):\n"
+            "    return _helper\n"
+        ),
+        # read through an import and an attribute of another module
+        "b.py": "from .a import _ALSO\nimport a\nx = a._ANNOTATED\n_SELF = 5\n",
+    }
+    assert _unread_private_names(sources) == ["a.py:_Dead", "a.py:_UNUSED", "b.py:_SELF"]
+
+
+def test_every_private_name_is_read_in_the_package():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert _unread_private_names(sources) == []
