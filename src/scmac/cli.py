@@ -300,8 +300,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_asc_stats(args) -> int:
     m = args.m if args.m is not None else 15
-    sigma = args.sigma if args.sigma is not None else 0.15
-    ZeroPeakedGaussian(sigma)  # rejects a sigma that is not positive and finite
+    sigma = ZeroPeakedGaussian(args.sigma).sigma  # rejects a sigma that is not positive and finite
     grid = args.grid
     entries = []
     for label, survival in (
@@ -410,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_asc = sub.add_parser("asc-stats", help="ASC gating energy vs input distribution")
     p_asc.add_argument("--m", type=int, default=None)
-    p_asc.add_argument("--sigma", type=float, default=None)
+    p_asc.add_argument("--sigma", type=float, default=ZeroPeakedGaussian.sigma)
     p_asc.add_argument("--grid", type=int, default=50001, help="brute-force grid size")
     p_asc.add_argument("--out", default=None)
     p_asc.set_defaults(func=cmd_asc_stats)

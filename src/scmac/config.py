@@ -20,20 +20,24 @@ Schema (version 1), all sections optional with the defaults shown:
         "m": 15,                    // bits per stochastic number
         "vdd": 1.0                  // volts
       },
-      "energy_tables": {            // optional unit-energy overrides, fJ
-        "conventional": {"sram_cell_access": 28.0, ...},
-        "proposed":     {"asc_convert": 16.2, ...}
+      "energy_tables": {            // unit energies, fJ; a side keeps the shipped
+        "conventional": {"sram_cell_access": 28.0, ...},  // energy of each unit
+        "proposed":     {"asc_convert": 16.2, ...}        // it does not name
       },
       "experiment": {
         "trials": 200,
         "seed": 1,
         "energy_profile": "calibrated",   // calibrated | naive | measured
-        "efficiency_ops": {"back_solved": 150},  // label -> op count;
-                                          // structural 2N-1 is always added
+        "efficiency_ops": {},       // label -> op count, {} for {"back_solved": 150};
+                                    // the structural 2N-1 count is always added
         "fom_steps": 2395,
         "fom_ops": 1
       }
     }
+
+Numbers must be JSON numbers, not strings or bools. Each distribution kind
+takes only the keys shown for it, and `explicit` needs both lists. Errors
+name their key path, such as `pipeline.input_distribution.sigma`.
 
 Numbers in reports are femtojoules, microwatts, and TOPS/W.
 """
@@ -42,11 +46,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 
-from .distributions import InputDistribution, ZeroPeakedGaussian, distribution_from_dict
-from .energy import ENERGY_PROFILES, EnergyTable, default_tables
-from .errors import ConfigError
+from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
+from .energy import ENERGY_PROFILES, EVENT_KEYS, EnergyTable, default_tables
+from .errors import ConfigError, EnergyModelError
 from .pipelines import PipelineConfig
 
 SCHEMA_VERSION = 1
@@ -84,18 +89,12 @@ class ExperimentConfig:
         self.pipeline_config("proposed")
         if self.fom_steps < 1 or self.fom_ops < 1:
             raise ConfigError("fom_steps and fom_ops must be positive")
-        # derived label, recomputed whenever n_inputs changes; on a copy,
-        # because dataclasses.replace hands the same dict to the new config
-        self.efficiency_ops = dict(self.efficiency_ops or {"back_solved": 150})
-        self.efficiency_ops["structural_2n_minus_1"] = 2 * self.n_inputs - 1
         # the energy model divides by these counts as floats
-        for label, ops in self.efficiency_ops.items():
+        for name, ops in self.efficiency_ops.items():
             if int(ops) < 1:
-                raise ConfigError(f"efficiency op count {label!r} must be positive")
+                raise ConfigError(f"efficiency_ops.{name} must be positive")
             if ops > sys.float_info.max:
-                raise ConfigError(
-                    f"efficiency op count {label!r} must be at most {sys.float_info.max:.6e}"
-                )
+                raise ConfigError(f"efficiency_ops.{name} must be at most {sys.float_info.max:.6e}")
         if self.fom_steps * self.fom_ops > sys.float_info.max:
             raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
 
@@ -124,6 +123,26 @@ def _json_value(value):
     return value
 
 
+# each parser takes its value's key path, such as "pipeline.n_inputs", for its errors
+
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _expect(key: str, value, json_type):
+    # no config value is a bool, and Python's bool is an int
+    if isinstance(value, bool) or not isinstance(value, json_type):
+        raise ConfigError(f"{key} must be {_JSON_TYPES[json_type]}, got {value!r}")
+    return value
+
+
+def _read_object(key: str, value, keys: dict) -> dict:
+    # keys: JSON key -> (field, parser), read in order, so the first fault is always the same
+    unknown = set(_expect(key, value, dict)) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {key}: {sorted(unknown)}")
+    return {name: parse(f"{key}.{k}", value[k]) for k, (name, parse) in keys.items() if k in value}
+
+
 def _strict_int(key: str, value) -> int:
     """An integer config value; bools, fractional floats and other types are ConfigErrors."""
     integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
@@ -132,79 +151,98 @@ def _strict_int(key: str, value) -> int:
     return int(value)
 
 
+def _number(key: str, value) -> float:
+    try:
+        return float(_expect(key, value, (int, float)))
+    except OverflowError:
+        raise ConfigError(f"{key} must be at most {sys.float_info.max:.6e}") from None
+
+
+def _numbers(key: str, value) -> tuple[float, ...]:
+    return tuple(_number(key, x) for x in _expect(key, value, list))
+
+
 def _taps(key: str, value) -> tuple[int, ...] | None:
-    return None if value is None else tuple(_strict_int(key, t) for t in value)
+    return None if value is None else tuple(_strict_int(key, t) for t in _expect(key, value, list))
 
 
 def _op_counts(key: str, value) -> dict[str, int]:
-    if not isinstance(value, dict):
-        raise ConfigError("efficiency_ops must map labels to op counts")
-    return {str(k): _strict_int(f"efficiency op count {k!r}", v) for k, v in value.items()}
+    counts = _expect(key, value, dict)
+    return {label: _strict_int(f"{key}.{label}", ops) for label, ops in counts.items()}
 
 
-def _cast(convert):
-    """A parser that converts the value and does not need its key."""
-    return lambda key, value: convert(value)
+# input_distribution kind -> (class, its keys besides "kind"); a key left out
+# takes the class default, and a field without one is required
+_DISTRIBUTIONS = {
+    "uniform": (Uniform, {}),
+    "zero_peaked_gaussian": (ZeroPeakedGaussian, {"sigma": ("sigma", _number)}),
+    "explicit": (Explicit, {"samples": ("samples", _numbers), "weights": ("weights", _numbers)}),
+}
 
 
-# section -> JSON key -> (ExperimentConfig field, or table side; parser). Keys
-# are read in this order, so a config with several faults reports the same
-# one first.
+def _distribution(key: str, value) -> InputDistribution:
+    kind = _expect(key, value, dict).get("kind")
+    if not isinstance(kind, str) or kind not in _DISTRIBUTIONS:
+        raise ConfigError(f"{key}.kind must be one of {list(_DISTRIBUTIONS)}, got {kind!r}")
+    cls, keys = _DISTRIBUTIONS[kind]
+    args = _read_object(key, {k: v for k, v in value.items() if k != "kind"}, keys)
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in args]
+    if missing:
+        raise ConfigError(f"{key} of kind {kind!r} needs {missing}")
+    return cls(**args)
+
+
+def _table(shipped: EnergyTable, key: str, value) -> EnergyTable:
+    # a side names the units it changes; the others keep their shipped energies
+    return replace(shipped, **_read_object(key, value, {u: (u, _number) for u in EVENT_KEYS}))
+
+
+# section -> JSON key -> (ExperimentConfig field, or table side; parser)
 _SCHEMA = {
     "pipeline": {
         "n_inputs": ("n_inputs", _strict_int),
         "binary_bits": ("binary_bits", _strict_int),
         "stream_length": ("stream_length", _strict_int),
         "lfsr_width": ("lfsr_width", _strict_int),
-        "output_rate_hz": ("output_rate_hz", _cast(float)),
-        "flip_probability": ("flip_probability", _cast(float)),
+        "output_rate_hz": ("output_rate_hz", _number),
+        "flip_probability": ("flip_probability", _number),
         "lfsr_taps": ("lfsr_taps", _taps),
-        "input_distribution": ("distribution", _cast(distribution_from_dict)),
+        "input_distribution": ("distribution", _distribution),
     },
-    "mac": {"m": ("m", _strict_int), "vdd": ("vdd", _cast(float))},
-    "energy_tables": {side: (side, _cast(EnergyTable.from_dict)) for side in _TABLE_SIDES},
+    "mac": {"m": ("m", _strict_int), "vdd": ("vdd", _number)},
+    "energy_tables": {
+        side: (side, partial(_table, shipped))
+        for side, shipped in zip(_TABLE_SIDES, default_tables())
+    },
     "experiment": {
         "trials": ("trials", _strict_int),
         "seed": ("seed", _strict_int),
         "fom_steps": ("fom_steps", _strict_int),
         "fom_ops": ("fom_ops", _strict_int),
-        "energy_profile": ("energy_profile", _cast(str)),
+        "energy_profile": ("energy_profile", partial(_expect, json_type=str)),
         "efficiency_ops": ("efficiency_ops", _op_counts),
     },
 }
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    # the casts below see outside values: int(Infinity) raises OverflowError
     try:
         return ExperimentConfig(**_config_kwargs(raw))
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+    except EnergyModelError as exc:  # a unit energy that is negative or not finite
         raise ConfigError(str(exc)) from exc
 
 
 def _config_kwargs(raw: dict) -> dict:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - {"schema_version", *_SCHEMA}
+    unknown = set(_expect("config root", raw, dict)) - {"schema_version", *_SCHEMA}
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-    version = raw.get("schema_version", SCHEMA_VERSION)
+    version = _strict_int("schema_version", raw.get("schema_version", SCHEMA_VERSION))
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version}; this build reads {SCHEMA_VERSION}")
 
     kwargs: dict = {}
     for section, keys in _SCHEMA.items():
-        values = raw.get(section, {})
-        if not isinstance(values, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        unknown = set(values) - set(keys)
-        if unknown:
-            raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
-        for key, (name, parse) in keys.items():
-            if key in values:
-                kwargs[name] = parse(key, values[key])
+        kwargs.update(_read_object(section, raw.get(section, {}), keys))
     kwargs["tables"] = tuple(
         kwargs.pop(side, table) for side, table in zip(_TABLE_SIDES, default_tables())
     )
@@ -215,7 +253,7 @@ def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int of more digits than Python converts
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(raw)
 

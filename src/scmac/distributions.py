@@ -8,7 +8,7 @@ values cluster around zero; its width is a config knob.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,8 @@ class InputDistribution:
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind}
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {"kind": self.kind, **{k: list(v) if isinstance(v, tuple) else v for k, v in values}}
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,6 @@ class ZeroPeakedGaussian(InputDistribution):
         weights = np.minimum(np.maximum(rng.normal(0.0, self.sigma, n), -1.0), 1.0)
         return samples, weights
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
 class Explicit(InputDistribution):
@@ -82,23 +80,3 @@ class Explicit(InputDistribution):
             )
         return np.asarray(self.samples), np.asarray(self.weights)
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "samples": list(self.samples), "weights": list(self.weights)}
-
-
-def distribution_from_dict(d: dict) -> InputDistribution:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError("input_distribution must be an object with a 'kind' field")
-    kind = d["kind"]
-    extra = set(d) - {"kind", "sigma", "samples", "weights"}
-    if extra:
-        raise ConfigError(f"unknown input_distribution fields: {sorted(extra)}")
-    if kind == "uniform":
-        return Uniform()
-    if kind == "zero_peaked_gaussian":
-        return ZeroPeakedGaussian(float(d.get("sigma", 0.15)))
-    if kind == "explicit":
-        if "samples" not in d or "weights" not in d:
-            raise ConfigError("explicit distribution needs 'samples' and 'weights'")
-        return Explicit(tuple(d["samples"]), tuple(d["weights"]))
-    raise ConfigError(f"unknown input_distribution kind {kind!r}")

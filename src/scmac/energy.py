@@ -64,13 +64,6 @@ class EnergyTable:
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d: Mapping[str, float]) -> "EnergyTable":
-        unknown = set(d) - set(EVENT_KEYS)
-        if unknown:
-            raise EnergyModelError(f"unknown energy table keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in d.items()})
-
 
 # 28nm reference unit energies. The converter keys follow the structures:
 # bsc_convert is the LFSR+comparator unit (binary -> stochastic),

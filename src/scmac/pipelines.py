@@ -21,7 +21,7 @@ logged per event with bit-level SRAM counting; energy pricing happens in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -112,7 +112,7 @@ class PipelineConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not (0 < self.output_rate_hz < math.inf):
-            raise ConfigError(f"output rate must be positive and finite, got {self.output_rate_hz}")
+            raise ConfigError(f"output_rate_hz {self.output_rate_hz} is not positive and finite")
         if not (0.0 <= self.flip_probability <= 1.0):
             raise ConfigError("flip_probability must lie in [0, 1]")
         try:
@@ -147,21 +147,10 @@ class PipelineConfig:
         return MacConfig(self.m, self.n_inputs, self.vdd)
 
     def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "n_inputs": self.n_inputs,
-            "m": self.m,
-            "vdd": self.vdd,
-            "binary_bits": self.binary_bits,
-            "stream_length": self.stream_length,
-            "lfsr_width": self.lfsr_width,
-            "lfsr_taps": list(self.lfsr_taps),
-            "output_rate_hz": self.output_rate_hz,
-            "input_distribution": self.distribution.to_json_dict(),
-            "flip_probability": self.flip_probability,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["lfsr_taps"] = list(self.lfsr_taps)
+        d["input_distribution"] = d.pop("distribution").to_json_dict()
+        return d
 
 
 # ---------------------------------------------------------------------------
@@ -720,8 +709,9 @@ def run_comparison(
     `energy_profile` selects the activity counts used for the headline
     comparison: "calibrated" (back-solved reference-design counts),
     "naive" (one event per module action), or "measured" (the pipelines'
-    own logs, per-bit SRAM). The default op-count conventions report both
-    the back-solved 150-op figure and the structural 2N-1 figure.
+    own logs, per-bit SRAM). `efficiency_ops` maps labels to op counts
+    and defaults to the back-solved 150-op figure; the structural 2N-1
+    count is always added, in place if a label of that name is given.
     """
     if _shared_parameters(conv_cfg) != _shared_parameters(prop_cfg):
         raise ConfigError(
@@ -737,8 +727,8 @@ def run_comparison(
     # one draw per trial feeds both datapaths
     conv_res, prop_res = _run_pipeline(samples, weights, conv_cfg, prop_cfg)
 
-    if efficiency_ops is None:
-        efficiency_ops = {"back_solved": 150, "structural_2n_minus_1": 2 * conv_cfg.n_inputs - 1}
+    labels = efficiency_ops or {"back_solved": 150}
+    efficiency_ops = {**labels, "structural_2n_minus_1": 2 * conv_cfg.n_inputs - 1}
 
     if energy_profile == "calibrated":
         conv_log, prop_log = calibrated_activity()

@@ -10,10 +10,18 @@ import time
 
 import pytest
 
-from scmac import ConfigError, cli, config_from_dict, default_config, load_config, pipelines
+from scmac import (
+    ConfigError,
+    cli,
+    config,
+    config_from_dict,
+    default_config,
+    load_config,
+    pipelines,
+)
 from scmac.cli import comparison_summary_lines, main
 from scmac.distributions import Explicit, Uniform, ZeroPeakedGaussian
-from scmac.energy import default_tables
+from scmac.energy import CONVENTIONAL_TABLE, PROPOSED_TABLE, default_tables
 
 
 def test_default_config_round_trips():
@@ -56,8 +64,7 @@ def test_config_setting_every_section_round_trips():
     cfg = config_from_dict(raw)
     assert cfg.lfsr_taps == (5, 3) and isinstance(cfg.distribution, Explicit)
     assert cfg.tables[0].sram_cell_access == 30.0 and cfg.tables[1].asc_convert == 12.5
-    # every key is written back as read, plus the derived 2N-1 op count
-    raw["experiment"]["efficiency_ops"]["structural_2n_minus_1"] = 5
+    # every key is written back as read; the 2N-1 op count is added only when pricing
     assert cfg.to_json_dict() == raw
     again = config_from_dict(cfg.to_json_dict())
     assert again == cfg and again.to_json_dict() == raw
@@ -68,7 +75,7 @@ def test_config_defaults():
     assert cfg.n_inputs == 300 and cfg.m == 15 and cfg.binary_bits == 4
     assert cfg.output_rate_hz == 10e6
     assert isinstance(cfg.distribution, ZeroPeakedGaussian)
-    assert cfg.efficiency_ops == {"back_solved": 150, "structural_2n_minus_1": 599}
+    assert cfg.efficiency_ops == {}
 
 
 def test_config_rejects_unknown_keys():
@@ -85,7 +92,7 @@ def test_config_rejects_wrong_version():
         config_from_dict({"schema_version": 2})
 
 
-def test_config_distribution_parsing():
+def test_config_distribution_parsing(tmp_path, capsys, monkeypatch):
     cfg = config_from_dict({"pipeline": {"input_distribution": {"kind": "uniform"}}})
     assert isinstance(cfg.distribution, Uniform)
     cfg = config_from_dict(
@@ -103,20 +110,41 @@ def test_config_distribution_parsing():
     assert isinstance(cfg.distribution, Explicit)
     with pytest.raises(ConfigError):
         config_from_dict({"pipeline": {"input_distribution": {"kind": "cauchy"}}})
+    # each kind reads only its own keys, so another kind's key is a config error
+    for distribution, key in [
+        ({"kind": "uniform", "sigma": 0.3}, "sigma"),
+        ({"kind": "zero_peaked_gaussian", "samples": [1]}, "samples"),
+        ({"kind": "explicit", "samples": [0.5], "weights": [0.5], "sigma": 0.3}, "sigma"),
+        ({"kind": "explicit", "samples": [0.5]}, "weights"),
+    ]:
+        raw = {"pipeline": {"input_distribution": distribution}}
+        _assert_rejected(tmp_path, capsys, monkeypatch, json.dumps(raw), key)
 
 
 def test_config_table_overrides():
     cfg = config_from_dict(
         {"energy_tables": {"proposed": {"asc_convert": 10.0, "sram_cell_access": 20.0}}}
     )
-    assert cfg.tables[1].asc_convert == 10.0
-    assert cfg.tables[0].adc_convert == 2150.0  # untouched side keeps defaults
+    # a named side keeps the shipped energy of every unit it leaves out
+    assert cfg.tables[1] == dataclasses.replace(
+        PROPOSED_TABLE, asc_convert=10.0, sram_cell_access=20.0
+    )
+    assert cfg.tables[0] == CONVENTIONAL_TABLE  # untouched side keeps defaults
+    cfg = config_from_dict({"energy_tables": {"conventional": {"sram_cell_access": 30.0}}})
+    assert cfg.tables == (
+        dataclasses.replace(CONVENTIONAL_TABLE, sram_cell_access=30.0),
+        PROPOSED_TABLE,
+    )
 
 
 def test_load_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError):
+        load_config(bad)
+    # json raises a plain ValueError for an int longer than Python converts
+    bad.write_text('{"experiment": {"seed": ' + "1" * 5000 + "}}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(bad)
 
 
@@ -315,18 +343,22 @@ def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch
     cfg = default_config().to_json_dict()
     cfg["experiment"]["efficiency_ops"] = {"back_solved": 150, "paper_ops": 42}
     path.write_text(json.dumps(cfg))
-    seen = []
+    seen, priced = [], []
     real = cli._comparison_for
 
     def spy(point):
         seen.append(dict(point.efficiency_ops))
-        return real(point)
+        result = real(point)
+        priced.append(result.proposed.energy.efficiency_ops)
+        return result
 
     monkeypatch.setattr(cli, "_comparison_for", spy)
     rc = main(["sweep", "--config", str(path), "--trials", "2", "--n-inputs", "4,8"])
     capsys.readouterr()
     assert rc == 0
-    assert seen == [
+    # each point carries the configured labels; pricing adds its own 2N-1 count
+    assert seen == [{"back_solved": 150, "paper_ops": 42}] * 2
+    assert priced == [
         {"back_solved": 150, "paper_ops": 42, "structural_2n_minus_1": 2 * n - 1} for n in (4, 8)
     ]
 
@@ -353,25 +385,8 @@ def test_cli_selftest(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        '{"mac": {"vdd": Infinity}}',
-        '{"experiment": {"seed": -1}}',
-        '{"pipeline": {"output_rate_hz": Infinity}}',
-        '{"pipeline": {"n_inputs": Infinity}}',
-        '{"experiment": {"trials": NaN}}',
-        '{"pipeline": {"lfsr_width": 4, "lfsr_taps": [4, 2], "stream_length": 6}}',
-        '{"pipeline": {"lfsr_width": 4, "lfsr_taps": [3]}}',
-        '{"pipeline": {"binary_bits": 64}}',
-        # (2^n - 1) * 32767 must fit int64: checked at load, never by building 1 << n
-        '{"pipeline": {"binary_bits": 62}}',
-        '{"pipeline": {"binary_bits": 1e30}}',
-        '{"pipeline": {"binary_bits": 1e308}}',
-        '{"pipeline": {"binary_bits": 9223372036854775808}}',
-    ],
-)
-def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, monkeypatch, text):
+def _assert_rejected(tmp_path, capsys, monkeypatch, text: str, key: str) -> str:
+    """`compare` on this config text exits 2 naming `key`, before any draw and any report."""
     p = tmp_path / "cfg.json"
     p.write_text(text)
     out = tmp_path / "out"
@@ -379,10 +394,80 @@ def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, monkeypatch, text):
     # a config error must come before any trial is drawn
     monkeypatch.setattr(pipelines, "_draw_trials", lambda *args: pytest.fail("drew trials"))
     rc = main(argv)
-    assert rc == 2
     err = capsys.readouterr().err
+    assert rc == 2, err
     assert err.startswith("error: bad config:") and "Traceback" not in err
+    assert key in err, err
     assert not out.exists()
+    return err
+
+
+def _probe(text: str, key: str):
+    return pytest.param(text, key, id=text)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        _probe('{"mac": {"vdd": Infinity}}', "vdd"),
+        _probe('{"experiment": {"seed": -1}}', "seed"),
+        _probe('{"pipeline": {"output_rate_hz": Infinity}}', "output_rate_hz"),
+        _probe('{"pipeline": {"n_inputs": Infinity}}', "n_inputs"),
+        _probe('{"experiment": {"trials": NaN}}', "trials"),
+        _probe(
+            '{"pipeline": {"lfsr_width": 4, "lfsr_taps": [4, 2], "stream_length": 6}}', "lfsr_taps"
+        ),
+        _probe('{"pipeline": {"lfsr_width": 4, "lfsr_taps": [3]}}', "lfsr_taps"),
+        _probe('{"pipeline": {"binary_bits": 64}}', "binary_bits"),
+        # (2^n - 1) * 32767 must fit int64: checked at load, never by building 1 << n
+        _probe('{"pipeline": {"binary_bits": 62}}', "binary_bits"),
+        _probe('{"pipeline": {"binary_bits": 1e30}}', "binary_bits"),
+        _probe('{"pipeline": {"binary_bits": 1e308}}', "binary_bits"),
+        _probe('{"pipeline": {"binary_bits": 9223372036854775808}}', "binary_bits"),
+        # wrong JSON types name their key, not Python's conversion that failed
+        _probe('{"pipeline": {"lfsr_taps": 5}}', "pipeline.lfsr_taps"),
+        _probe('{"energy_tables": {"proposed": 3}}', "energy_tables.proposed"),
+        _probe('{"pipeline": {"output_rate_hz": [1]}}', "pipeline.output_rate_hz"),
+        _probe('{"pipeline": {"input_distribution": "uniform"}}', "pipeline.input_distribution"),
+        _probe(
+            '{"pipeline": {"input_distribution": {"kind": ["uniform"]}}}',
+            "pipeline.input_distribution.kind",
+        ),
+    ],
+)
+def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, monkeypatch, text, key):
+    _assert_rejected(tmp_path, capsys, monkeypatch, text, key)
+
+
+def _explicit(sample, weight):
+    return {"kind": "explicit", "samples": [sample], "weights": [weight]}
+
+
+# every number field of the schema, as a function of its value
+_NUMBER_FIELDS = {
+    "output_rate_hz": lambda v: {"pipeline": {"output_rate_hz": v}},
+    "flip_probability": lambda v: {"pipeline": {"flip_probability": v}},
+    "vdd": lambda v: {"mac": {"vdd": v}},
+    "sigma": lambda v: {
+        "pipeline": {"input_distribution": {"kind": "zero_peaked_gaussian", "sigma": v}}
+    },
+    "samples": lambda v: {"pipeline": {"input_distribution": _explicit(v, 0.5)}},
+    "weights": lambda v: {"pipeline": {"input_distribution": _explicit(0.5, v)}},
+    "sram_cell_access": lambda v: {"energy_tables": {"conventional": {"sram_cell_access": v}}},
+}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("0.5", "must be a number"), (False, "must be a number"), (2**1024, "must be at most")],
+    ids=("string", "bool", "int_past_float"),
+)
+@pytest.mark.parametrize("key", _NUMBER_FIELDS)
+def test_cli_rejects_non_number_number_fields_exit_2(
+    tmp_path, capsys, monkeypatch, key, value, message
+):
+    text = json.dumps(_NUMBER_FIELDS[key](value))
+    assert message in _assert_rejected(tmp_path, capsys, monkeypatch, text, key)
 
 
 def test_cli_rejects_infinite_sigma_from_flag_and_file(tmp_path, capsys):
@@ -417,10 +502,17 @@ def test_cli_rejects_wide_lfsr_before_walking_its_cycle(tmp_path, capsys):
 
 
 def test_replace_leaves_original_efficiency_ops_alone():
-    cfg = default_config()
-    small = dataclasses.replace(cfg, n_inputs=64)
-    assert small.efficiency_ops["structural_2n_minus_1"] == 127
-    assert cfg.efficiency_ops == {"back_solved": 150, "structural_2n_minus_1": 599}
+    cfg = dataclasses.replace(default_config(), efficiency_ops={"structural_2n_minus_1": 5})
+    small = dataclasses.replace(cfg, n_inputs=64, trials=2)
+    priced = cli._comparison_for(small).proposed.energy.efficiency_ops
+    # the derived count replaces the given one in place and reaches no config
+    assert priced == {"structural_2n_minus_1": 127}
+    assert cfg.efficiency_ops == small.efficiency_ops == {"structural_2n_minus_1": 5}
+    priced = cli._comparison_for(dataclasses.replace(small, efficiency_ops={}))
+    assert priced.proposed.energy.efficiency_ops == {
+        "back_solved": 150,
+        "structural_2n_minus_1": 127,
+    }
 
 
 def test_zero_inputs_error_names_n_inputs():
@@ -614,3 +706,69 @@ def test_cli_run_too_large_to_hold_exit_2(tmp_path, capsys, trials, message):
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
     assert not os.path.exists(out)
+
+
+# the value each distribution kind's keys take in a config that runs
+_DISTRIBUTION_KEYS = {
+    "uniform": {},
+    "zero_peaked_gaussian": {"sigma": 0.2},
+    "explicit": {"samples": [0.1, 0.4, 0.6, 1.0], "weights": [-1.0, -0.3, 0.2, 0.9]},
+}
+_MUTANTS = (
+    float("nan"), float("inf"), float("-inf"), -1, 0, 2**63, 1e308, "1", True, None, [], {}
+)
+
+
+def _mutation_sites():
+    """(base config, key path) for every section and key of the schema, each
+    distribution kind's keys and one unit energy."""
+    base = {"pipeline": {"n_inputs": 4}, "experiment": {"trials": 2}}
+    yield base, ("schema_version",)
+    for section, keys in config._SCHEMA.items():
+        yield base, (section,)
+        for key in keys:
+            yield base, (section, key)
+    yield base, ("energy_tables", "proposed", "asc_convert")
+    assert {kind: set(keys) for kind, (_, keys) in config._DISTRIBUTIONS.items()} == {
+        kind: set(keys) for kind, keys in _DISTRIBUTION_KEYS.items()
+    }
+    for kind, keys in _DISTRIBUTION_KEYS.items():
+        distribution = {"kind": kind, **keys}
+        with_kind = {**base, "pipeline": {"n_inputs": 4, "input_distribution": distribution}}
+        for key in distribution:
+            yield with_kind, ("pipeline", "input_distribution", key)
+
+
+def _reject_constant(name):
+    raise ValueError(f"report holds {name}")
+
+
+def test_config_mutation_gate(tmp_path, capsys):
+    # one key at a time set to each value a config must run with or refuse
+    start = time.perf_counter()
+    runs = 0
+    for base, path in _mutation_sites():
+        for value in _MUTANTS:
+            raw = json.loads(json.dumps(base))
+            node = raw
+            for key in path[:-1]:
+                node = node.setdefault(key, {})
+            node[path[-1]] = value
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps(raw))
+            out = tmp_path / f"out{runs}"
+            runs += 1
+            rc = main(["compare", "--config", str(p), "--out", str(out)])
+            err = capsys.readouterr().err
+            where = f"{'.'.join(path)} = {value!r}: rc {rc}, {err}"
+            assert rc in (0, 2), where
+            if rc == 2:
+                assert err.startswith("error:") and "Traceback" not in err, where
+                assert not out.exists(), where
+            else:
+                text = (out / "compare_summary.json").read_text()
+                summary = json.loads(text, parse_constant=_reject_constant)
+                assert summary["proposed"]["statistics"]["max_abs_error"] == 0, where
+    elapsed = time.perf_counter() - start
+    print(f"config mutation gate: {runs} configs in {elapsed:.2f} s")
+    assert elapsed < 10.0
