@@ -76,6 +76,7 @@ from .pipelines import (
     exact_oracle,
     proposed_pipeline,
     run_comparison,
+    run_comparisons,
 )
 
 __version__ = "0.1.0"

@@ -9,6 +9,8 @@ bounded integers for many trials at once, bit for bit.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -51,10 +53,10 @@ def splitmix64_array(x: np.ndarray) -> np.ndarray:
         return _finalize(np.asarray(x, dtype=np.uint64) + np.uint64(_GOLDEN))
 
 
-def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Per-index uniforms in [0, 1), keyed by (seed, index).
+def unit_words(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The uint64 words behind `unit_floats`: each uniform is (word >> 11) / 2^53.
 
-    Vectorized splitmix64 over the index array; the value at a given index
+    Vectorized splitmix64 over the index array; the word at a given index
     never depends on which other indices are evaluated. `seed` is an int or
     a uint64 array that broadcasts against `indices`, one key per element.
     """
@@ -65,11 +67,28 @@ def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         z = np.asarray(indices, dtype=np.uint64) * np.uint64(_GOLDEN) + seed
         z += np.uint64(_GOLDEN)
-    z = _finalize(z)
+    return _finalize(z)
+
+
+def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Per-index uniforms in [0, 1), keyed by (seed, index); see `unit_words`."""
+    z = unit_words(seed, indices)
     z >>= np.uint64(11)
     out = z.astype(np.float64)
     out /= float(1 << 53)
     return out
+
+
+def unit_below(words: np.ndarray, p: float) -> np.ndarray:
+    """Where the uniforms of `unit_words` lie below p in [0, 1], by one integer compare per word.
+
+    A uniform k / 2^53 is below p iff k < ceil(p * 2^53), iff its word
+    (k << 11 plus 11 low bits) is below ceil(p * 2^53) << 11; that bound
+    fits a uint64 for every p < 1, and at p = 1 every uniform is below.
+    """
+    if p >= 1.0:
+        return np.ones(words.shape, dtype=bool)
+    return words < np.uint64(math.ceil(Fraction(p) * (1 << 53)) << 11)
 
 
 # numpy's SeedSequence (pool size 4) and PCG64 seeding, vectorized over trial

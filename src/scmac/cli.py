@@ -43,7 +43,7 @@ from .errors import (
     StreamError,
 )
 from .mac import MacConfig, MacInputs, decode_voltage, mac_evaluate
-from .pipelines import ComparisonResult, run_comparison
+from .pipelines import ComparisonResult, run_comparisons
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -173,16 +173,22 @@ def _load_or_default(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _comparison_for(cfg: ExperimentConfig) -> ComparisonResult:
-    return run_comparison(
-        cfg.pipeline_config("conventional"),
-        cfg.pipeline_config("proposed"),
-        tables=cfg.tables,
-        energy_profile=cfg.energy_profile,
-        efficiency_ops=cfg.efficiency_ops,
-        fom_steps=cfg.fom_steps,
-        fom_ops=cfg.fom_ops,
+def _comparisons_for(cfgs: list[ExperimentConfig]) -> list[ComparisonResult]:
+    """Both pipelines of each config, all from one draw per trial."""
+    # the points of a sweep share the energy settings of their base config
+    first = cfgs[0]
+    return run_comparisons(
+        [(cfg.pipeline_config("conventional"), cfg.pipeline_config("proposed")) for cfg in cfgs],
+        tables=first.tables,
+        energy_profile=first.energy_profile,
+        efficiency_ops=first.efficiency_ops,
+        fom_steps=first.fom_steps,
+        fom_ops=first.fom_ops,
     )
+
+
+def _comparison_for(cfg: ExperimentConfig) -> ComparisonResult:
+    return _comparisons_for([cfg])[0]
 
 
 def _parse_stream(token: str) -> Bitstream:
@@ -256,6 +262,37 @@ def _parse_list(text, cast):
     return values
 
 
+def _sweep_fields(m, n, length, sigma, flip) -> dict:
+    """The ExperimentConfig fields one sweep point sets."""
+    point = dict(m=m, n_inputs=n, stream_length=length, flip_probability=flip)
+    if sigma is not None:
+        point["distribution"] = ZeroPeakedGaussian(sigma)
+    return point
+
+
+def _sweep_report(m, n, length, sigma, flip, cmp_res: ComparisonResult) -> tuple[dict, str]:
+    """The report row and the printed line of one sweep point."""
+    conv, prop = cmp_res.conventional, cmp_res.proposed
+    row = {
+        "m": m,
+        "n_inputs": n,
+        "stream_length": length,
+        "sigma": "" if sigma is None else repr(sigma),
+        "flip_probability": repr(float(flip)),
+        "conventional_rmse": repr(conv.rmse),
+        "proposed_rmse": repr(prop.rmse),
+        "conventional_max_abs_error": repr(conv.max_abs_error),
+        "proposed_max_abs_error": repr(prop.max_abs_error),
+        "reduction_percent": repr(cmp_res.reduction_percent),
+    }
+    line = (
+        f"m={m} n={n} L={length} sigma={sigma} p={flip}: "
+        f"conv rmse={conv.rmse:.4g}, prop rmse={prop.rmse:.4g}, "
+        f"reduction={cmp_res.reduction_percent:.1f}%"
+    )
+    return row, line
+
+
 def cmd_sweep(args) -> int:
     base = _load_or_default(args)
     ms = _parse_list(args.m_list, int) if args.m_list else [base.m]
@@ -264,32 +301,20 @@ def cmd_sweep(args) -> int:
     sigmas = _parse_list(args.sigma_list, float) if args.sigma_list else [None]
     flips = _parse_list(args.flip_list, float) if args.flip_list else [base.flip_probability]
 
-    rows = []
-    for m, n, length, sigma, flip in itertools.product(ms, ns, lengths, sigmas, flips):
-        point = dict(m=m, n_inputs=n, stream_length=length, flip_probability=flip)
-        if sigma is not None:
-            point["distribution"] = ZeroPeakedGaussian(sigma)
-        cmp_res = _comparison_for(dataclasses.replace(base, **point))
-        conv, prop = cmp_res.conventional, cmp_res.proposed
-        rows.append(
-            {
-                "m": m,
-                "n_inputs": n,
-                "stream_length": length,
-                "sigma": "" if sigma is None else repr(sigma),
-                "flip_probability": repr(float(flip)),
-                "conventional_rmse": repr(conv.rmse),
-                "proposed_rmse": repr(prop.rmse),
-                "conventional_max_abs_error": repr(conv.max_abs_error),
-                "proposed_max_abs_error": repr(prop.max_abs_error),
-                "reduction_percent": repr(cmp_res.reduction_percent),
-            }
-        )
-        print(
-            f"m={m} n={n} L={length} sigma={sigma} p={flip}: "
-            f"conv rmse={conv.rmse:.4g}, prop rmse={prop.rmse:.4g}, "
-            f"reduction={cmp_res.reduction_percent:.1f}%"
-        )
+    grid = list(itertools.product(ms, ns, lengths, sigmas, flips))
+    # every point is built, and so validated, before the first is drawn
+    points = [dataclasses.replace(base, **_sweep_fields(*key)) for key in grid]
+    # the points of one (m, N, sigma) family share a draw; sigma varies
+    # inside L, so the families are collected before any row is written
+    families: dict[tuple, list[int]] = {}
+    for i, (m, n, _, sigma, _) in enumerate(grid):
+        families.setdefault((m, n, sigma), []).append(i)
+    reported = [None] * len(grid)
+    for family in families.values():
+        for i, cmp_res in zip(family, _comparisons_for([points[i] for i in family])):
+            reported[i] = _sweep_report(*grid[i], cmp_res)
+    rows = [row for row, _ in reported]
+    print("\n".join(line for _, line in reported))
     if args.out:
         table = partial(_csv_text, rows[0].keys(), [row.values() for row in rows])
         reports = [("sweep_results.csv", "csv", table)]

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from decimal import Decimal
+
 
 class ScmacError(Exception):
     """Base class for all scmac errors."""
@@ -31,3 +33,12 @@ class EnergyModelError(ScmacError, ValueError):
 
 class ConfigError(ScmacError, ValueError):
     """Config file failed to parse or validate."""
+
+
+def short_int(n: int) -> str:
+    """`n` for an error message: whole up to 20 digits, else like 1.000e+308.
+
+    A config value such as 1e308 is a 309-digit integer, which no message
+    should print whole.
+    """
+    return str(n) if abs(n) < 10**20 else f"{Decimal(n):.3e}"

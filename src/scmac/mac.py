@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitstream import Bitstream
-from .errors import ConversionError, MacError
+from .errors import ConversionError, MacError, short_int
 
 
 # The largest m*N whose float decode is exact. Each side voltage, their sum,
@@ -50,12 +50,12 @@ class MacConfig:
 
     def __post_init__(self):
         if self.m < 1:
-            raise MacError(f"m must be >= 1, got {self.m}")
+            raise MacError(f"m must be >= 1, got {short_int(self.m)}")
         if self.n_inputs < 1:
-            raise MacError(f"n_inputs must be >= 1, got {self.n_inputs}")
+            raise MacError(f"n_inputs must be >= 1, got {short_int(self.n_inputs)}")
         if self.m * self.n_inputs > MAX_COUNT:
             raise MacError(
-                f"m*N = {self.m * self.n_inputs} exceeds {MAX_COUNT}, "
+                f"m * n_inputs = {short_int(self.m * self.n_inputs)} exceeds {MAX_COUNT}, "
                 "the largest product count the voltage decode recovers exactly"
             )
         # the decode divides a voltage by vdd, so a subnormal vdd loses that

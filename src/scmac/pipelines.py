@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import mac as mac_mod
-from ._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_floats
+from ._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_below, unit_words
 from .bitstream import mux_tree_scale
 from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
@@ -41,7 +41,7 @@ from .energy import (
     naive_activity,
     reduction_percent,
 )
-from .errors import ConfigError, MacError, SizeMismatchError
+from .errors import ConfigError, MacError, SizeMismatchError, short_int
 from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
 from .mac import MacConfig
 
@@ -64,10 +64,13 @@ def _maximal_period(width: int, taps: tuple[int, ...]) -> int:
     different expectation than the oracle computes.
     """
     if width > MAX_LFSR_WIDTH:
-        raise ConfigError(f"lfsr_width {width} exceeds the supported maximum {MAX_LFSR_WIDTH}")
-    if width < 2 or not taps or any(t < 1 or t > width for t in taps) or width not in taps:
         raise ConfigError(
-            f"lfsr_taps {list(taps)} must lie in 1..{width} and include the width {width}"
+            f"lfsr_width {short_int(width)} exceeds the supported maximum {MAX_LFSR_WIDTH}"
+        )
+    if width < 2 or not taps or any(t < 1 or t > width for t in taps) or width not in taps:
+        shown = ", ".join(map(short_int, taps))
+        raise ConfigError(
+            f"lfsr_taps [{shown}] must lie in 1..{width} and include the width {width}"
         )
     period = cycle_length(width, taps)
     if period != (1 << width) - 1:
@@ -105,12 +108,13 @@ class PipelineConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.n_inputs < 1 or self.m < 1 or self.binary_bits < 1:
-            raise ConfigError("n_inputs, m and binary_bits must be positive")
+        for name in ("n_inputs", "m", "binary_bits"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {short_int(getattr(self, name))}")
         if not 1 <= self.trials <= MAX_TRIALS:
-            raise ConfigError(f"trials must lie in [1, 2^48], got {self.trials}")
+            raise ConfigError(f"trials must lie in [1, 2^48], got {short_int(self.trials)}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"seed must be non-negative, got {short_int(self.seed)}")
         if not (0 < self.output_rate_hz < math.inf):
             raise ConfigError(f"output_rate_hz {self.output_rate_hz} is not positive and finite")
         if not (0.0 <= self.flip_probability <= 1.0):
@@ -119,11 +123,18 @@ class PipelineConfig:
             MacConfig(self.m, self.n_inputs, self.vdd)
         except MacError as exc:
             raise ConfigError(str(exc)) from None
+        # the draw would refuse it only after the run has started
+        dist = self.distribution
+        if isinstance(dist, Explicit) and len(dist.samples) != self.n_inputs:
+            raise ConfigError(
+                f"explicit input_distribution has {len(dist.samples)} entries, "
+                f"need n_inputs = {short_int(self.n_inputs)}"
+            )
         taps = self.lfsr_taps
         if taps is None:
             if self.lfsr_width not in MAXIMAL_TAPS:
                 raise ConfigError(
-                    f"no shipped taps for lfsr_width {self.lfsr_width}; "
+                    f"no shipped taps for lfsr_width {short_int(self.lfsr_width)}; "
                     f"pick one of {sorted(MAXIMAL_TAPS)} or set lfsr_taps"
                 )
             taps = MAXIMAL_TAPS[self.lfsr_width]
@@ -132,14 +143,14 @@ class PipelineConfig:
         if self.stream_length < 1 or self.stream_length > period:
             raise ConfigError(
                 f"stream_length must lie in [1, {period}] for a width-"
-                f"{self.lfsr_width} LFSR, got {self.stream_length}"
+                f"{self.lfsr_width} LFSR, got {short_int(self.stream_length)}"
             )
         # (2^n - 1) * period < 2^63 iff n + width <= 63, for a maximal period
         # and 2 <= width <= 20; this form never builds 1 << n for a huge n
         if self.binary_bits + self.lfsr_width > 63:
             raise ConfigError(
-                f"binary_bits {self.binary_bits} is too wide for a period-{period} LFSR: "
-                "comparator thresholds would overflow int64"
+                f"binary_bits {short_int(self.binary_bits)} is too wide for a "
+                f"period-{period} LFSR: comparator thresholds would overflow int64"
             )
 
     @property
@@ -225,7 +236,7 @@ class _OraclePlan:
     def numerators(self, s_sums, c_sums):
         """The exact expected decodes times `den`, as Python ints."""
         nums = s_sums.astype(object) @ self.s_weights
-        return nums if c_sums is None else nums + c_sums.astype(object) @ self.c_weights
+        return nums if self.c_weights is None else nums + c_sums.astype(object) @ self.c_weights
 
 
 def _check_fixed_inputs(samples, weights, cfg: PipelineConfig):
@@ -279,6 +290,23 @@ def _flip_row_keys(seed: int, trials, n: int) -> np.ndarray:
     return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
 
 
+def _flips(cfgs) -> list[float]:
+    """The distinct flip probabilities of a run's configs, ascending."""
+    return sorted({cfg.flip_probability for cfg in cfgs})
+
+
+def _results(run, decoded, oracles, counts, meta) -> list[ExperimentResult]:
+    """One result per config of `run`: the decodes and oracles of its flip, and its own log."""
+    results = []
+    for cfg in run.cfgs:
+        i = run.flips.index(cfg.flip_probability)
+        log = ActivityLog(counts, meta)
+        results.append(
+            ExperimentResult(cfg.variant, cfg.to_json_dict(), cfg.seed, decoded[i], oracles[i], log)
+        )
+    return results
+
+
 def _selected_inputs(lsb2, sel_phases, length: int, n: int):
     """Bit position, flat input index row * N + j(t) and trial row of every real selected bit.
 
@@ -311,27 +339,38 @@ def _selected_inputs(lsb2, sel_phases, length: int, n: int):
 class _ConventionalRun:
     """One conventional run: the tables its chunks share and the per-trial summaries they count.
 
+    Its configs differ at most in their flip probabilities and in fields the
+    conventional path does not read, so a chunk draws, thresholds, selects
+    and ANDs once, and each distinct flip costs one compare, XOR and count.
     A chunk only counts: it writes its trials' decoded values and the
-    integer popcount-group sums of their oracles. `finish` turns the sums
-    into exact oracle values and writes the activity log, once per run.
+    integer popcount-group sums of their oracles, which no flip changes.
+    `finish` turns the sums into exact oracle values, one plan per flip, and
+    writes the activity log, once per run.
     """
 
-    def __init__(self, cfg: PipelineConfig):
-        self.cfg = cfg
+    def __init__(self, *cfgs: PipelineConfig):
+        self.cfgs = cfgs
+        cfg = self.cfg = cfgs[0]
+        self.flips = _flips(cfgs)
         self.seq = state_cycle(cfg.lfsr_width, cfg.lfsr_taps)[0]
         self.lsb2 = select_table(cfg.lfsr_width, cfg.lfsr_taps)
-        flip = Fraction(cfg.flip_probability)
-        self.plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.seq.size, flip)
+        self.plans = [
+            _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.seq.size, Fraction(f))
+            for f in self.flips
+        ]
+        # the largest flip's plan sums C_k, which every flip above 0 reads
+        self.plan = self.plans[-1]
         # the widest per-trial array is (N,) or the (L,) leaf index
         self.chunk = max(1, _CHUNK_ELEMENTS // max(cfg.n_inputs, cfg.stream_length))
         # phases_s, phases_w, then the select phases, one per tree level
         self.phase_sizes = (cfg.n_inputs, cfg.n_inputs, self.plan.levels)
         self.period = self.seq.size
         groups = (cfg.trials, self.plan.starts.size)
-        self.decoded = np.empty(cfg.trials)
+        self.decoded = np.empty((len(self.flips), cfg.trials))
         self.s_sums = np.empty(groups, self.plan.dtype)
         # |C_k| is at most N
-        self.c_sums = np.empty(groups, np.min_scalar_type(-cfg.n_inputs)) if flip else None
+        flipped = self.flips[-1] > 0.0
+        self.c_sums = np.empty(groups, np.min_scalar_type(-cfg.n_inputs)) if flipped else None
         self.saturated = 0
 
     def count(self, trials, samples, weights, phases_s, phases_w, sel_phases):
@@ -353,13 +392,15 @@ class _ConventionalRun:
         t, flat, rows = _selected_inputs(self.lsb2, sel_phases, cfg.stream_length, cfg.n_inputs)
         bits = np.take(seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
         bits &= np.take(seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
-        if cfg.flip_probability > 0.0:
-            keys = _flip_row_keys(cfg.seed, trials, cfg.n_inputs).ravel()[flat]
-            bits ^= unit_floats(keys, t) < cfg.flip_probability
-        pos = positive.ravel()[flat]
-        counts = np.bincount(rows[bits & pos], minlength=len(trials))
-        counts -= np.bincount(rows[bits & ~pos], minlength=len(trials))
-        self.decoded[out] = counts * (1 << plan.levels) / cfg.stream_length
+        if self.flips[-1] > 0.0:
+            # the keyed draw of every selected bit, shared by every flip
+            words = unit_words(_flip_row_keys(cfg.seed, trials, cfg.n_inputs).ravel()[flat], t)
+        # bin 2 * row + 1 counts a row's positive tree, and bin 2 * row its negative one
+        tree = rows * 2 + positive.ravel()[flat]
+        for decoded, flip in zip(self.decoded, self.flips):
+            flipped = bits ^ unit_below(words, flip) if flip > 0.0 else bits
+            ones = np.bincount(tree[flipped], minlength=2 * len(trials))
+            decoded[out] = (ones[1::2] - ones[::2]) * (1 << plan.levels) / cfg.stream_length
         # a threshold is at most the period, below 2^20, so int64 holds every product
         products = thr_s.astype(plan.dtype, copy=False)
         products *= thr_w
@@ -369,20 +410,21 @@ class _ConventionalRun:
             self.c_sums[out] = c_sums
         self.saturated += np.count_nonzero(sat_s | sat_w)
 
-    def finish(self) -> ExperimentResult:
-        """The run's result: its decodes, exact oracle values and activity log."""
-        cfg, plan = self.cfg, self.plan
+    def finish(self) -> list[ExperimentResult]:
+        """Each config's result: its flip's decodes and exact oracles, and the activity log."""
+        cfg = self.cfgs[0]
         t, n, n_bits = cfg.trials, cfg.n_inputs, cfg.binary_bits
-        oracle = np.empty(t)
-        step = max(1, _FINISH_BLOCK // plan.starts.size)
+        oracles = np.empty((len(self.flips), t))
+        step = max(1, _FINISH_BLOCK // self.plan.starts.size)
         for lo in range(0, t, step):
             rows = slice(lo, lo + step)
             c_sums = None if self.c_sums is None else self.c_sums[rows]
-            # int true division is correctly rounded, as float(Fraction(num, den)) is
-            oracle[rows] = plan.numerators(self.s_sums[rows], c_sums) / plan.den
+            for oracle, plan in zip(oracles, self.plans):
+                # int true division is correctly rounded, as float(Fraction(num, den)) is
+                oracle[rows] = plan.numerators(self.s_sums[rows], c_sums) / plan.den
 
         meta = {"adc_saturation": self.saturated} if self.saturated else {}
-        meta["mux_pad_streams"] = t * 2 * ((1 << plan.levels) - n)
+        meta["mux_pad_streams"] = t * 2 * ((1 << self.plan.levels) - n)
         # the ADC converts sensor samples only, as weights are preloaded. The
         # binary store writes fresh samples, reads samples + weights (+1 sign
         # bit), then takes the assumed write-back of both counts
@@ -394,23 +436,30 @@ class _ConventionalRun:
             "sc_logic_eval": t * n,
             "sbc_convert": t * 2,
         }
-        return ExperimentResult(
-            cfg.variant, cfg.to_json_dict(), cfg.seed, self.decoded, oracle, ActivityLog(counts, meta)
-        )
+        return _results(self, self.decoded, oracles, counts, meta)
 
 
 class _ProposedRun:
-    """The per-trial product counts and oracles of one proposed run, decoded once per run."""
+    """The per-trial product counts and oracles of one proposed run, decoded once per run.
+
+    Its configs differ at most in their flip probabilities and in fields the
+    capacitor path does not read (the stream length, the LFSR and the ADC
+    width), so the ASC levels are found once and each distinct flip costs
+    one compare, XOR and count of the (T, N, m) product bits.
+    """
 
     # the capacitor array reads no LFSR phases
     phase_sizes, period = (), 0
 
-    def __init__(self, cfg: PipelineConfig):
-        self.cfg = cfg
+    def __init__(self, *cfgs: PipelineConfig):
+        self.cfgs = cfgs
+        cfg = self.cfg = cfgs[0]
+        self.flips = _flips(cfgs)
         # the widest per-trial array is (N,) or the (N, m) flip masks
-        per_trial = cfg.n_inputs * cfg.m if cfg.flip_probability > 0.0 else cfg.n_inputs
+        per_trial = cfg.n_inputs * cfg.m if self.flips[-1] > 0.0 else cfg.n_inputs
         self.chunk = max(1, _CHUNK_ELEMENTS // per_trial)
-        self.n_p, self.n_n, self.oracle = np.empty((3, cfg.trials), dtype=np.int64)
+        self.n_p, self.n_n = np.empty((2, len(self.flips), cfg.trials), dtype=np.int64)
+        self.oracle = np.empty(cfg.trials, dtype=np.int64)
         self.fired = self.clamped = 0
 
     def count(self, trials, samples, weights):
@@ -424,28 +473,32 @@ class _ProposedRun:
         np.minimum(exact, asc_levels(np.abs(weights), m)[0], out=exact)
         n_p = np.where(positive, exact, 0).sum(axis=1)
         n_n = exact.sum(axis=1) - n_p
+        out = slice(trials.start, trials.stop)
         # the quantized oracle reads the same levels: sign * min(level_s, level_w)
-        oracle = n_p - n_n
-        if cfg.flip_probability > 0.0:
+        self.oracle[out] = n_p - n_n
+        if self.flips[-1] > 0.0:
             products = np.arange(m) < exact[:, :, None]
             keys = _flip_row_keys(cfg.seed, trials, cfg.n_inputs)[:, :, None]
-            products ^= unit_floats(keys, np.arange(m)) < cfg.flip_probability
-            per_pair = products.sum(axis=2, dtype=np.int64)
-            n_p = np.where(positive, per_pair, 0).sum(axis=1)
-            n_n = per_pair.sum(axis=1) - n_p
-        out = slice(trials.start, trials.stop)
-        self.n_p[out], self.n_n[out], self.oracle[out] = n_p, n_n, oracle
+            words = unit_words(keys, np.arange(m))
+        # the flips ascend, so a flip of 0 comes first and counts the unflipped levels
+        for i, flip in enumerate(self.flips):
+            if flip > 0.0:
+                per_pair = (products ^ unit_below(words, flip)).sum(axis=2, dtype=np.int64)
+                n_p = np.where(positive, per_pair, 0).sum(axis=1)
+                n_n = per_pair.sum(axis=1) - n_p
+            self.n_p[i, out], self.n_n[i, out] = n_p, n_n
         self.fired += fired
         self.clamped += clamped
 
-    def finish(self) -> ExperimentResult:
-        """The run's result: its decodes, exact oracle values and activity log."""
-        cfg = self.cfg
-        t, n, m, mac_cfg = cfg.trials, cfg.n_inputs, cfg.m, cfg.mac_config
-        decoded = np.empty(t)
+    def finish(self) -> list[ExperimentResult]:
+        """Each config's result: its flip's decodes, the exact oracles and the activity log."""
+        cfg = self.cfgs[0]
+        t, n, m = cfg.trials, cfg.n_inputs, cfg.m
+        decoded = np.empty((len(self.flips), t))
         for lo in range(0, t, _FINISH_BLOCK):
             rows = slice(lo, lo + _FINISH_BLOCK)
-            decoded[rows] = mac_mod.decode_counts(self.n_p[rows], self.n_n[rows], mac_cfg)
+            for out, n_p, n_n in zip(decoded, self.n_p, self.n_n):
+                out[rows] = mac_mod.decode_counts(n_p[rows], n_n[rows], cfg.mac_config)
 
         # gated pricing: only fired SAs draw energy; per-conversion and
         # disabled tallies stay in metadata so nothing is double-priced
@@ -462,10 +515,9 @@ class _ProposedRun:
             "sram_cell_access": t * sram,
             "mixed_signal_mac_eval": t * n,
         }
-        oracle = self.oracle.astype(np.float64)
-        return ExperimentResult(
-            cfg.variant, cfg.to_json_dict(), cfg.seed, decoded, oracle, ActivityLog(counts, meta)
-        )
+        # every flip reads the same quantized oracle
+        oracles = [self.oracle.astype(np.float64)] * len(self.flips)
+        return _results(self, decoded, oracles, counts, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -600,29 +652,48 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
     return columns + np.split(phases, np.cumsum(phase_sizes[:-1]), axis=1)
 
 
-def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
-    """Run each config's variant on the same per-trial inputs, drawn once.
+def _run_key(cfg: PipelineConfig) -> tuple:
+    """The fields a config's run reads besides the draw: configs equal in them share one run."""
+    if cfg.variant == "conventional":
+        return (cfg.variant, cfg.binary_bits, cfg.stream_length, cfg.lfsr_width, cfg.lfsr_taps)
+    return (cfg.variant, cfg.m, cfg.vdd)
 
-    The configs share `_shared_parameters`, so they would draw the same
-    inputs; the conventional LFSR phases follow the inputs in each trial's
-    draw. Every draw block holds whole chunks of each run, so each run
-    counts its own chunks of the block and only a run's last chunk can be
-    partial.
+
+_RUNS = {"conventional": _ConventionalRun, "proposed": _ProposedRun}
+
+
+def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
+    """Each config's result, in order, all from the same per-trial inputs, drawn once.
+
+    The configs share the draw's (n_inputs, trials, seed, distribution), and
+    the conventional ones its LFSR period, as the conventional LFSR phases
+    follow the inputs in each trial's draw. Configs that differ only in
+    their flip probabilities, or in fields their variant does not read,
+    share one run. Every draw block holds whole chunks of each run, so each
+    run counts its own chunks of the block and only a run's last chunk can
+    be partial.
     """
     cfg = cfgs[0]
+    if len({(c.n_inputs, c.trials, c.seed, c.distribution) for c in cfgs}) > 1:
+        raise ConfigError("configs run together must share n_inputs, trials, seed and distribution")
+    if len({c.lfsr_width for c in cfgs if c.variant == "conventional"}) > 1:
+        raise ConfigError("conventional configs run together must share lfsr_width")
     fixed = None
     if samples is not None or weights is not None:
         if samples is None or weights is None:
             raise SizeMismatchError("provide both samples and weights, or neither")
         fixed = _check_fixed_inputs(samples, weights, cfg)
 
-    runs = [_ConventionalRun(c) if c.variant == "conventional" else _ProposedRun(c) for c in cfgs]
-    # of the one or two runs, the larger chunk becomes a multiple of the smaller
+    shared: dict[tuple, list[int]] = {}
+    for i, c in enumerate(cfgs):
+        shared.setdefault(_run_key(c), []).append(i)
+    runs = [_RUNS[cfgs[idx[0]].variant](*(cfgs[i] for i in idx)) for idx in shared.values()]
+    # every run's chunk becomes a multiple of the smallest
     smallest = min(run.chunk for run in runs)
     for run in runs:
         run.chunk -= run.chunk % smallest
     largest = max(run.chunk for run in runs)
-    # at most one run reads LFSR phases
+    # the conventional runs read the same LFSR phases
     phase_sizes, period = max((run.phase_sizes, run.period) for run in runs)
     # a draw block holds about a chunk's worth of drawn elements, as each
     # block pays a fixed cost for its phases, and at least one chunk
@@ -630,20 +701,24 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     step = largest * max(1, _CHUNK_ELEMENTS // (2 * cfg.n_inputs + words) // largest)
     lanes = _trial_lanes(cfg.seed, cfg.trials)
     gen = np.random.Generator(np.random.PCG64(0))
+    # the runs that read phases count first, so the phases are freed before the others count
+    in_order = sorted(runs, key=lambda run: not run.phase_sizes)
     for start in range(0, cfg.trials, step):
         block = range(start, min(start + step, cfg.trials))
         arrays = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, period)
-        for run in runs:
-            columns = 2 + len(run.phase_sizes)
+        for run in in_order:
+            del arrays[2 + len(run.phase_sizes) :]
             for lo in range(0, len(block), run.chunk):
                 rows = slice(lo, lo + run.chunk)
-                run.count(block[rows], *(a[rows] for a in arrays[:columns]))
-            # no other run reads this run's phases, so they are freed before the next run counts
-            del arrays[2:columns]
+                run.count(block[rows], *(a[rows] for a in arrays))
         # a block's rows are freed before the next block is drawn
         del arrays
 
-    return [run.finish() for run in runs]
+    results = [None] * len(cfgs)
+    for idx, run in zip(shared.values(), runs):
+        for i, res in zip(idx, run.finish()):
+            results[i] = res
+    return results
 
 
 def _require_variant(cfg: PipelineConfig, variant: str) -> None:
@@ -692,9 +767,8 @@ def _shared_parameters(cfg: PipelineConfig) -> tuple:
     )
 
 
-def run_comparison(
-    conv_cfg: PipelineConfig,
-    prop_cfg: PipelineConfig,
+def run_comparisons(
+    pairs,
     *,
     tables=None,
     energy_profile: str = "calibrated",
@@ -703,50 +777,63 @@ def run_comparison(
     fom_ops: int = 1,
     samples=None,
     weights=None,
-) -> ComparisonResult:
-    """Run both pipelines on identical inputs and price their energy.
+) -> list[ComparisonResult]:
+    """Run both pipelines of each (conventional, proposed) pair on identical inputs and price them.
 
-    `energy_profile` selects the activity counts used for the headline
-    comparison: "calibrated" (back-solved reference-design counts),
-    "naive" (one event per module action), or "measured" (the pipelines'
-    own logs, per-bit SRAM). `efficiency_ops` maps labels to op counts
-    and defaults to the back-solved 150-op figure; the structural 2N-1
-    count is always added, in place if a label of that name is given.
+    All pairs are run from one draw per trial, so they must share n_inputs,
+    trials, seed and distribution: a sweep over stream lengths and flip
+    probabilities draws once, counts each length's streams once for every
+    flip and runs the proposed path once. `energy_profile` selects the
+    activity counts used for the headline comparison: "calibrated"
+    (back-solved reference-design counts), "naive" (one event per module
+    action), or "measured" (the pipelines' own logs, per-bit SRAM).
+    `efficiency_ops` maps labels to op counts and defaults to the
+    back-solved 150-op figure; the structural 2N-1 count is always added,
+    in place if a label of that name is given.
     """
-    if _shared_parameters(conv_cfg) != _shared_parameters(prop_cfg):
-        raise ConfigError(
-            "comparison requires both variants to share n_inputs, trials, seed, "
-            "rate, distribution and flip probability"
-        )
+    pairs = list(pairs)
+    for conv_cfg, prop_cfg in pairs:
+        if _shared_parameters(conv_cfg) != _shared_parameters(prop_cfg):
+            raise ConfigError(
+                "comparison requires both variants to share n_inputs, trials, seed, "
+                "rate, distribution and flip probability"
+            )
+        _require_variant(conv_cfg, "conventional")
+        _require_variant(prop_cfg, "proposed")
     if energy_profile not in ENERGY_PROFILES:
         raise ConfigError(f"unknown energy profile {energy_profile!r}")
 
     conv_table, prop_table = tables if tables is not None else default_tables()
-    _require_variant(conv_cfg, "conventional")
-    _require_variant(prop_cfg, "proposed")
-    # one draw per trial feeds both datapaths
-    conv_res, prop_res = _run_pipeline(samples, weights, conv_cfg, prop_cfg)
-
+    results = _run_pipeline(samples, weights, *(cfg for pair in pairs for cfg in pair))
     labels = efficiency_ops or {"back_solved": 150}
-    efficiency_ops = {**labels, "structural_2n_minus_1": 2 * conv_cfg.n_inputs - 1}
+    comparisons = []
+    for (conv_cfg, prop_cfg), conv_res, prop_res in zip(pairs, results[::2], results[1::2]):
+        ops = {**labels, "structural_2n_minus_1": 2 * conv_cfg.n_inputs - 1}
+        if energy_profile == "calibrated":
+            conv_log, prop_log = calibrated_activity()
+            outputs = (1, 1)
+        elif energy_profile == "naive":
+            conv_log, prop_log = naive_activity(conv_cfg.n_inputs)
+            outputs = (1, 1)
+        else:
+            conv_log, prop_log = conv_res.activity, prop_res.activity
+            outputs = (conv_cfg.trials, prop_cfg.trials)
 
-    if energy_profile == "calibrated":
-        conv_log, prop_log = calibrated_activity()
-        outputs = (1, 1)
-    elif energy_profile == "naive":
-        conv_log, prop_log = naive_activity(conv_cfg.n_inputs)
-        outputs = (1, 1)
-    else:
-        conv_log, prop_log = conv_res.activity, prop_res.activity
-        outputs = (conv_cfg.trials, prop_cfg.trials)
+        common = dict(efficiency_ops=ops, fom_steps=fom_steps, fom_ops=fom_ops)
+        conv_res.energy = accumulate(
+            conv_log, conv_table, outputs=outputs[0], rate_hz=conv_cfg.output_rate_hz, **common
+        )
+        prop_res.energy = accumulate(
+            prop_log, prop_table, outputs=outputs[1], rate_hz=prop_cfg.output_rate_hz, **common
+        )
+        red = reduction_percent(conv_res.energy, prop_res.energy)
+        prop_res.energy.reduction_vs_baseline_percent = red
+        comparisons.append(ComparisonResult(conv_res, prop_res, red, energy_profile))
+    return comparisons
 
-    common = dict(efficiency_ops=efficiency_ops, fom_steps=fom_steps, fom_ops=fom_ops)
-    conv_res.energy = accumulate(
-        conv_log, conv_table, outputs=outputs[0], rate_hz=conv_cfg.output_rate_hz, **common
-    )
-    prop_res.energy = accumulate(
-        prop_log, prop_table, outputs=outputs[1], rate_hz=prop_cfg.output_rate_hz, **common
-    )
-    red = reduction_percent(conv_res.energy, prop_res.energy)
-    prop_res.energy.reduction_vs_baseline_percent = red
-    return ComparisonResult(conv_res, prop_res, red, energy_profile)
+
+def run_comparison(
+    conv_cfg: PipelineConfig, prop_cfg: PipelineConfig, **options
+) -> ComparisonResult:
+    """`run_comparisons` of the one pair; see there for the options."""
+    return run_comparisons([(conv_cfg, prop_cfg)], **options)[0]

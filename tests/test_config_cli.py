@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -344,15 +346,15 @@ def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch
     cfg["experiment"]["efficiency_ops"] = {"back_solved": 150, "paper_ops": 42}
     path.write_text(json.dumps(cfg))
     seen, priced = [], []
-    real = cli._comparison_for
+    real = cli._comparisons_for
 
-    def spy(point):
-        seen.append(dict(point.efficiency_ops))
-        result = real(point)
-        priced.append(result.proposed.energy.efficiency_ops)
-        return result
+    def spy(points):
+        seen.extend(dict(point.efficiency_ops) for point in points)
+        results = real(points)
+        priced.extend(result.proposed.energy.efficiency_ops for result in results)
+        return results
 
-    monkeypatch.setattr(cli, "_comparison_for", spy)
+    monkeypatch.setattr(cli, "_comparisons_for", spy)
     rc = main(["sweep", "--config", str(path), "--trials", "2", "--n-inputs", "4,8"])
     capsys.readouterr()
     assert rc == 0
@@ -361,6 +363,62 @@ def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch
     assert priced == [
         {"back_solved": 150, "paper_ops": 42, "structural_2n_minus_1": 2 * n - 1} for n in (4, 8)
     ]
+
+
+def _explicit_config(tmp_path, n: int) -> str:
+    path = tmp_path / "explicit.json"
+    dist = {"kind": "explicit", "samples": [0.5] * n, "weights": [-0.25] * n}
+    path.write_text(json.dumps({"pipeline": {"n_inputs": n, "input_distribution": dist}}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # the second length is past the width-15 period
+        (["--length", "15,40000"], "stream_length must lie in [1, 32767]"),
+        (["--n-inputs", "4,4000000000000000000000000"], "m * n_inputs = 6.000e+25 exceeds"),
+        (["--m", "3,0"], "m must be positive, got 0"),
+        (["--flip-p", "0,1.5"], "flip_probability must lie in [0, 1]"),
+        # the explicit lists hold four entries, which the second point does not take
+        (["--config", "EXPLICIT", "--n-inputs", "4,8"], "has 4 entries, need n_inputs = 8"),
+    ],
+    ids=("length", "n_inputs", "m", "flip", "explicit"),
+)
+def test_cli_sweep_validates_every_point_before_drawing(
+    flags, message, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(pipelines, "_draw_trials", lambda *args: pytest.fail("drew trials"))
+    flags = [_explicit_config(tmp_path, 4) if flag == "EXPLICIT" else flag for flag in flags]
+    out = tmp_path / "out"
+    rc = main(["sweep", "--trials", "2", "--n-inputs", "4", *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2, captured.err
+    assert captured.err.startswith("error: bad config:") and message in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_sweep_runs_explicit_inputs_of_the_right_length(tmp_path, capsys):
+    rc = main(["sweep", "--config", _explicit_config(tmp_path, 4), "--trials", "2"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("m=15 n=4 L=15 sigma=None p=0.0: ")
+
+
+def test_cli_sweep_keeps_the_grid_order(tmp_path, capsys):
+    """Families share a draw, yet rows and lines follow the (m, N, L, sigma, flip) grid order."""
+    argv = ["sweep", "--trials", "3", "--seed", "5", "--n-inputs", "4", "--m", "3,5"]
+    argv += ["--length", "15,64", "--sigma", "0.1,0.3", "--flip-p", "0,0.1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    rows = json.loads((tmp_path / "sweep_results.json").read_text())
+    grid = list(itertools.product((3, 5), (4,), (15, 64), (0.1, 0.3), (0.0, 0.1)))
+    base = dataclasses.replace(default_config(), trials=3, seed=5)
+    # each point run on its own, as the sweep ran them before families shared a draw
+    points = [dataclasses.replace(base, **cli._sweep_fields(*key)) for key in grid]
+    want = [cli._sweep_report(*key, cli._comparison_for(p)) for key, p in zip(grid, points)]
+    assert rows == [row for row, _ in want]
+    assert printed[: len(grid)] == [line for _, line in want]
 
 
 def test_cli_asc_stats(tmp_path, capsys):
@@ -433,10 +491,28 @@ def _probe(text: str, key: str):
             '{"pipeline": {"input_distribution": {"kind": ["uniform"]}}}',
             "pipeline.input_distribution.kind",
         ),
+        # one field, by its own name
+        _probe('{"mac": {"m": 0}}', "config: m must be positive, got 0"),
+        # m * N has 310 digits, which the message abbreviates
+        _probe('{"pipeline": {"n_inputs": 1e308}}', "m * n_inputs = 1.500e+309 exceeds"),
+        # an 8001-digit m * N is past what str() converts, but not what the message prints
+        pytest.param(
+            '{"pipeline": {"n_inputs": 1%s}, "mac": {"m": 1%s}}' % ("0" * 4000, "0" * 4000),
+            "m * n_inputs = 1.000e+8000 exceeds",
+            id="m_and_n_inputs_of_4001_digits",
+        ),
+        # an explicit distribution must hold N entries, checked at load rather than at the draw
+        _probe(
+            '{"pipeline": {"n_inputs": 4, "input_distribution": '
+            '{"kind": "explicit", "samples": [0.5], "weights": [0.5]}}}',
+            "explicit input_distribution has 1 entries, need n_inputs = 4",
+        ),
     ],
 )
 def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, monkeypatch, text, key):
-    _assert_rejected(tmp_path, capsys, monkeypatch, text, key)
+    err = _assert_rejected(tmp_path, capsys, monkeypatch, text, key)
+    # no message prints a huge config value whole
+    assert not re.search(r"\d{21}", err), err
 
 
 def _explicit(sample, weight):

@@ -24,7 +24,15 @@ from scmac import (
 from scmac import lfsr as lfsr_mod
 from scmac import mac as mac_mod
 from scmac import pipelines
-from scmac._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_floats
+from scmac._prng import (
+    bounded_uint32,
+    mix,
+    pcg64_lanes,
+    splitmix64_array,
+    unit_below,
+    unit_floats,
+    unit_words,
+)
 from scmac.bitstream import flip_mask, mux_tree_scale
 from scmac.converters import adc_codes, adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
 from scmac.distributions import InputDistribution, Uniform, ZeroPeakedGaussian
@@ -634,11 +642,11 @@ def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int):
     run = pipelines._ConventionalRun(dataclasses.replace(cfg, trials=trial + 1))
     run.count(range(trial, trial + 1), *rows, *phases)
     # the rows before the trial were never counted
-    run.cfg = dataclasses.replace(cfg, trials=1)
-    run.decoded, run.s_sums = run.decoded[trial:], run.s_sums[trial:]
+    run.cfgs = (dataclasses.replace(cfg, trials=1),)
+    run.decoded, run.s_sums = run.decoded[:, trial:], run.s_sums[trial:]
     if run.c_sums is not None:
         run.c_sums = run.c_sums[trial:]
-    res = run.finish()
+    (res,) = run.finish()
     return res.decoded[0], res.oracle[0], res.activity
 
 
@@ -701,6 +709,24 @@ def test_unit_floats_broadcast_matches_scalar_calls():
     pos = np.arange(picks.size, dtype=np.uint64) * np.uint64(7)
     scalar = [unit_floats(int(seeds[k]), pos[i : i + 1])[0] for i, k in enumerate(picks)]
     assert np.array_equal(unit_floats(seeds[picks], pos), scalar)
+
+
+def test_unit_below_matches_the_float_compare_at_its_boundaries():
+    """The integer compare equals `unit_floats(k, t) < f` at f = j * 2^-53 and its float neighbours.
+
+    The j are the 53-bit values of drawn words, so words sit exactly on each bound.
+    """
+    seeds = np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)[:, None]
+    idx = np.arange(2048, dtype=np.uint64)
+    words, floats = unit_words(seeds, idx), unit_floats(seeds, idx)
+    assert np.array_equal((words >> np.uint64(11)) / 2.0**53, floats)
+    drawn = (int(w) >> 11 for w in words.ravel()[::61])
+    for j in sorted({0, 1, 2, 2**52, 2**53 - 2, 2**53 - 1, *drawn}):
+        f = j / 2**53
+        for p in (np.nextafter(f, 0.0), f, np.nextafter(f, 1.0)):
+            assert np.array_equal(unit_below(words, float(p)), floats < p), (j, p)
+    for p in (0.0, 5e-324, 0.02, 0.5, 1.0):
+        assert np.array_equal(unit_below(words, p), floats < p), p
 
 
 @pytest.mark.parametrize("flip", (0.02, 1 / 15, 1.0))
@@ -869,6 +895,83 @@ def test_comparison_still_checks_variants():
     conv = PipelineConfig(variant="conventional", n_inputs=4)
     with pytest.raises(ConfigError, match="variant"):
         pipelines.run_comparison(conv, conv)
+
+
+# One draw per sweep family: `run_comparisons` runs the pairs of many grid
+# points from one draw, one conventional run per stream length for every flip
+# and one proposed run. Each point must equal its own `run_comparison`.
+
+FAMILY_LENGTHS = (1, 15, 1024)
+FAMILY_FLIPS = (0.0, 5e-324, 0.02, 0.5, 1.0)
+
+
+def _family_pairs(distribution, trials=6):
+    shared = dict(n_inputs=7, trials=trials, seed=2**63 + 5, distribution=distribution)
+    return [
+        tuple(
+            PipelineConfig(variant=variant, stream_length=length, flip_probability=flip, **shared)
+            for variant in ("conventional", "proposed")
+        )
+        for length in FAMILY_LENGTHS
+        for flip in FAMILY_FLIPS
+    ]
+
+
+@pytest.mark.parametrize("profile", ("calibrated", "naive", "measured"))
+@pytest.mark.parametrize(
+    "distribution", (Uniform(), ZeroPeakedGaussian(0.3)), ids=("uniform", "zpg")
+)
+def test_run_comparisons_match_per_point_comparisons(profile, distribution, monkeypatch):
+    # a small budget puts chunk boundaries inside the runs
+    monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
+    pairs = _family_pairs(distribution)
+    family = pipelines.run_comparisons(pairs, energy_profile=profile)
+    assert len(family) == len(pairs)
+    for (conv, prop), got in zip(pairs, family):
+        want = pipelines.run_comparison(conv, prop, energy_profile=profile)
+        case = (conv.stream_length, conv.flip_probability)
+        assert got.to_json_dict() == want.to_json_dict(), case
+        for side in ("conventional", "proposed"):
+            _assert_logs_identical(getattr(got, side).activity, getattr(want, side).activity)
+
+
+def test_run_pipeline_shares_one_run_per_length_and_one_proposed_run():
+    cfgs = [cfg for pair in _family_pairs(Uniform(), trials=3) for cfg in pair]
+    runs = {"conventional": [], "proposed": []}
+    with pytest.MonkeyPatch.context() as m:
+        for cls in (pipelines._ConventionalRun, pipelines._ProposedRun):
+
+            def spy(self, *args, _real=cls.__init__):
+                runs[args[0].variant].append(self)
+                return _real(self, *args)
+
+            m.setattr(cls, "__init__", spy)
+        results = pipelines._run_pipeline(None, None, *cfgs)
+    assert [run.flips for run in runs["conventional"]] == [list(FAMILY_FLIPS)] * 3
+    assert [run.cfg.stream_length for run in runs["conventional"]] == list(FAMILY_LENGTHS)
+    assert [run.flips for run in runs["proposed"]] == [list(FAMILY_FLIPS)]
+    assert [(r.variant, r.config) for r in results] == [
+        (cfg.variant, cfg.to_json_dict()) for cfg in cfgs
+    ]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"n_inputs": 5},
+        {"trials": 4},
+        {"seed": 4},
+        {"distribution": ZeroPeakedGaussian()},
+        # a conventional run reads LFSR phases drawn below its period
+        {"lfsr_width": 4, "lfsr_taps": None},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_run_pipeline_rejects_configs_that_draw_differently(change):
+    base = PipelineConfig(variant="conventional", n_inputs=4, trials=3, seed=3)
+    other = dataclasses.replace(base, **change)
+    with pytest.raises(ConfigError, match="share"):
+        pipelines._run_pipeline(None, None, base, other)
 
 
 # The proposed decode before it ran on arrays: Fraction voltages, one trial at a time.
@@ -1119,7 +1222,7 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
                 rows = slice(lo - start, hi - start)
                 run.count(range(lo, hi), *(a[rows] for a in columns))
 
-    return [run.finish() for run in runs]
+    return [res for run in runs for res in run.finish()]
 
 
 LANE_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3, 2**130 + 7)

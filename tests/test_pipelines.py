@@ -16,6 +16,7 @@ from scmac import (
     proposed_pipeline,
     run_comparison,
 )
+from scmac import pipelines
 from scmac.distributions import ZeroPeakedGaussian
 from scmac.energy import EVENT_KEYS, accumulate, default_tables
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_bits, threshold_bits
@@ -203,6 +204,28 @@ def test_long_stream_trials_peak_memory():
     """At L=32767 a chunk is one trial: O(L) index arrays, about 1 MB."""
     cfg = conv_cfg(n_inputs=300, trials=4, stream_length=32767, flip_probability=0.02)
     assert _traced_peak(conventional_pipeline, cfg) <= 1.5 * 2**20
+
+
+def test_long_stream_sweep_family_peak_memory():
+    """The long-stream sweep's family in one run keeps the single-point bound of about 1 MB."""
+    cfgs = [
+        PipelineConfig(
+            variant=variant,
+            n_inputs=300,
+            trials=4,
+            seed=3,
+            stream_length=length,
+            flip_probability=flip,
+        )
+        for length in (8191, 32767)
+        for flip in (0.0, 0.02)
+        for variant in ("conventional", "proposed")
+    ]
+
+    def run(samples, weights, cfgs):
+        return pipelines._run_pipeline(samples, weights, *cfgs)
+
+    assert _traced_peak(run, cfgs) <= 1.5 * 2**20
 
 
 @pytest.mark.parametrize("variant", ("conventional", "proposed"))
