@@ -41,6 +41,7 @@ from .errors import (
     ScmacError,
     SizeMismatchError,
     StreamError,
+    short_int,
 )
 from .mac import MacConfig, MacInputs, decode_voltage, mac_evaluate
 from .pipelines import ComparisonResult, run_comparisons
@@ -323,8 +324,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+# the brute force holds a Python list of --grid floats (about 60 MB per 10^6)
+# and the closed form sums --m survival terms in Python (about 0.2 s per 10^6)
+MAX_ASC_GRID = MAX_ASC_M = 10**6
+
+
 def cmd_asc_stats(args) -> int:
     m = args.m if args.m is not None else 15
+    for flag, value, bound in (("--m", m, MAX_ASC_M), ("--grid", args.grid, MAX_ASC_GRID)):
+        if not 1 <= value <= bound:
+            raise ConfigError(f"{flag} must lie in [1, {bound}], got {short_int(value)}")
     sigma = ZeroPeakedGaussian(args.sigma).sigma  # rejects a sigma that is not positive and finite
     grid = args.grid
     entries = []

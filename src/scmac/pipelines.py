@@ -185,7 +185,7 @@ _INT64_SUM_BOUND = 1 << 63
 
 
 class _OraclePlan:
-    """The part of the exact conventional oracle that depends on (N, width, period, flip) alone.
+    """The part of the exact conventional oracle that depends on (N, width, period) alone.
 
     Input j sits at MUX leaf j. The selects are LFSR LSBs, and 2^(w-1) of
     the period's states are odd, so the tree reaches leaf j with weight
@@ -196,13 +196,14 @@ class _OraclePlan:
 
         total = scale * sum_k w_k ((f_den - 2 f_num) S_k + f_num period^2 C_k)
 
-    over `den`, where S_k and C_k sum sign_j * a_j * b_j and sign_j over
-    popcount(j) = k. The flip denominator (2^58 for f = 0.02) times the leaf
-    weights overflows any fixed-width integer, so only S_k and C_k are
-    arrays of fixed-width integers, and the weights are Python ints.
+    over `den(f)`, where S_k and C_k sum sign_j * a_j * b_j and sign_j over
+    popcount(j) = k. Neither sum reads the flip, so one plan serves every
+    flip. The flip denominator (2^58 for f = 0.02) times the leaf weights
+    overflows any fixed-width integer, so only S_k and C_k are arrays of
+    fixed-width integers, and the weights are Python ints.
     """
 
-    def __init__(self, n: int, width: int, period: int, flip: Fraction):
+    def __init__(self, n: int, width: int, period: int):
         scale = mux_tree_scale(n)
         self.levels = scale.bit_length() - 1
         popcount = np.array([j.bit_count() for j in range(n)])
@@ -210,33 +211,30 @@ class _OraclePlan:
         groups = np.flatnonzero(np.bincount(popcount))
         self.order = np.argsort(popcount, kind="stable")
         self.starts = np.searchsorted(popcount[self.order], groups)
-        full = period * period
-        self.dtype = np.int64 if n * full < _INT64_SUM_BOUND else object
+        self.full = period * period
+        self.dtype = np.int64 if n * self.full < _INT64_SUM_BOUND else object
         one = 1 << (width - 1)
-        weights = np.array(
+        self.weights = np.array(
             [scale * one**k * (period - one) ** (self.levels - k) for k in groups.tolist()], object
         )
-        self.s_weights = weights * (flip.denominator - 2 * flip.numerator)
-        # without flips the C_k terms vanish
-        self.c_weights = weights * (flip.numerator * full) if flip else None
-        self.den = period**self.levels * full * flip.denominator
+        self.tree_den = period**self.levels * self.full
 
-    def group_sums(self, products, positive):
-        """(T, groups) S_k and C_k of a (T, N) batch from its `dtype` threshold products.
+    def group_sums(self, values):
+        """(T, groups) sums of a (T, N) batch over each popcount group of its columns."""
+        return np.add.reduceat(values[:, self.order], self.starts, axis=1)
 
-        The products are signed in place. C_k is None without flips.
+    def numerators(self, s_sums, c_sums, flip: Fraction):
+        """The exact expected decodes at `flip` times `den(flip)`, as Python ints.
+
+        `c_sums` is read only when `flip` is above 0; without flips the C_k terms vanish.
         """
-        sign = np.where(positive, 1, -1)
-        products *= sign
-        s_sums = np.add.reduceat(products[:, self.order], self.starts, axis=1)
-        if self.c_weights is None:
-            return s_sums, None
-        return s_sums, np.add.reduceat(sign[:, self.order], self.starts, axis=1)
+        nums = s_sums.astype(object) @ (self.weights * (flip.denominator - 2 * flip.numerator))
+        if flip:
+            nums += c_sums.astype(object) @ (self.weights * (flip.numerator * self.full))
+        return nums
 
-    def numerators(self, s_sums, c_sums):
-        """The exact expected decodes times `den`, as Python ints."""
-        nums = s_sums.astype(object) @ self.s_weights
-        return nums if self.c_weights is None else nums + c_sums.astype(object) @ self.c_weights
+    def den(self, flip: Fraction) -> int:
+        return self.tree_den * flip.denominator
 
 
 def _check_fixed_inputs(samples, weights, cfg: PipelineConfig):
@@ -273,10 +271,12 @@ def exact_oracle(samples, weights, cfg: PipelineConfig):
     period = (1 << cfg.lfsr_width) - 1
     thr_s, _ = _comparator_thresholds(samples[None, :], cfg.binary_bits, period)
     thr_w, _ = _comparator_thresholds(np.abs(weights)[None, :], cfg.binary_bits, period)
-    plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, period, Fraction(cfg.flip_probability))
-    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype)
-    nums = plan.numerators(*plan.group_sums(products, weights[None, :] >= 0.0))
-    return Fraction(nums[0], plan.den)
+    plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, period)
+    sign = np.where(weights[None, :] >= 0.0, 1, -1)
+    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype) * sign
+    flip = Fraction(cfg.flip_probability)
+    nums = plan.numerators(plan.group_sums(products), plan.group_sums(sign), flip)
+    return Fraction(nums[0], plan.den(flip))
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +288,6 @@ def _flip_row_keys(seed: int, trials, n: int) -> np.ndarray:
     """Flip-mask seeds of the input rows of each trial: (T, n) of mix(seed, 0xF11B, t, i)."""
     acc = np.array([mix(seed, 0xF11B, t) for t in trials], dtype=np.uint64)
     return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
-
-
-def _flips(cfgs) -> list[float]:
-    """The distinct flip probabilities of a run's configs, ascending."""
-    return sorted({cfg.flip_probability for cfg in cfgs})
-
-
-def _results(run, decoded, oracles, counts, meta) -> list[ExperimentResult]:
-    """One result per config of `run`: the decodes and oracles of its flip, and its own log."""
-    results = []
-    for cfg in run.cfgs:
-        i = run.flips.index(cfg.flip_probability)
-        log = ActivityLog(counts, meta)
-        results.append(
-            ExperimentResult(cfg.variant, cfg.to_json_dict(), cfg.seed, decoded[i], oracles[i], log)
-        )
-    return results
 
 
 def _selected_inputs(lsb2, sel_phases, length: int, n: int):
@@ -336,37 +319,45 @@ def _selected_inputs(lsb2, sel_phases, length: int, n: int):
     return pos, flat, rows
 
 
+def _shared(cfgs, names, what: str) -> None:
+    """ConfigError naming the fields of `names` on which `cfgs` differ, if any."""
+    differ = [name for name in names if len({getattr(cfg, name) for cfg in cfgs}) > 1]
+    if differ:
+        raise ConfigError(f"{what} must share {', '.join(differ)}")
+
+
 class _ConventionalRun:
     """One conventional run: the tables its chunks share and the per-trial summaries they count.
 
-    Its configs differ at most in their flip probabilities and in fields the
-    conventional path does not read, so a chunk draws, thresholds, selects
-    and ANDs once, and each distinct flip costs one compare, XOR and count.
-    A chunk only counts: it writes its trials' decoded values and the
-    integer popcount-group sums of their oracles, which no flip changes.
-    `finish` turns the sums into exact oracle values, one plan per flip, and
-    writes the activity log, once per run.
+    Its configs differ at most in their stream lengths and flip
+    probabilities, and in fields the conventional path does not read. A
+    shorter stream is the first L bits of the longest one (the same phases,
+    thresholds and flip keys), so a chunk draws, thresholds, selects and
+    ANDs once at the longest length, and each distinct (length, flip) costs
+    one compare, XOR and count of that stream's first L bits. A chunk only
+    counts: it writes its trials' decoded values and the integer
+    popcount-group sums of their oracles, which neither the length nor the
+    flip changes. `finish` turns the sums into exact oracle values, once per
+    flip, and `result` gives each config its decodes, oracles and log.
     """
 
+    # the fields its configs share: all it reads but the draw, the length and the flip
+    reads = ("binary_bits", "lfsr_width", "lfsr_taps")
+
     def __init__(self, *cfgs: PipelineConfig):
-        self.cfgs = cfgs
         cfg = self.cfg = cfgs[0]
-        self.flips = _flips(cfgs)
+        self.lengths = sorted({c.stream_length for c in cfgs})
+        self.flips = sorted({c.flip_probability for c in cfgs})
         self.seq = state_cycle(cfg.lfsr_width, cfg.lfsr_taps)[0]
         self.lsb2 = select_table(cfg.lfsr_width, cfg.lfsr_taps)
-        self.plans = [
-            _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.seq.size, Fraction(f))
-            for f in self.flips
-        ]
-        # the largest flip's plan sums C_k, which every flip above 0 reads
-        self.plan = self.plans[-1]
+        self.period = self.seq.size
+        self.plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.period)
         # the widest per-trial array is (N,) or the (L,) leaf index
-        self.chunk = max(1, _CHUNK_ELEMENTS // max(cfg.n_inputs, cfg.stream_length))
+        self.chunk = max(1, _CHUNK_ELEMENTS // max(cfg.n_inputs, self.lengths[-1]))
         # phases_s, phases_w, then the select phases, one per tree level
         self.phase_sizes = (cfg.n_inputs, cfg.n_inputs, self.plan.levels)
-        self.period = self.seq.size
         groups = (cfg.trials, self.plan.starts.size)
-        self.decoded = np.empty((len(self.flips), cfg.trials))
+        self.decoded = np.empty((len(self.flips), len(self.lengths), cfg.trials))
         self.s_sums = np.empty(groups, self.plan.dtype)
         # |C_k| is at most N
         flipped = self.flips[-1] > 0.0
@@ -381,7 +372,7 @@ class _ConventionalRun:
         leaf j(t) the tree selects (flipped by its keyed draw), or 0 at a
         padding leaf; the work is O(T * (N + L * levels)), never T * N * L.
         """
-        cfg, plan, seq = self.cfg, self.plan, self.seq
+        cfg, plan, seq, longest = self.cfg, self.plan, self.seq, self.lengths[-1]
         out = slice(trials.start, trials.stop)
         positive = weights >= 0.0
         # the weights first, so that their absolute values are freed before the samples convert
@@ -389,7 +380,7 @@ class _ConventionalRun:
         thr_s, sat_s = _comparator_thresholds(samples, cfg.binary_bits, self.period)
 
         # one select network feeds both trees, as a single MUX array would
-        t, flat, rows = _selected_inputs(self.lsb2, sel_phases, cfg.stream_length, cfg.n_inputs)
+        t, flat, rows = _selected_inputs(self.lsb2, sel_phases, longest, cfg.n_inputs)
         bits = np.take(seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
         bits &= np.take(seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
         if self.flips[-1] > 0.0:
@@ -397,34 +388,42 @@ class _ConventionalRun:
             words = unit_words(_flip_row_keys(cfg.seed, trials, cfg.n_inputs).ravel()[flat], t)
         # bin 2 * row + 1 counts a row's positive tree, and bin 2 * row its negative one
         tree = rows * 2 + positive.ravel()[flat]
-        for decoded, flip in zip(self.decoded, self.flips):
+        for per_flip, flip in zip(self.decoded, self.flips):
             flipped = bits ^ unit_below(words, flip) if flip > 0.0 else bits
-            ones = np.bincount(tree[flipped], minlength=2 * len(trials))
-            decoded[out] = (ones[1::2] - ones[::2]) * (1 << plan.levels) / cfg.stream_length
+            for decoded, length in zip(per_flip, self.lengths):
+                # a shorter stream counts the first `length` bits of the longest
+                kept = flipped if length == longest else flipped & (t < length)
+                ones = np.bincount(tree[kept], minlength=2 * len(trials))
+                decoded[out] = (ones[1::2] - ones[::2]) * (1 << plan.levels) / length
         # a threshold is at most the period, below 2^20, so int64 holds every product
         products = thr_s.astype(plan.dtype, copy=False)
         products *= thr_w
-        s_sums, c_sums = plan.group_sums(products, positive)
-        self.s_sums[out] = s_sums
-        if c_sums is not None:
-            self.c_sums[out] = c_sums
+        sign = np.where(positive, 1, -1)
+        products *= sign
+        self.s_sums[out] = plan.group_sums(products)
+        if self.c_sums is not None:
+            self.c_sums[out] = plan.group_sums(sign)
         self.saturated += np.count_nonzero(sat_s | sat_w)
 
-    def finish(self) -> list[ExperimentResult]:
-        """Each config's result: its flip's decodes and exact oracles, and the activity log."""
-        cfg = self.cfgs[0]
-        t, n, n_bits = cfg.trials, cfg.n_inputs, cfg.binary_bits
-        oracles = np.empty((len(self.flips), t))
-        step = max(1, _FINISH_BLOCK // self.plan.starts.size)
-        for lo in range(0, t, step):
+    def finish(self) -> None:
+        """The exact oracles of every flip and the length-independent log notes."""
+        cfg, plan = self.cfg, self.plan
+        self.oracles = np.empty((len(self.flips), cfg.trials))
+        step = max(1, _FINISH_BLOCK // plan.starts.size)
+        for lo in range(0, cfg.trials, step):
             rows = slice(lo, lo + step)
             c_sums = None if self.c_sums is None else self.c_sums[rows]
-            for oracle, plan in zip(oracles, self.plans):
+            for oracle, flip in zip(self.oracles, map(Fraction, self.flips)):
                 # int true division is correctly rounded, as float(Fraction(num, den)) is
-                oracle[rows] = plan.numerators(self.s_sums[rows], c_sums) / plan.den
+                oracle[rows] = plan.numerators(self.s_sums[rows], c_sums, flip) / plan.den(flip)
+        self.meta = {"adc_saturation": self.saturated} if self.saturated else {}
+        self.meta["mux_pad_streams"] = cfg.trials * 2 * ((1 << plan.levels) - cfg.n_inputs)
 
-        meta = {"adc_saturation": self.saturated} if self.saturated else {}
-        meta["mux_pad_streams"] = t * 2 * ((1 << self.plan.levels) - n)
+    def result(self, cfg: PipelineConfig) -> ExperimentResult:
+        """`cfg`'s decodes, its flip's exact oracles and its activity log."""
+        i = self.flips.index(cfg.flip_probability)
+        decoded = self.decoded[i, self.lengths.index(cfg.stream_length)]
+        t, n, n_bits = cfg.trials, cfg.n_inputs, cfg.binary_bits
         # the ADC converts sensor samples only, as weights are preloaded. The
         # binary store writes fresh samples, reads samples + weights (+1 sign
         # bit), then takes the assumed write-back of both counts
@@ -436,7 +435,8 @@ class _ConventionalRun:
             "sc_logic_eval": t * n,
             "sbc_convert": t * 2,
         }
-        return _results(self, self.decoded, oracles, counts, meta)
+        log, oracle = ActivityLog(counts, self.meta), self.oracles[i]
+        return ExperimentResult(cfg.variant, cfg.to_json_dict(), cfg.seed, decoded, oracle, log)
 
 
 class _ProposedRun:
@@ -448,13 +448,13 @@ class _ProposedRun:
     one compare, XOR and count of the (T, N, m) product bits.
     """
 
+    reads = ("m", "vdd")
     # the capacitor array reads no LFSR phases
     phase_sizes, period = (), 0
 
     def __init__(self, *cfgs: PipelineConfig):
-        self.cfgs = cfgs
         cfg = self.cfg = cfgs[0]
-        self.flips = _flips(cfgs)
+        self.flips = sorted({c.flip_probability for c in cfgs})
         # the widest per-trial array is (N,) or the (N, m) flip masks
         per_trial = cfg.n_inputs * cfg.m if self.flips[-1] > 0.0 else cfg.n_inputs
         self.chunk = max(1, _CHUNK_ELEMENTS // per_trial)
@@ -490,14 +490,14 @@ class _ProposedRun:
         self.fired += fired
         self.clamped += clamped
 
-    def finish(self) -> list[ExperimentResult]:
-        """Each config's result: its flip's decodes, the exact oracles and the activity log."""
-        cfg = self.cfgs[0]
+    def finish(self) -> None:
+        """The decodes of every flip and the activity log, shared by every config."""
+        cfg = self.cfg
         t, n, m = cfg.trials, cfg.n_inputs, cfg.m
-        decoded = np.empty((len(self.flips), t))
+        self.decoded = np.empty((len(self.flips), t))
         for lo in range(0, t, _FINISH_BLOCK):
             rows = slice(lo, lo + _FINISH_BLOCK)
-            for out, n_p, n_n in zip(decoded, self.n_p, self.n_n):
+            for out, n_p, n_n in zip(self.decoded, self.n_p, self.n_n):
                 out[rows] = mac_mod.decode_counts(n_p[rows], n_n[rows], cfg.mac_config)
 
         # gated pricing: only fired SAs draw energy; per-conversion and
@@ -515,9 +515,15 @@ class _ProposedRun:
             "sram_cell_access": t * sram,
             "mixed_signal_mac_eval": t * n,
         }
+        self.counts, self.meta = counts, meta
         # every flip reads the same quantized oracle
-        oracles = [self.oracle.astype(np.float64)] * len(self.flips)
-        return _results(self, decoded, oracles, counts, meta)
+        self.oracles = self.oracle.astype(np.float64)
+
+    def result(self, cfg: PipelineConfig) -> ExperimentResult:
+        """`cfg`'s decodes, the exact oracles and the activity log."""
+        decoded = self.decoded[self.flips.index(cfg.flip_probability)]
+        log, oracle = ActivityLog(self.counts, self.meta), self.oracles
+        return ExperimentResult(cfg.variant, cfg.to_json_dict(), cfg.seed, decoded, oracle, log)
 
 
 # ---------------------------------------------------------------------------
@@ -652,61 +658,50 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
     return columns + np.split(phases, np.cumsum(phase_sizes[:-1]), axis=1)
 
 
-def _run_key(cfg: PipelineConfig) -> tuple:
-    """The fields a config's run reads besides the draw: configs equal in them share one run."""
-    if cfg.variant == "conventional":
-        return (cfg.variant, cfg.binary_bits, cfg.stream_length, cfg.lfsr_width, cfg.lfsr_taps)
-    return (cfg.variant, cfg.m, cfg.vdd)
-
-
-_RUNS = {"conventional": _ConventionalRun, "proposed": _ProposedRun}
-
-
 def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
     """Each config's result, in order, all from the same per-trial inputs, drawn once.
 
-    The configs share the draw's (n_inputs, trials, seed, distribution), and
-    the conventional ones its LFSR period, as the conventional LFSR phases
-    follow the inputs in each trial's draw. Configs that differ only in
-    their flip probabilities, or in fields their variant does not read,
-    share one run. Every draw block holds whole chunks of each run, so each
+    The configs share the draw's (n_inputs, trials, seed, distribution), so
+    they draw the same inputs and phases. The configs of each variant share
+    one run, and so every field it reads but the stream length and the flip
+    probability. Every draw block holds whole chunks of each run, so each
     run counts its own chunks of the block and only a run's last chunk can
     be partial.
     """
+    if not cfgs:
+        return []
     cfg = cfgs[0]
-    if len({(c.n_inputs, c.trials, c.seed, c.distribution) for c in cfgs}) > 1:
-        raise ConfigError("configs run together must share n_inputs, trials, seed and distribution")
-    if len({c.lfsr_width for c in cfgs if c.variant == "conventional"}) > 1:
-        raise ConfigError("conventional configs run together must share lfsr_width")
+    _shared(cfgs, ("n_inputs", "trials", "seed", "distribution"), "configs run together")
     fixed = None
     if samples is not None or weights is not None:
         if samples is None or weights is None:
             raise SizeMismatchError("provide both samples and weights, or neither")
         fixed = _check_fixed_inputs(samples, weights, cfg)
 
-    shared: dict[tuple, list[int]] = {}
-    for i, c in enumerate(cfgs):
-        shared.setdefault(_run_key(c), []).append(i)
-    runs = [_RUNS[cfgs[idx[0]].variant](*(cfgs[i] for i in idx)) for idx in shared.values()]
+    # the conventional run reads the phases and counts first, so the phases
+    # are freed before the proposed run counts
+    runs = {}
+    for variant, run_class in zip(VARIANTS, (_ConventionalRun, _ProposedRun)):
+        mine = [c for c in cfgs if c.variant == variant]
+        if mine:
+            _shared(mine, run_class.reads, f"{variant} configs run together")
+            runs[variant] = run_class(*mine)
     # every run's chunk becomes a multiple of the smallest
-    smallest = min(run.chunk for run in runs)
-    for run in runs:
+    smallest = min(run.chunk for run in runs.values())
+    for run in runs.values():
         run.chunk -= run.chunk % smallest
-    largest = max(run.chunk for run in runs)
-    # the conventional runs read the same LFSR phases
-    phase_sizes, period = max((run.phase_sizes, run.period) for run in runs)
+    largest = max(run.chunk for run in runs.values())
+    phase_sizes, period = max((run.phase_sizes, run.period) for run in runs.values())
     # a draw block holds about a chunk's worth of drawn elements, as each
     # block pays a fixed cost for its phases, and at least one chunk
     words = -(-sum(phase_sizes) // 2)
     step = largest * max(1, _CHUNK_ELEMENTS // (2 * cfg.n_inputs + words) // largest)
     lanes = _trial_lanes(cfg.seed, cfg.trials)
     gen = np.random.Generator(np.random.PCG64(0))
-    # the runs that read phases count first, so the phases are freed before the others count
-    in_order = sorted(runs, key=lambda run: not run.phase_sizes)
     for start in range(0, cfg.trials, step):
         block = range(start, min(start + step, cfg.trials))
         arrays = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, period)
-        for run in in_order:
+        for run in runs.values():
             del arrays[2 + len(run.phase_sizes) :]
             for lo in range(0, len(block), run.chunk):
                 rows = slice(lo, lo + run.chunk)
@@ -714,11 +709,9 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
         # a block's rows are freed before the next block is drawn
         del arrays
 
-    results = [None] * len(cfgs)
-    for idx, run in zip(shared.values(), runs):
-        for i, res in zip(idx, run.finish()):
-            results[i] = res
-    return results
+    for run in runs.values():
+        run.finish()
+    return [runs[c.variant].result(c) for c in cfgs]
 
 
 def _require_variant(cfg: PipelineConfig, variant: str) -> None:
@@ -756,17 +749,6 @@ class ComparisonResult:
         }
 
 
-def _shared_parameters(cfg: PipelineConfig) -> tuple:
-    return (
-        cfg.n_inputs,
-        cfg.trials,
-        cfg.seed,
-        cfg.output_rate_hz,
-        cfg.distribution,
-        cfg.flip_probability,
-    )
-
-
 def run_comparisons(
     pairs,
     *,
@@ -781,9 +763,11 @@ def run_comparisons(
     """Run both pipelines of each (conventional, proposed) pair on identical inputs and price them.
 
     All pairs are run from one draw per trial, so they must share n_inputs,
-    trials, seed and distribution: a sweep over stream lengths and flip
-    probabilities draws once, counts each length's streams once for every
-    flip and runs the proposed path once. `energy_profile` selects the
+    trials, seed and distribution, and the configs of each variant every
+    field it reads but the stream length and the flip probability: a sweep
+    over stream lengths and flip probabilities draws once, counts the
+    longest stream once for every length and flip, and runs the proposed
+    path once. No pairs give no results. `energy_profile` selects the
     activity counts used for the headline comparison: "calibrated"
     (back-solved reference-design counts), "naive" (one event per module
     action), or "measured" (the pipelines' own logs, per-bit SRAM).
@@ -792,12 +776,9 @@ def run_comparisons(
     in place if a label of that name is given.
     """
     pairs = list(pairs)
+    shared = ("n_inputs", "trials", "seed", "output_rate_hz", "distribution", "flip_probability")
     for conv_cfg, prop_cfg in pairs:
-        if _shared_parameters(conv_cfg) != _shared_parameters(prop_cfg):
-            raise ConfigError(
-                "comparison requires both variants to share n_inputs, trials, seed, "
-                "rate, distribution and flip probability"
-            )
+        _shared((conv_cfg, prop_cfg), shared, "both variants of a comparison")
         _require_variant(conv_cfg, "conventional")
         _require_variant(prop_cfg, "proposed")
     if energy_profile not in ENERGY_PROFILES:

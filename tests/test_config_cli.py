@@ -562,6 +562,52 @@ def test_cli_rejects_infinite_sigma_from_flag_and_file(tmp_path, capsys):
         assert not out.exists()
 
 
+def _spy_asc_stats(monkeypatch, calls=None):
+    """Make the two asc-stats workers fail, or record their calls into `calls`."""
+
+    def spy(name):
+        def worker(m, arg):
+            if calls is None:
+                raise AssertionError(f"{name} ran")
+            calls.append(name)
+            return 1.0
+
+        return worker
+
+    for name in ("brute_force_enabled_average", "expected_enabled_sas"):
+        monkeypatch.setattr(cli, name, spy(name))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--grid", "1000000000"],
+        ["--grid", str(cli.MAX_ASC_GRID + 1)],
+        ["--grid", "0"],
+        ["--grid", "-3"],
+        ["--m", str(10**12)],
+        ["--m", str(cli.MAX_ASC_M + 1)],
+        ["--m", "0"],
+        ["--m", str(10**30)],
+    ],
+)
+def test_cli_asc_stats_bounds_grid_and_m_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    _spy_asc_stats(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["asc-stats", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad config: ") and argv[0] in err
+    assert len(err) < 100 and not out.exists()
+
+
+def test_cli_asc_stats_runs_at_its_bounds(capsys, monkeypatch):
+    calls = []
+    _spy_asc_stats(monkeypatch, calls)
+    assert main(["asc-stats", "--m", str(cli.MAX_ASC_M), "--grid", "1"]) == 0
+    assert main(["asc-stats", "--m", "1", "--grid", str(cli.MAX_ASC_GRID)]) == 0
+    assert sorted(set(calls)) == ["brute_force_enabled_average", "expected_enabled_sas"]
+
+
 def test_cli_rejects_wide_lfsr_before_walking_its_cycle(tmp_path, capsys):
     # a width-31 cycle walk would take hours; the width bound comes first
     p = tmp_path / "cfg.json"

@@ -1,6 +1,5 @@
 """Energy tables, activity pricing, efficiency/FoM math, gating statistics."""
 
-import numpy as np
 import pytest
 
 from scmac import (

@@ -210,12 +210,13 @@ def test_expected_value_sums_python_ints_past_int64(flip):
     thr_s[0, 0] = thr_w[0, 0] = period
     positive = rng.uniform(size=(3, n)) < 0.5
     f = Fraction(flip)
-    plan = pipelines._OraclePlan(n, width, period, f)
-    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype)
-    nums = plan.numerators(*plan.group_sums(products, positive))
+    plan = pipelines._OraclePlan(n, width, period)
+    sign = np.where(positive, 1, -1)
+    products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype) * sign
+    nums = plan.numerators(plan.group_sums(products), plan.group_sums(sign), f)
     for k in range(3):
         want = _expected_value(thr_s[k], thr_w[k], positive[k], width, period, f)
-        assert Fraction(nums[k], plan.den) == want
+        assert Fraction(nums[k], plan.den(f)) == want
 
 
 @pytest.mark.parametrize("n", (1, 7, 300))
@@ -274,9 +275,11 @@ def test_oracle_plan_group_sums_match_popcount_matmul(n, dtype, monkeypatch):
     thr_s, thr_w = rng.integers(0, period + 1, size=(2, 6, n))
     positive = rng.uniform(size=(6, n)) < 0.5
     positive[0] = True
-    plan = pipelines._OraclePlan(n, width, period, Fraction(0.02))
+    plan = pipelines._OraclePlan(n, width, period)
     assert plan.dtype == (object if dtype == "object" else np.int64)
-    got_s, got_c = plan.group_sums((thr_s * thr_w).astype(plan.dtype), positive)
+    sign = np.where(positive, 1, -1)
+    got_s = plan.group_sums((thr_s * thr_w).astype(plan.dtype) * sign)
+    got_c = plan.group_sums(sign)
     want_s, want_c, present = _popcount_matmul_sums(thr_s, thr_w, positive, plan.levels)
     assert present.all() == (n & (n - 1) == 0)
     assert got_s.tolist() == want_s[:, present].tolist()
@@ -642,11 +645,12 @@ def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int):
     run = pipelines._ConventionalRun(dataclasses.replace(cfg, trials=trial + 1))
     run.count(range(trial, trial + 1), *rows, *phases)
     # the rows before the trial were never counted
-    run.cfgs = (dataclasses.replace(cfg, trials=1),)
-    run.decoded, run.s_sums = run.decoded[:, trial:], run.s_sums[trial:]
+    run.cfg = dataclasses.replace(cfg, trials=1)
+    run.decoded, run.s_sums = run.decoded[..., trial:], run.s_sums[trial:]
     if run.c_sums is not None:
         run.c_sums = run.c_sums[trial:]
-    (res,) = run.finish()
+    run.finish()
+    res = run.result(run.cfg)
     return res.decoded[0], res.oracle[0], res.activity
 
 
@@ -898,8 +902,9 @@ def test_comparison_still_checks_variants():
 
 
 # One draw per sweep family: `run_comparisons` runs the pairs of many grid
-# points from one draw, one conventional run per stream length for every flip
-# and one proposed run. Each point must equal its own `run_comparison`.
+# points from one draw, one conventional run at the longest stream length for
+# every length and flip, and one proposed run. Each point must equal its own
+# `run_comparison`.
 
 FAMILY_LENGTHS = (1, 15, 1024)
 FAMILY_FLIPS = (0.0, 5e-324, 0.02, 0.5, 1.0)
@@ -935,7 +940,7 @@ def test_run_comparisons_match_per_point_comparisons(profile, distribution, monk
             _assert_logs_identical(getattr(got, side).activity, getattr(want, side).activity)
 
 
-def test_run_pipeline_shares_one_run_per_length_and_one_proposed_run():
+def test_run_pipeline_builds_one_run_per_variant():
     cfgs = [cfg for pair in _family_pairs(Uniform(), trials=3) for cfg in pair]
     runs = {"conventional": [], "proposed": []}
     with pytest.MonkeyPatch.context() as m:
@@ -947,12 +952,17 @@ def test_run_pipeline_shares_one_run_per_length_and_one_proposed_run():
 
             m.setattr(cls, "__init__", spy)
         results = pipelines._run_pipeline(None, None, *cfgs)
-    assert [run.flips for run in runs["conventional"]] == [list(FAMILY_FLIPS)] * 3
-    assert [run.cfg.stream_length for run in runs["conventional"]] == list(FAMILY_LENGTHS)
-    assert [run.flips for run in runs["proposed"]] == [list(FAMILY_FLIPS)]
+    (conv,), (prop,) = runs["conventional"], runs["proposed"]
+    assert (conv.lengths, conv.flips) == (list(FAMILY_LENGTHS), list(FAMILY_FLIPS))
+    assert prop.flips == list(FAMILY_FLIPS)
     assert [(r.variant, r.config) for r in results] == [
         (cfg.variant, cfg.to_json_dict()) for cfg in cfgs
     ]
+
+
+def test_run_pipeline_and_run_comparisons_of_nothing_are_empty():
+    assert pipelines._run_pipeline(None, None) == []
+    assert pipelines.run_comparisons([]) == []
 
 
 @pytest.mark.parametrize(
@@ -972,6 +982,30 @@ def test_run_pipeline_rejects_configs_that_draw_differently(change):
     other = dataclasses.replace(base, **change)
     with pytest.raises(ConfigError, match="share"):
         pipelines._run_pipeline(None, None, base, other)
+
+
+@pytest.mark.parametrize(
+    "variant, change, names",
+    [
+        ("conventional", {"binary_bits": 6}, "binary_bits"),
+        ("conventional", {"lfsr_taps": (15, 14, 13, 11)}, "lfsr_taps"),
+        ("proposed", {"m": 7}, "m"),
+        ("proposed", {"vdd": 0.8}, "vdd"),
+        ("proposed", {"m": 7, "vdd": 0.8}, "m, vdd"),
+    ],
+)
+def test_run_pipeline_rejects_configs_of_a_variant_that_count_differently(variant, change, names):
+    """Configs of one variant share its run, so only L and the flip may differ."""
+    base = PipelineConfig(variant=variant, n_inputs=4, trials=3, seed=3)
+    # fields the variant does not read may differ
+    other = dataclasses.replace(base, stream_length=7, flip_probability=0.02)
+    if variant == "conventional":
+        other = dataclasses.replace(other, m=7, vdd=0.8)
+    else:
+        other = dataclasses.replace(other, binary_bits=6, lfsr_taps=(15, 14, 13, 11))
+    assert len(pipelines._run_pipeline(None, None, base, other)) == 2
+    with pytest.raises(ConfigError, match=f"{variant} configs run together must share {names}$"):
+        pipelines._run_pipeline(None, None, base, dataclasses.replace(base, **change))
 
 
 # The proposed decode before it ran on arrays: Fraction voltages, one trial at a time.
@@ -1173,6 +1207,27 @@ def test_selected_inputs_match_masked_reference(n, n_trials):
         assert t.dtype == flat.dtype == rows.dtype == np.int64
 
 
+# A shorter stream is the first L bits of the longest, so the conventional run
+# counts every stream length from the selected bits of its longest one.
+@pytest.mark.parametrize("n", (1, 7, 300))
+@pytest.mark.parametrize("n_trials", (1, 3, 8))
+def test_selected_inputs_of_a_shorter_stream_are_a_prefix_of_the_longest(n, n_trials):
+    width, taps = 15, MAXIMAL_TAPS[15]
+    lsb2 = select_table(width, taps)
+    period = lsb2.size // 2
+    levels = mux_tree_scale(n).bit_length() - 1
+    rng = np.random.default_rng((n, n_trials))
+    sel_phases = rng.integers(0, period, size=(n_trials, levels))
+    # phases at the end of the cycle wrap mid-stream
+    sel_phases[0] = period - 1
+    longest = pipelines._selected_inputs(lsb2, sel_phases, period, n)
+    for length in (1, 2, 15, 1024, 8191, period - 1, period):
+        kept = longest[0] < length
+        got = pipelines._selected_inputs(lsb2, sel_phases, length, n)
+        for g, w in zip(got, (a[kept] for a in longest), strict=True):
+            assert np.array_equal(g, w), length
+
+
 # Batched PCG64 lanes: every trial's generator seeded on arrays and its LFSR
 # phases mapped from one raw block. The draw loop they replaced, kept
 # verbatim: one `np.random.default_rng((seed, t))` per trial.
@@ -1222,7 +1277,9 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
                 rows = slice(lo - start, hi - start)
                 run.count(range(lo, hi), *(a[rows] for a in columns))
 
-    return [res for run in runs for res in run.finish()]
+    for run in runs:
+        run.finish()
+    return [run.result(c) for c, run in zip(cfgs, runs)]
 
 
 LANE_SEEDS = (0, 1, 42, 2**32 - 1, 2**32, 2**63 + 5, 2**64 + 3, 2**130 + 7)

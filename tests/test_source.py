@@ -1,14 +1,19 @@
-"""Source hygiene: every name a module of `src/scmac` imports is used in it, and
-every module-level private name is read somewhere in the package."""
+"""Source hygiene: every name a module of `src/scmac`, a test or a demo imports
+is used in it, and every module-level private name is read somewhere in the
+package."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "scmac"
-# the imports of `__init__.py` are the package's public exports
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "scmac"
+# the imports of `__init__.py` are the package's public exports; the package
+# modules go by their file names, the tests and demos by their paths
+IMPORTERS = {p.name: p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"} | {
+    f"{folder}/{p.name}": p for folder in ("tests", "demos") for p in (ROOT / folder).glob("*.py")
+}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,9 +42,9 @@ def test_unused_import_check_finds_unused_names():
     assert _unused_imports(source) == ["PI", "os"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(IMPORTERS))
 def test_every_import_is_used(module):
-    assert _unused_imports((PACKAGE / module).read_text()) == []
+    assert _unused_imports(IMPORTERS[module].read_text()) == []
 
 
 def _private_names(source: str) -> set[str]:
