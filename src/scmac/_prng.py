@@ -36,38 +36,48 @@ def mix(*parts: int) -> int:
     return acc
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 mixing steps, in place on a uint64 array already offset by _GOLDEN."""
+def _finalize(z: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The splitmix64 mixing steps, in place on a uint64 array already offset by _GOLDEN.
+
+    `work`, a uint64 array of z's shape, takes each shifted copy of z.
+    """
     with np.errstate(over="ignore"):
-        z ^= z >> np.uint64(30)
+        z ^= np.right_shift(z, np.uint64(30), out=work)
         z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
+        z ^= np.right_shift(z, np.uint64(27), out=work)
         z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=work)
     return z
 
 
 def splitmix64_array(x: np.ndarray) -> np.ndarray:
     """`splitmix64` over a uint64 array, element by element, wrapping mod 2^64."""
     with np.errstate(over="ignore"):
-        return _finalize(np.asarray(x, dtype=np.uint64) + np.uint64(_GOLDEN))
+        z = np.asarray(x, dtype=np.uint64) + np.uint64(_GOLDEN)
+    return _finalize(z, np.empty_like(z))
 
 
-def unit_words(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
+def unit_words(seed: int | np.ndarray, indices, out=None, work=None) -> np.ndarray:
     """The uint64 words behind `unit_floats`: each uniform is (word >> 11) / 2^53.
 
     Vectorized splitmix64 over the index array; the word at a given index
     never depends on which other indices are evaluated. `seed` is an int or
     a uint64 array that broadcasts against `indices`, one key per element.
+    The words go to `out` and the hash's intermediate words to `work`,
+    uint64 arrays of the broadcast shape, or to new arrays where not given;
+    `out` may be `seed` itself.
     """
     if isinstance(seed, np.ndarray):
         seed = seed.astype(np.uint64, copy=False)
     else:
         seed = np.uint64(int(seed) & _MASK64)
+    if work is None:
+        work = np.empty(np.broadcast_shapes(np.shape(seed), np.shape(indices)), np.uint64)
     with np.errstate(over="ignore"):
-        z = np.asarray(indices, dtype=np.uint64) * np.uint64(_GOLDEN) + seed
+        np.multiply(indices, np.uint64(_GOLDEN), out=work, dtype=np.uint64, casting="unsafe")
+        z = np.add(work, seed, out=out)
         z += np.uint64(_GOLDEN)
-    return _finalize(z)
+    return _finalize(z, work)
 
 
 def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -79,16 +89,17 @@ def unit_floats(seed: int | np.ndarray, indices: np.ndarray) -> np.ndarray:
     return out
 
 
-def unit_below(words: np.ndarray, p: float) -> np.ndarray:
+def unit_below(words: np.ndarray, p: float, out=None) -> np.ndarray:
     """Where the uniforms of `unit_words` lie below p in [0, 1], by one integer compare per word.
 
     A uniform k / 2^53 is below p iff k < ceil(p * 2^53), iff its word
     (k << 11 plus 11 low bits) is below ceil(p * 2^53) << 11; that bound
     fits a uint64 for every p < 1, and at p = 1 every uniform is below.
+    The booleans go to `out` where given.
     """
     if p >= 1.0:
-        return np.ones(words.shape, dtype=bool)
-    return words < np.uint64(math.ceil(Fraction(p) * (1 << 53)) << 11)
+        return np.greater_equal(words, np.uint64(0), out=out)
+    return np.less(words, np.uint64(math.ceil(Fraction(p) * (1 << 53)) << 11), out=out)
 
 
 # numpy's SeedSequence (pool size 4) and PCG64 seeding, vectorized over trial

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 from .converters import asc_levels
 from .errors import EnergyModelError
@@ -341,9 +341,10 @@ def expected_enabled_sas(m: int, survival: Callable[[float], float]) -> float:
     return 1.0 + sum(survival(i / (m + 1)) for i in range(1, m))
 
 
-def brute_force_enabled_average(m: int, xs: Iterable[float]) -> float:
-    """Average fired-SA count over explicit inputs, via the array converter."""
-    _, fired, _ = asc_levels(list(xs), m)
+def brute_force_enabled_average(m: int, xs) -> float:
+    """Average fired-SA count over explicit inputs (an array or a sequence of
+    floats), via the array converter."""
+    _, fired, _ = asc_levels(xs, m)
     if fired.size == 0:
         raise EnergyModelError("need at least one sample")
     return int(fired.sum()) / fired.size

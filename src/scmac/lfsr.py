@@ -92,8 +92,8 @@ def lfsr_outputs(l: Lfsr, count: int) -> list[int]:
     return out
 
 
-# (width, taps) -> (states from 1, phase index per state, doubled LSB table)
-_SEQ_CACHE: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# (width, taps) -> (doubled state table, doubled LSB table)
+_SEQ_CACHE: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _feedback_bits(width: int, taps: tuple[int, ...], count: int) -> np.ndarray:
@@ -120,7 +120,7 @@ def _feedback_bits(width: int, taps: tuple[int, ...], count: int) -> np.ndarray:
     return bits
 
 
-def _cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
     key = (width, taps)
     cached = _SEQ_CACHE.get(key)
@@ -138,36 +138,44 @@ def _cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, n
     if returns.size == 0:
         raise ConversionError(f"state 1 never recurs under taps {taps}: the tap set needs the width")
     period = int(returns[0]) + 1
-    seq_arr = states[:period]
-    phase_of = np.full(count, -1, dtype=np.int64)
-    phase_of[seq_arr] = np.arange(period, dtype=np.int64)
+    # only the doubled tables stay cached; `state_cycle` widens them on demand
+    seq2 = np.tile(states[:period].astype(np.min_scalar_type(count - 1)), 2)
     # a state's LSB is its newest feedback bit
     lsb2 = np.tile(bits[width - 1 : width - 1 + period], 2)
-    for arr in (seq_arr, phase_of, lsb2):
+    for arr in (seq2, lsb2):
         arr.setflags(write=False)
-    _SEQ_CACHE[key] = (seq_arr, phase_of, lsb2)
+    _SEQ_CACHE[key] = (seq2, lsb2)
     return _SEQ_CACHE[key]
 
 
 def state_cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The state cycle through 1 and a state->phase lookup table.
+    """The state cycle through 1 and a state->phase lookup table, as new int64 arrays.
 
     Returns (seq, phase_of) where seq[k] is the state after k steps from
     state 1 and phase_of[s] is the k with seq[k] == s (-1 for states not on
     the cycle, which only exist for non-maximal tap sets).
     """
-    seq, phase_of, _ = _cycle(width, taps)
+    seq2 = _cycle(width, taps)[0]
+    seq = seq2[: seq2.size // 2].astype(np.int64)
+    phase_of = np.full(1 << width, -1, dtype=np.int64)
+    phase_of[seq] = np.arange(seq.size, dtype=np.int64)
     return seq, phase_of
 
 
 def select_table(width: int, taps: tuple[int, ...]) -> np.ndarray:
     """The cycle's LSBs twice over, as uint8: the select stream of phase p is
     `table[p + 1 : p + 1 + length]` for any length up to the period."""
-    return _cycle(width, taps)[2]
+    return _cycle(width, taps)[1]
+
+
+def state_table(width: int, taps: tuple[int, ...]) -> np.ndarray:
+    """The state cycle twice over, in the narrowest unsigned dtype that holds a state:
+    the comparator stream of phase p reads `table[p + 1 : p + 1 + length]`."""
+    return _cycle(width, taps)[0]
 
 
 def cycle_length(width: int, taps: tuple[int, ...]) -> int:
-    return int(state_cycle(width, taps)[0].size)
+    return state_table(width, taps).size // 2
 
 
 def phase_of_state(width: int, taps: tuple[int, ...], state: int) -> int:
@@ -186,15 +194,12 @@ def threshold_bits(
     Over one full period the outputs visit 1..2^w-1 once each, so exactly
     min(threshold, period) bits are set.
     """
-    seq, _ = state_cycle(width, taps)
-    period = seq.size
-    idx = (phase + 1 + np.arange(length, dtype=np.int64)) % period
-    return (seq[idx] <= threshold).astype(np.uint8)
+    seq2 = state_table(width, taps)
+    idx = (phase + 1 + np.arange(length, dtype=np.int64)) % (seq2.size // 2)
+    return (seq2[idx] <= threshold).astype(np.uint8)
 
 
 def select_bits(width: int, taps: tuple[int, ...], phase: int, length: int) -> np.ndarray:
     """MUX select stream: the LSB of successive outputs from `phase`."""
-    seq, _ = state_cycle(width, taps)
-    period = seq.size
-    idx = (phase + 1 + np.arange(length, dtype=np.int64)) % period
-    return (seq[idx] & 1).astype(np.uint8)
+    lsb2 = select_table(width, taps)
+    return lsb2[(phase + 1 + np.arange(length, dtype=np.int64)) % (lsb2.size // 2)]

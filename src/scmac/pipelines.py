@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import mac as mac_mod
-from ._prng import bounded_uint32, mix, pcg64_lanes, splitmix64_array, unit_below, unit_words
+from ._prng import _GOLDEN, _MASK64, bounded_uint32, mix, pcg64_lanes, splitmix64_array
+from ._prng import unit_below, unit_words
 from .bitstream import mux_tree_scale
 from .converters import adc_codes, asc_levels, thermometer_quantize
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
@@ -42,13 +43,13 @@ from .energy import (
     reduction_percent,
 )
 from .errors import ConfigError, MacError, SizeMismatchError, short_int
-from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
+from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_table
 from .mac import MacConfig
 
 VARIANTS = ("conventional", "proposed")
 
-# `state_cycle` builds 2^w-entry state and phase tables: about 0.1 s and a
-# 34 MB peak at width 20, doubling per extra bit
+# the LFSR tables are built from a 2^w-entry state array: about 0.05 s and a
+# 21 MB traced peak at width 20, doubling per extra bit
 MAX_LFSR_WIDTH = 20
 
 # a run keeps several 8-byte words per trial, so 2^48 trials would need
@@ -290,33 +291,29 @@ def _flip_row_keys(seed: int, trials, n: int) -> np.ndarray:
     return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
 
 
-def _selected_inputs(lsb2, sel_phases, length: int, n: int):
-    """Bit position, flat input index row * N + j(t) and trial row of every real selected bit.
+def _selected_inputs(lsb2, sel_phases, n: int, leaf, flat):
+    """Flat bit position row * L + t and flat input index row * N + j(t) of every real selected bit.
 
     Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the tree
-    outputs leaf j(t) = sum_l sel_l[t] << l. Leaves j >= N are all-zero
-    padding, never flipped, and are dropped. A select stream of phase p is
-    the contiguous window lsb2[p + 1 : p + 1 + L] of the doubled LSB table.
+    outputs leaf j(t) = sum_l sel_l[t] << l (Horner's rule). Leaves j >= N
+    are all-zero padding, never flipped, and are dropped. `leaf` is a (T, L)
+    buffer of an unsigned dtype that holds 2^levels - 1 and T * N, and
+    `flat` an int64 buffer of T * L or more.
     """
-    n_trials, levels = sel_phases.shape
-    # row p is the window lsb2[p : p + L]; rows stop at size - L, inside the table
+    # row p is the window lsb2[p + 1 : p + 1 + L]; rows stop inside the table
     windows = np.lib.stride_tricks.as_strided(
-        lsb2, (lsb2.size - length + 1, length), lsb2.strides * 2, writeable=False
+        lsb2[1:], (lsb2.size // 2, leaf.shape[1]), lsb2.strides * 2, writeable=False
     )
-    # the narrowest dtype that holds every leaf; each uint8 select is
-    # multiplied by its level's weight in that dtype, so no level overflows
-    dtype = np.min_scalar_type((1 << levels) - 1)
-    leaf = np.zeros((n_trials, length), dtype=dtype)
-    for level in range(levels):
-        leaf += windows[sel_phases[:, level] + 1] * dtype.type(1 << level)
-    # real leaves by flat position and one gather: 2-D boolean masks of the
-    # (T, L) arrays cost 5-7 times as much at L=32767
-    pos = np.flatnonzero(leaf < n)
-    flat = leaf.ravel()[pos].astype(np.int64)
-    rows = pos // length
-    flat += rows * n
-    pos -= rows * length
-    return pos, flat, rows
+    leaf.fill(0)
+    for level in reversed(range(sel_phases.shape[1])):
+        leaf <<= 1
+        leaf |= windows[sel_phases[:, level]]
+    # the mask of real leaves borrows the bytes of `flat`
+    pos = np.flatnonzero(np.less(leaf, n, out=flat.view(bool)[: leaf.size].reshape(leaf.shape)))
+    leaf += (n * np.arange(leaf.shape[0]))[:, None].astype(leaf.dtype)
+    flat = flat[: pos.size]
+    flat[:] = leaf.ravel()[pos]
+    return pos, flat
 
 
 def _shared(cfgs, names, what: str) -> None:
@@ -348,12 +345,28 @@ class _ConventionalRun:
         cfg = self.cfg = cfgs[0]
         self.lengths = sorted({c.stream_length for c in cfgs})
         self.flips = sorted({c.flip_probability for c in cfgs})
-        self.seq = state_cycle(cfg.lfsr_width, cfg.lfsr_taps)[0]
+        self.seq2 = state_table(cfg.lfsr_width, cfg.lfsr_taps)
         self.lsb2 = select_table(cfg.lfsr_width, cfg.lfsr_taps)
-        self.period = self.seq.size
+        self.period = self.seq2.size // 2
         self.plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.period)
+        longest = self.lengths[-1]
         # the widest per-trial array is (N,) or the (L,) leaf index
-        self.chunk = max(1, _CHUNK_ELEMENTS // max(cfg.n_inputs, self.lengths[-1]))
+        self.chunk = max(1, _CHUNK_ELEMENTS // max(cfg.n_inputs, longest))
+        # `count` writes a chunk's selected bits, at most chunk * L, into these
+        # buffers; `flat` has room for the trailing 0 of the signed counts
+        size, most = self.chunk * longest, max(self.chunk * cfg.n_inputs, 1 << self.plan.levels)
+        self.leaf = np.empty(size, np.min_scalar_type(most - 1))
+        self.flat, self.idx = np.empty(size + 1, np.int64), np.empty(size, np.int64)
+        self.state, self.thr = np.empty((2, size), self.seq2.dtype)
+        self.bits, self.hits = np.empty((2, size), bool)
+        self.sign = np.empty(size, np.int8)
+        # chunk row r's bit t sits at position r * L + t: a phase shifted by
+        # 1 - r * L, plus the position, indexes phase + 1 + t of the doubled
+        # state table; a flip key shifted by -r * L * golden hashes the position
+        # as the key hashes t; a row's bounds end its first L bits, for every L
+        rows = np.arange(self.chunk)[:, None]
+        self.shift, self.bounds = 1 - longest * rows, longest * rows + [0, *self.lengths]
+        self.key_shift = rows.astype(np.uint64) * np.uint64(longest * _GOLDEN & _MASK64)
         # phases_s, phases_w, then the select phases, one per tree level
         self.phase_sizes = (cfg.n_inputs, cfg.n_inputs, self.plan.levels)
         groups = (cfg.trials, self.plan.starts.size)
@@ -370,35 +383,51 @@ class _ConventionalRun:
         Inputs are (T, N) arrays, one row per trial, and `sel_phases` is
         (T, levels). Each output bit is one product bit S_j[t] & W_j[t] of the
         leaf j(t) the tree selects (flipped by its keyed draw), or 0 at a
-        padding leaf; the work is O(T * (N + L * levels)), never T * N * L.
+        padding leaf; the work is O(T * (N + L * levels)), never T * N * L,
+        and it writes into the run's buffers.
         """
-        cfg, plan, seq, longest = self.cfg, self.plan, self.seq, self.lengths[-1]
+        cfg, plan, longest, rows = self.cfg, self.plan, self.lengths[-1], len(trials)
         out = slice(trials.start, trials.stop)
         positive = weights >= 0.0
         # the weights first, so that their absolute values are freed before the samples convert
         thr_w, sat_w = _comparator_thresholds(np.abs(weights), cfg.binary_bits, self.period)
         thr_s, sat_s = _comparator_thresholds(samples, cfg.binary_bits, self.period)
+        sign = positive.view(np.int8) * np.int8(2) - np.int8(1)
 
         # one select network feeds both trees, as a single MUX array would
-        t, flat, rows = _selected_inputs(self.lsb2, sel_phases, longest, cfg.n_inputs)
-        bits = np.take(seq, phases_s.ravel()[flat] + 1 + t, mode="wrap") <= thr_s.ravel()[flat]
-        bits &= np.take(seq, phases_w.ravel()[flat] + 1 + t, mode="wrap") <= thr_w.ravel()[flat]
+        leaf = self.leaf[: rows * longest].reshape(rows, longest)
+        pos, flat = _selected_inputs(self.lsb2, sel_phases, cfg.n_inputs, leaf, self.flat)
+        k = pos.size
+        bits, hits, state, thr = self.bits[:k], self.hits[:k], self.state[:k], self.thr[:k]
+        for phases, thresholds, out_bits in ((phases_s, thr_s, bits), (phases_w, thr_w, hits)):
+            idx = (phases + self.shift[:rows]).take(flat, out=self.idx[:k], mode="clip")
+            idx += pos
+            self.seq2.take(idx, out=state, mode="clip")
+            thresholds.astype(thr.dtype).take(flat, out=thr, mode="clip")
+            np.less_equal(state, thr, out=out_bits)
+        bits &= hits
+        signs = sign.take(flat, out=self.sign[:k], mode="clip")
         if self.flips[-1] > 0.0:
             # the keyed draw of every selected bit, shared by every flip
-            words = unit_words(_flip_row_keys(cfg.seed, trials, cfg.n_inputs).ravel()[flat], t)
-        # bin 2 * row + 1 counts a row's positive tree, and bin 2 * row its negative one
-        tree = rows * 2 + positive.ravel()[flat]
+            keys = _flip_row_keys(cfg.seed, trials, cfg.n_inputs) - self.key_shift[:rows]
+            words = keys.take(flat, out=self.idx[:k].view(np.uint64), mode="clip")
+            unit_words(words, pos.view(np.uint64), out=words, work=flat.view(np.uint64))
+        # a row's signed counts between consecutive bounds add up to each length's
+        # (row 0's bounds are the lengths); reduceat reads an empty segment's
+        # start, and a trailing 0 keeps a start of k inside
+        ends = pos.searchsorted(self.bounds[:rows])
+        starts, empty = ends[:, :-1].ravel(), ends[:, :-1] == ends[:, 1:]
+        signed = self.flat[: k + 1]
+        signed[k] = 0
         for per_flip, flip in zip(self.decoded, self.flips):
-            flipped = bits ^ unit_below(words, flip) if flip > 0.0 else bits
-            for decoded, length in zip(per_flip, self.lengths):
-                # a shorter stream counts the first `length` bits of the longest
-                kept = flipped if length == longest else flipped & (t < length)
-                ones = np.bincount(tree[kept], minlength=2 * len(trials))
-                decoded[out] = (ones[1::2] - ones[::2]) * (1 << plan.levels) / length
+            kept = np.not_equal(bits, unit_below(words, flip, out=hits), out=hits) if flip else bits
+            np.multiply(kept.view(np.int8), signs, out=signed[:k], casting="unsafe")
+            sums = np.add.reduceat(signed, starts).reshape(empty.shape)
+            sums[empty] = 0
+            per_flip[:, out] = (sums.cumsum(axis=1) * (1 << plan.levels) / self.bounds[0, 1:]).T
         # a threshold is at most the period, below 2^20, so int64 holds every product
         products = thr_s.astype(plan.dtype, copy=False)
         products *= thr_w
-        sign = np.where(positive, 1, -1)
         products *= sign
         self.s_sums[out] = plan.group_sums(products)
         if self.c_sums is not None:

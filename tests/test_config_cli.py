@@ -208,9 +208,14 @@ def test_cli_compare_prints_reduction(tmp_path, capsys):
 
 
 def test_cli_compare_deterministic_bytes(tmp_path, capsys):
+    """Identical in-process runs write identical bytes through the one parser,
+    also with a run of other flags between them."""
     args = ["compare", "--trials", "4", "--n-inputs", "8", "--seed", "9"]
     assert main(args + ["--out", str(tmp_path / "a")]) == 0
+    other = ["compare", "--trials", "2", "--seed", "3", "--format", "csv", "--profile", "naive"]
+    assert main(other + ["--out", str(tmp_path / "other")]) == 0
     assert main(args + ["--out", str(tmp_path / "b")]) == 0
+    assert cli.build_parser() is cli.build_parser()
     capsys.readouterr()
     for name in (
         "compare_summary.json",
@@ -221,6 +226,26 @@ def test_cli_compare_deterministic_bytes(tmp_path, capsys):
         a = (tmp_path / "a" / name).read_bytes()
         b = (tmp_path / "b" / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+# sha256 of the help text at 80 columns, recorded while `main` built a new
+# parser per call
+HELP_GOLDEN = {
+    (): "60f921d4d8bfd7bdfe191a51b7a6028eab0f1b181e79d3b5f69db349d3333195",
+    ("compare",): "7e0cfa6bcf17ae39e0aff8f4c507148d46ef14e4538e3211d4dd0df0f9e219cb",
+    ("sweep",): "8859de333d41141dae223d14ce7a4217d8bdc9a4a54c82c4036bacad7d918299",
+    ("asc-stats",): "c496c9b636048d26fc5b8a0df220be645d0fefc9acff5cfe13d3d4ada2dbbe6a",
+}
+
+
+def test_cli_help_text_is_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        for command, digest in HELP_GOLDEN.items():
+            with pytest.raises(SystemExit) as exc:
+                main([*command, "--help"])
+            assert exc.value.code == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, command
 
 
 def test_cli_seed_changes_outputs(tmp_path, capsys):
@@ -436,6 +461,26 @@ def test_cli_asc_stats(tmp_path, capsys):
         "6556c64edb412bd6423ec03840b57104c98efcf94abc2f479aab6ff086d2b87c",
         "9267fa99184889859a70f850b4f3873dfa25e7188f2a2b724c67b4f83a39473e",
     )
+
+
+# asc_stats.json sha256 at m=15 and the default sigma, recorded while the
+# grid was a Python list of (k + 0.5) / grid
+ASC_GRID_GOLDEN = {
+    1: "9ad5ee68c924681b6f92360b128e81dfc3e9ae76e34cf0e734a7e955b999e2c2",
+    2: "d2070e0164875000f90da149d127b6a3037620397312bb25fcae41e326fa3972",
+    3: "f9c303a09749ab6a622ad27a97bb23d749e63bdada100220b1a9d4b4eb47225f",
+    40001: "12bdee75e4d9ca1e0b19167013bb714c2e5a080c0b9f6c8d704c54abcfbcaab8",
+    50001: "45ad22961e3d3affc22d0f5209c61c4d834107e0a4924ff5b1ef9f7fa1962553",
+    cli.MAX_ASC_GRID: "12e6b8ebe986890d295deda464620d5b2461d366ee2b7815afbf63713345e732",
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ASC_GRID_GOLDEN))
+def test_cli_asc_stats_grid_report_is_unchanged(grid, tmp_path, capsys):
+    assert main(["asc-stats", "--grid", str(grid), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = hashlib.sha256((tmp_path / "asc_stats.json").read_bytes()).hexdigest()
+    assert written == ASC_GRID_GOLDEN[grid]
 
 
 def test_cli_selftest(capsys):

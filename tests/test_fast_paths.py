@@ -1127,6 +1127,20 @@ def test_state_cycle_without_the_width_tap_raises():
         state_cycle(4, (3,))
 
 
+def _selected_inputs(lsb2, sel_phases, length: int, n: int):
+    """Bit position t, flat input index and trial row of every real selected bit.
+
+    `pipelines._selected_inputs` with buffers of its own, sized as its
+    docstring asks; the row and the bit position come from the flat position.
+    """
+    n_trials, levels = sel_phases.shape
+    leaf = np.empty((n_trials, length), np.min_scalar_type(max(n_trials * n, 1 << levels) - 1))
+    flat = np.empty(n_trials * length, np.int64)
+    pos, flat = pipelines._selected_inputs(lsb2, sel_phases, n, leaf, flat)
+    rows, t = np.divmod(pos, length)
+    return t, flat, rows
+
+
 def _gathered_selected_inputs(seq, sel_phases, length: int, n: int):
     """The select network as one wrapped gather per level, before the LSB table."""
     n_trials, levels = sel_phases.shape
@@ -1150,7 +1164,7 @@ def test_selected_inputs_match_wrapped_gather(n):
     # phases at the end of the cycle wrap mid-stream
     sel_phases[0] = seq.size - 1
     for length in (1, 15, seq.size):
-        t, flat, rows = pipelines._selected_inputs(select_table(width, taps), sel_phases, length, n)
+        t, flat, rows = _selected_inputs(select_table(width, taps), sel_phases, length, n)
         want = _gathered_selected_inputs(seq, sel_phases, length, n)
         assert all(np.array_equal(g, w) for g, w in zip((t, flat), want, strict=True)), length
         assert np.array_equal(rows, flat // n), length
@@ -1200,7 +1214,7 @@ def test_selected_inputs_match_masked_reference(n, n_trials):
     sel_phases[0] = period - 1
     sel_phases[-1, :1] = period - 2
     for length in (1, 15, 8191, period):
-        t, flat, rows = pipelines._selected_inputs(lsb2, sel_phases, length, n)
+        t, flat, rows = _selected_inputs(lsb2, sel_phases, length, n)
         want_t, want_flat = _masked_selected_inputs(lsb2, sel_phases, length, n)
         assert np.array_equal(t, want_t) and np.array_equal(flat, want_flat), length
         assert np.array_equal(rows, want_flat // n), length
@@ -1220,10 +1234,10 @@ def test_selected_inputs_of_a_shorter_stream_are_a_prefix_of_the_longest(n, n_tr
     sel_phases = rng.integers(0, period, size=(n_trials, levels))
     # phases at the end of the cycle wrap mid-stream
     sel_phases[0] = period - 1
-    longest = pipelines._selected_inputs(lsb2, sel_phases, period, n)
+    longest = _selected_inputs(lsb2, sel_phases, period, n)
     for length in (1, 2, 15, 1024, 8191, period - 1, period):
         kept = longest[0] < length
-        got = pipelines._selected_inputs(lsb2, sel_phases, length, n)
+        got = _selected_inputs(lsb2, sel_phases, length, n)
         for g, w in zip(got, (a[kept] for a in longest), strict=True):
             assert np.array_equal(g, w), length
 
@@ -1436,3 +1450,81 @@ def test_lane_that_hits_lemire_rejection_is_redrawn(monkeypatch):
     conv = PipelineConfig(variant="conventional", lfsr_width=width, lfsr_taps=taps, **shared)
     prop = PipelineConfig(variant="proposed", **shared)
     _assert_lanes_match_default_rng(None, None, conv, prop, monkeypatch=monkeypatch)
+
+
+# The conventional run's `count` against the per-trial references: every
+# decode of a family of lengths and flips, and the oracle's popcount-group
+# sums S_k and C_k, exactly, over the widths whose doubled state table is
+# uint8 (3), uint16 (15) and uint32 (20).
+
+COUNT_FLIPS = (0.0, 0.02, 1.0)
+
+
+def _assert_count_matches_references(n, width, lengths, trials, chunk=None):
+    """Count `trials` drawn trials in chunks of `chunk`, by default the run's, and check them."""
+    dist, seed = _OutOfRange(), 2**63 + 5
+    cfgs = [
+        PipelineConfig(
+            variant="conventional",
+            n_inputs=n,
+            lfsr_width=width,
+            lfsr_taps=WIDTH_TAPS[width],
+            stream_length=length,
+            flip_probability=flip,
+            trials=trials,
+            seed=seed,
+            distribution=dist,
+        )
+        for length in lengths
+        for flip in COUNT_FLIPS
+    ]
+    run = pipelines._ConventionalRun(*cfgs)
+    assert run.seq2.dtype == np.min_scalar_type(run.period)
+    chunk = chunk or run.chunk
+    assert chunk <= run.chunk
+    # each trial drawn as the pipeline draws it: inputs, then the phases
+    draws = []
+    for trial in range(trials):
+        rng = np.random.default_rng((seed, trial))
+        inputs = dist.draw(rng, n)
+        draws.append((*inputs, *(rng.integers(0, run.period, k) for k in run.phase_sizes)))
+    arrays = [np.array(column) for column in zip(*draws)]
+    for lo in range(0, trials, chunk):
+        run.count(range(lo, min(lo + chunk, trials)), *(a[lo : lo + chunk] for a in arrays))
+
+    for trial, (samples, weights, *_) in enumerate(draws):
+        for cfg in cfgs:
+            rng = np.random.default_rng((seed, trial))
+            dist.draw(rng, n)
+            want, _ = _conventional_trial(samples, weights, cfg, rng, trial, ActivityLog())
+            i, j = run.flips.index(cfg.flip_probability), run.lengths.index(cfg.stream_length)
+            case = (trial, cfg.stream_length, cfg.flip_probability)
+            assert run.decoded[i, j, trial] == want, case
+    thr_s, _ = _comparator_thresholds(arrays[0], cfgs[0].binary_bits, run.period)
+    thr_w, _ = _comparator_thresholds(np.abs(arrays[1]), cfgs[0].binary_bits, run.period)
+    want_s, want_c, present = _popcount_matmul_sums(thr_s, thr_w, arrays[1] >= 0.0, run.plan.levels)
+    assert run.s_sums.tolist() == want_s[:, present].tolist()
+    assert run.c_sums.tolist() == want_c[:, present].tolist()
+
+
+# N=1 has no tree level, and N=512 fills every leaf of its nine
+@pytest.mark.parametrize("n", (1, 4, 300, 512))
+@pytest.mark.parametrize(
+    "width, lengths", [(3, (1, 2, 5, 7)), (15, (1, 15, 1024, 2**15 - 1)), (20, (1, 15, 2**20 - 1))]
+)
+def test_count_matches_per_trial_references(n, width, lengths):
+    """Chunks of one trial, at lengths from 1 up to the period, alone and as a family."""
+    # a million-bit stream alone costs as much as in the family
+    families = (lengths,) if width == 20 else ((lengths[0],), (lengths[-1],), lengths)
+    for family in families:
+        _assert_count_matches_references(n, width, family, trials=2, chunk=1)
+
+
+@pytest.mark.parametrize(
+    "n, length, trials",
+    # compare-reference's chunks of 27 trials of 15 bits and criterion 6's of
+    # 8 trials of 1024 bits, each run ending on a partial chunk
+    [(300, 15, 27 * 2 + 5), (4, 1024, 8 * 2 + 3)],
+)
+def test_count_matches_per_trial_references_in_many_trial_chunks(n, length, trials):
+    _assert_count_matches_references(n, 15, (1, length // 2, length), trials)

@@ -250,6 +250,33 @@ def test_many_trial_conventional_peak_memory():
     assert _traced_peak(conventional_pipeline, cfg) <= 2**20
 
 
+def test_warm_long_stream_count_allocates_little_beyond_its_run():
+    """A warm one-trial `count` of the long-stream sweep family writes into its run's buffers.
+
+    Beyond them it allocates the positions of the real selected bits, 8
+    bytes each (about 150 KiB for the 19k real ones of 32767 at N=300), and
+    arrays of a few bytes per input: 256 KiB in all.
+    """
+    cfgs = [
+        conv_cfg(n_inputs=300, trials=4, stream_length=length, flip_probability=flip)
+        for length in (8191, 32767)
+        for flip in (0.0, 0.02)
+    ]
+    run = pipelines._ConventionalRun(*cfgs)
+    assert run.chunk == 1
+    rng = np.random.default_rng(3)
+    inputs = rng.uniform(0.0, 1.0, (1, 300)), rng.uniform(-1.0, 1.0, (1, 300))
+    phases = [rng.integers(0, run.period, (1, k)) for k in run.phase_sizes]
+    run.count(range(1), *inputs, *phases)
+    tracemalloc.start()
+    try:
+        run.count(range(1), *inputs, *phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 256 * 2**10
+
+
 def test_conventional_unbiased_over_many_trials():
     cfg = conv_cfg(n_inputs=4, trials=10_000, seed=7, stream_length=64)
     res = conventional_pipeline(None, None, cfg)
