@@ -17,9 +17,11 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import os
 import sys
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -129,7 +131,40 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, byte for byte.
+
+    With an indent, `json` runs its pure-Python encoder, so the text is
+    built here: a list of finite floats, most of a comparison report, is one
+    join of `float.__repr__`; dicts with str keys, other lists, str, int and
+    finite floats are written as `json` writes them; anything else goes to
+    `json.dumps` at its indent.
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+def _json_value(obj, newline: str) -> str:
+    """`obj` as the `json.dumps` of `_json_text` writes it after `newline` and its indent."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if kind is list and obj:
+        if set(map(type, obj)) == {float}:
+            text = ("," + inner).join(map(float.__repr__, obj))
+            # the repr of a finite float has no "n", unlike "nan" and "inf"
+            if "n" not in text:
+                return "[" + inner + text + newline + "]"
+        items = [_json_value(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and obj and set(map(type, obj)) == {str}:
+        items = [f"{encode_basestring_ascii(k)}: {_json_value(obj[k], inner)}" for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    # json escapes every newline inside a string, so each one here starts an indented line
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", newline)
 
 
 def _csv_text(header, rows) -> str:
@@ -142,10 +177,12 @@ def _csv_text(header, rows) -> str:
 
 
 def _trials_csv(res: dict) -> str:
-    rows = (
-        (t, dec, orc, dec - orc) for t, (dec, orc) in enumerate(zip(res["decoded"], res["oracle"]))
-    )
-    return _csv_text(("trial", "decoded", "oracle", "error"), rows)
+    """The trials table of one side, as `_csv_text` writes its rows of floats."""
+    rows = [
+        f"{t},{dec!r},{orc!r},{dec - orc!r}\n"
+        for t, (dec, orc) in enumerate(zip(res["decoded"], res["oracle"]))
+    ]
+    return "trial,decoded,oracle,error\n" + "".join(rows)
 
 
 def _write_reports(out_dir: str, fmt: str, reports) -> None:

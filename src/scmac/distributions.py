@@ -17,11 +17,30 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class InputDistribution:
+    """A trial's inputs, drawn as one row of 2N values: the N samples, then the N weights.
+
+    `fill_row` fills a row from the generator with one call, and
+    `shape_block` turns a (T, 2N) block of filled rows into inputs in place,
+    so a run fills one row per trial and shapes each block once. A
+    distribution that overrides `draw` instead is drawn one trial at a time.
+    """
+
     kind = "abstract"
 
-    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """(samples in [0,1], weights in [-1,1]) for one trial."""
+    def fill_row(self, rng: np.random.Generator, row: np.ndarray) -> None:
+        """Fill one trial's (2N,) float64 row from `rng`."""
         raise NotImplementedError
+
+    def shape_block(self, block: np.ndarray) -> None:
+        """Turn a (T, 2N) block of filled rows into samples and weights, in place."""
+        raise NotImplementedError
+
+    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(samples in [0,1], weights in [-1,1]) for one trial: one row, filled and shaped."""
+        row = np.empty((1, 2 * n))
+        self.fill_row(rng, row[0])
+        self.shape_block(row)
+        return row[0, :n], row[0, n:]
 
     def to_json_dict(self) -> dict:
         values = ((f.name, getattr(self, f.name)) for f in fields(self))
@@ -32,8 +51,15 @@ class InputDistribution:
 class Uniform(InputDistribution):
     kind = "uniform"
 
-    def draw(self, rng, n):
-        return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    def fill_row(self, rng, row):
+        rng.random(out=row)
+
+    def shape_block(self, block):
+        # numpy's uniform(low, high) is low + (high - low) * x, so the samples'
+        # uniform(0, 1) is x itself
+        weights = block[:, block.shape[1] // 2 :]
+        weights *= 2.0
+        weights += -1.0
 
 
 @dataclass(frozen=True)
@@ -47,12 +73,19 @@ class ZeroPeakedGaussian(InputDistribution):
         if not (0 < self.sigma < math.inf):
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 
-    def draw(self, rng, n):
-        # np.clip's wrapper costs more than the clipping at these sizes;
-        # minimum/maximum give the same values
-        samples = np.minimum(np.abs(rng.normal(0.0, self.sigma, n)), 1.0)
-        weights = np.minimum(np.maximum(rng.normal(0.0, self.sigma, n), -1.0), 1.0)
-        return samples, weights
+    def fill_row(self, rng, row):
+        rng.standard_normal(out=row)
+
+    def shape_block(self, block):
+        # numpy's normal(0, sigma) is 0.0 + sigma * x, whose + 0.0 turns -0.0 into +0.0
+        block *= self.sigma
+        block += 0.0
+        n = block.shape[1] // 2
+        samples, weights = block[:, :n], block[:, n:]
+        np.abs(samples, out=samples)
+        np.minimum(samples, 1.0, out=samples)
+        np.maximum(weights, -1.0, out=weights)
+        np.minimum(weights, 1.0, out=weights)
 
 
 @dataclass(frozen=True)
@@ -73,10 +106,12 @@ class Explicit(InputDistribution):
         if any(not (-1.0 <= w <= 1.0) for w in self.weights):
             raise ConfigError("explicit weights must lie in [-1, 1]")
 
-    def draw(self, rng, n):
-        if n != len(self.samples):
-            raise ConfigError(
-                f"explicit distribution has {len(self.samples)} entries, need {n}"
-            )
-        return np.asarray(self.samples), np.asarray(self.weights)
+    def fill_row(self, rng, row):
+        """Draws nothing: every trial's inputs are the same."""
 
+    def shape_block(self, block):
+        n = block.shape[1] // 2
+        if n != len(self.samples):
+            raise ConfigError(f"explicit distribution has {len(self.samples)} entries, need {n}")
+        block[:, :n] = self.samples
+        block[:, n:] = self.weights

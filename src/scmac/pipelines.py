@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +31,8 @@ from . import mac as mac_mod
 from ._prng import _GOLDEN, _MASK64, bounded_uint32, mix, pcg64_lanes, splitmix64_array
 from ._prng import unit_below, unit_words
 from .bitstream import mux_tree_scale
-from .converters import adc_codes, asc_levels, thermometer_quantize
-from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
+from .converters import asc_levels, thermometer_quantize
+from .distributions import Explicit, InputDistribution, Uniform
 from .energy import (
     ENERGY_PROFILES,
     ActivityLog,
@@ -42,7 +43,7 @@ from .energy import (
     naive_activity,
     reduction_percent,
 )
-from .errors import ConfigError, MacError, SizeMismatchError, short_int
+from .errors import ConfigError, ConversionError, MacError, SizeMismatchError, short_int
 from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_table
 from .mac import MacConfig
 
@@ -170,14 +171,34 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _comparator_thresholds(x, binary_bits: int, period: int) -> tuple[np.ndarray, np.ndarray]:
-    # floor-scale the n-bit ADC codes onto the LFSR range; the full-period
-    # ones count is exactly this threshold; PipelineConfig keeps the
-    # products below 2^63
-    codes, saturated = adc_codes(x, binary_bits)
+def _comparator_thresholds(x, binary_bits: int, period: int, out=None, work=None):
+    """Comparator thresholds of inputs x and where x lies outside [0, 1]; NaN is rejected.
+
+    A threshold floor-scales x's n-bit ADC code, the code `adc_codes` gives,
+    min(floor(clip(x, 0, 1) * 2^n), 2^n - 1), onto the LFSR range:
+    floor(code * period / (2^n - 1)) is the code's full-period ones count,
+    and PipelineConfig keeps code * period below 2^63. `out` takes the
+    thresholds, in any integer dtype that holds the period, and `work`, a
+    triple of arrays of x's shape, the clipped inputs (float64), the codes
+    (a signed dtype that holds 2^n * period) and the flags (bool); where not
+    given, they are new arrays and the thresholds are the int64 codes array.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if work is None:
+        work = np.empty(x.shape), np.empty(x.shape, np.int64), np.empty(x.shape, bool)
+    clipped, codes, outside = work
+    np.maximum(x, 0.0, out=clipped)
+    np.minimum(clipped, 1.0, out=clipped)
+    # NaN passes through the clip, so it is flagged too
+    if np.count_nonzero(np.not_equal(clipped, x, out=outside)) and np.isnan(x).any():
+        raise ConversionError("converter input is NaN")
+    # scaling by 2^n is exact, and the cast truncates the non-negative product
+    np.multiply(clipped, float(1 << binary_bits), out=codes, casting="unsafe")
+    top = (1 << binary_bits) - 1
+    np.minimum(codes, top, out=codes)
     codes *= period
-    codes //= (1 << binary_bits) - 1
-    return codes, saturated
+    out = codes if out is None else out
+    return np.floor_divide(codes, top, out=out, casting="unsafe"), outside
 
 
 # the grouped oracle sums N threshold products of up to period^2 each; at or
@@ -285,9 +306,14 @@ def exact_oracle(samples, weights, cfg: PipelineConfig):
 # ---------------------------------------------------------------------------
 
 
-def _flip_row_keys(seed: int, trials, n: int) -> np.ndarray:
-    """Flip-mask seeds of the input rows of each trial: (T, n) of mix(seed, 0xF11B, t, i)."""
-    acc = np.array([mix(seed, 0xF11B, t) for t in trials], dtype=np.uint64)
+def _flip_row_keys(seed: int, trials: range, n: int) -> np.ndarray:
+    """Flip-mask seeds of the input rows of each trial: (T, n) of mix(seed, 0xF11B, t, i).
+
+    mix(seed, 0xF11B, t) is splitmix64(mix(seed, 0xF11B) ^ t), so one array
+    round keys every trial, and one more every row.
+    """
+    t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
+    acc = splitmix64_array(t ^ np.uint64(mix(seed, 0xF11B)))
     return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
 
 
@@ -300,10 +326,12 @@ def _selected_inputs(lsb2, sel_phases, n: int, leaf, flat):
     buffer of an unsigned dtype that holds 2^levels - 1 and T * N, and
     `flat` an int64 buffer of T * L or more.
     """
-    # row p is the window lsb2[p + 1 : p + 1 + L]; rows stop inside the table
-    windows = np.lib.stride_tricks.as_strided(
-        lsb2[1:], (lsb2.size // 2, leaf.shape[1]), lsb2.strides * 2, writeable=False
-    )
+    # row p is the window lsb2[p + 1 : p + 1 + L]; rows stop inside the table.
+    # A view on the table's buffer, as as_strided would build, intern and
+    # drop the keys of an __array_interface__ dict on every call, and so
+    # churn the interpreter's table of interned strings
+    shape, strides = (lsb2.size // 2, leaf.shape[1]), lsb2.strides * 2
+    windows = np.ndarray(shape, lsb2.dtype, lsb2, lsb2.itemsize, strides)
     leaf.fill(0)
     for level in reversed(range(sel_phases.shape[1])):
         leaf <<= 1
@@ -360,6 +388,15 @@ class _ConventionalRun:
         self.state, self.thr = np.empty((2, size), self.seq2.dtype)
         self.bits, self.hits = np.empty((2, size), bool)
         self.sign = np.empty(size, np.int8)
+        # `count` writes a chunk's |weights|, clipped inputs, ADC codes,
+        # out-of-range flags and thresholds, (chunk, N) each, into these; the
+        # codes, scaled by the period, take the narrowest signed dtype that
+        # holds 2^n * period, as narrow casts and divisions run faster
+        shape = (self.chunk, cfg.n_inputs)
+        self.magnitude, self.clipped = np.empty((2, *shape))
+        self.codes = np.empty(shape, np.min_scalar_type(-(self.period << cfg.binary_bits)))
+        self.outside = np.empty((2, *shape), bool)
+        self.thresholds = np.empty((2, *shape), self.seq2.dtype)
         # chunk row r's bit t sits at position r * L + t: a phase shifted by
         # 1 - r * L, plus the position, indexes phase + 1 + t of the doubled
         # state table; a flip key shifted by -r * L * golden hashes the position
@@ -389,9 +426,12 @@ class _ConventionalRun:
         cfg, plan, longest, rows = self.cfg, self.plan, self.lengths[-1], len(trials)
         out = slice(trials.start, trials.stop)
         positive = weights >= 0.0
-        # the weights first, so that their absolute values are freed before the samples convert
-        thr_w, sat_w = _comparator_thresholds(np.abs(weights), cfg.binary_bits, self.period)
-        thr_s, sat_s = _comparator_thresholds(samples, cfg.binary_bits, self.period)
+        convert = partial(_comparator_thresholds, binary_bits=cfg.binary_bits, period=self.period)
+        thr_out, flags = self.thresholds[:, :rows], self.outside[:, :rows]
+        work = self.clipped[:rows], self.codes[:rows]
+        thr_s, sat_s = convert(samples, out=thr_out[0], work=(*work, flags[0]))
+        magnitude = np.abs(weights, out=self.magnitude[:rows])
+        thr_w, sat_w = convert(magnitude, out=thr_out[1], work=(*work, flags[1]))
         sign = positive.view(np.int8) * np.int8(2) - np.int8(1)
 
         # one select network feeds both trees, as a single MUX array would
@@ -403,7 +443,7 @@ class _ConventionalRun:
             idx = (phases + self.shift[:rows]).take(flat, out=self.idx[:k], mode="clip")
             idx += pos
             self.seq2.take(idx, out=state, mode="clip")
-            thresholds.astype(thr.dtype).take(flat, out=thr, mode="clip")
+            thresholds.take(flat, out=thr, mode="clip")
             np.less_equal(state, thr, out=out_bits)
         bits &= hits
         signs = sign.take(flat, out=self.sign[:k], mode="clip")
@@ -426,13 +466,13 @@ class _ConventionalRun:
             sums[empty] = 0
             per_flip[:, out] = (sums.cumsum(axis=1) * (1 << plan.levels) / self.bounds[0, 1:]).T
         # a threshold is at most the period, below 2^20, so int64 holds every product
-        products = thr_s.astype(plan.dtype, copy=False)
+        products = thr_s.astype(plan.dtype)
         products *= thr_w
         products *= sign
         self.s_sums[out] = plan.group_sums(products)
         if self.c_sums is not None:
             self.c_sums[out] = plan.group_sums(sign)
-        self.saturated += np.count_nonzero(sat_s | sat_w)
+        self.saturated += np.count_nonzero(np.logical_or(sat_s, sat_w, out=sat_s))
 
     def finish(self) -> None:
         """The exact oracles of every flip and the length-independent log notes."""
@@ -606,8 +646,8 @@ class ExperimentResult:
             "seed": self.seed,
             "trials": self.trials,
             "statistics": self.statistics(),
-            "decoded": [float(x) for x in self.decoded],
-            "oracle": [float(x) for x in self.oracle],
+            "decoded": self.decoded.tolist(),
+            "oracle": self.oracle.tolist(),
             "activity": {"counts": dict(self.activity.counts), "meta": dict(self.activity.meta)},
             "energy": self.energy.to_json_dict() if self.energy else None,
         }
@@ -625,10 +665,6 @@ _FINISH_BLOCK = 1 << 10
 # 0.3 KB each while it runs, so the block bounds the memory seeding takes
 _LANE_BLOCK = 1 << 8
 
-# draws that take whole 64-bit words from the generator, so they never leave
-# a spare 32-bit half for the LFSR phases to start from
-_WHOLE_WORD_DRAWS = frozenset((Uniform.draw, ZeroPeakedGaussian.draw, Explicit.draw))
-
 
 def _trial_lanes(seed: int, trials: int):
     """PCG64 (state, inc) of every trial's generator, seeded a block of trials at a time."""
@@ -641,20 +677,25 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
 
     The rows equal what each trial's own `np.random.default_rng((seed, t))`
     gives: its inputs (or `fixed`), then `integers(0, period, size=k)` for
-    each k in `phase_sizes`. One `gen` takes each trial's lane state in turn
-    and draws the inputs; the phases come from one raw block per trial,
-    mapped for the whole block at once. Trials whose phases numpy would
-    redraw are drawn again from their own generator.
+    each k in `phase_sizes`. One `gen` takes each trial's lane state in turn,
+    fills the trial's row of a (T, 2N) input block with one call and takes
+    the phases as one raw block per trial; the distribution shapes the
+    input block, and the phases are mapped, for the whole block at once.
+    Trials whose phases numpy would redraw are drawn again from their own
+    generator.
     """
-    n, rows = cfg.n_inputs, len(trials)
+    n, rows, dist = cfg.n_inputs, len(trials), cfg.distribution
     count = sum(phase_sizes)
-    columns = None if fixed is None else [np.tile(x, (rows, 1)) for x in fixed]
-    if fixed is not None and not count:
-        return columns
+    if fixed is not None:
+        inputs = [np.tile(x, (rows, 1)) for x in fixed]
+        if not count:
+            return inputs
+    block = None if fixed is not None else np.empty((rows, 2 * n))
+    # a distribution with its own `draw` is drawn a trial at a time, and may
+    # leave a spare 32-bit half that shifts the stream the phases read
+    per_trial = block is not None and type(dist).draw is not InputDistribution.draw
     bg = gen.bit_generator
     raw = np.empty((rows, -(-count // 2)), dtype=np.uint64)
-    # a draw that leaves a spare 32-bit half shifts the stream the phases read
-    check_spare = fixed is None and type(cfg.distribution).draw not in _WHOLE_WORD_DRAWS
     spare = []
     for row in range(rows):
         state, inc = next(lanes)
@@ -664,27 +705,28 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
             "has_uint32": 0,
             "uinteger": 0,
         }
-        if fixed is None:
-            drawn = cfg.distribution.draw(gen, n)
-            # rows go straight into the (T, size) block arrays, so no list of
-            # per-trial draws is held beside them
-            if columns is None:
-                columns = [np.empty((rows, d.size), d.dtype) for d in drawn]
-            columns[0][row], columns[1][row] = drawn
-            if check_spare and bg.state["has_uint32"]:
+        if per_trial:
+            block[row, :n], block[row, n:] = dist.draw(gen, n)
+            if bg.state["has_uint32"]:
                 spare.append(row)
+        elif block is not None:
+            dist.fill_row(gen, block[row])
         if count:
             raw[row] = bg.random_raw(raw.shape[1])
+    if block is not None:
+        if not per_trial:
+            dist.shape_block(block)
+        inputs = [block[:, :n], block[:, n:]]
     if not count:
-        return columns
+        return inputs
     phases, redraw = bounded_uint32(raw, count, period)
     redraw[spare] = True
     for row in np.flatnonzero(redraw):
         rng = np.random.default_rng((cfg.seed, trials[row]))
         if fixed is None:
-            cfg.distribution.draw(rng, n)
+            dist.draw(rng, n)
         phases[row] = rng.integers(0, period, size=count)
-    return columns + np.split(phases, np.cumsum(phase_sizes[:-1]), axis=1)
+    return inputs + np.split(phases, np.cumsum(phase_sizes[:-1]), axis=1)
 
 
 def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:

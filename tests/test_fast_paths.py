@@ -140,6 +140,58 @@ def test_adc_codes_widest_supported_width():
             adc_codes([0.5], bits)
 
 
+def _threshold_inputs(bits: int) -> list[float]:
+    """Code edges k / 2^n (all of them up to 2^10 codes, else a spread), both float
+    neighbours of each, 0, 1 and inputs beyond both ends of [0, 1]."""
+    top = 1 << bits
+    if bits <= 10:
+        ks = range(top + 1)
+    else:
+        spread = np.random.default_rng(bits).integers(0, top, 64).tolist()
+        middle, last = range(top // 2 - 2, top // 2 + 2), range(top - 3, top + 1)
+        ks = sorted({*range(4), *middle, *last, *spread})
+    xs = [0.0, -0.0, 1.0, -5e-324, -0.5, 1.5, 1e308, np.inf, -np.inf]
+    for k in ks:
+        edge = k / top
+        xs += [edge, float(np.nextafter(edge, -1.0)), float(np.nextafter(edge, 2.0))]
+    return xs
+
+
+@pytest.mark.parametrize(
+    "bits, width", [(1, 15), (2, 3), (4, 15), (7, 8), (10, 20), (16, 15), (33, 20), (48, 15)]
+)
+def test_comparator_thresholds_match_adc_codes(bits, width):
+    """floor(code * P / (2^n - 1)) of `adc_codes`' codes, and their flags, in new and run buffers."""
+    xs = np.array(_threshold_inputs(bits))
+    period = (1 << width) - 1
+    codes, want_flags = adc_codes(xs, bits)
+    want = [c * period // ((1 << bits) - 1) for c in codes.tolist()]
+    got, flags = _comparator_thresholds(xs, bits, period)
+    assert got.tolist() == want and flags.tolist() == want_flags.tolist()
+    # a run's buffers: the state table's dtype and the narrowest codes that hold 2^n * P
+    cfg = PipelineConfig(
+        variant="conventional",
+        n_inputs=xs.size,
+        binary_bits=bits,
+        lfsr_width=width,
+        lfsr_taps=WIDTH_TAPS[width],
+        stream_length=period,
+    )
+    run = pipelines._ConventionalRun(cfg)
+    out, work = run.thresholds[0, :1], (run.clipped[:1], run.codes[:1], run.outside[0, :1])
+    got, flags = _comparator_thresholds(xs[None, :], bits, period, out, work)
+    assert got is out and got.tolist() == [want] and flags.tolist() == [want_flags.tolist()]
+    assert np.iinfo(run.codes.dtype).min <= -(period << bits)
+    assert run.codes.dtype.itemsize <= (8 if bits + width > 31 else 4)
+    for bad in ([0.5, np.nan], [np.nan]):
+        with pytest.raises(ConversionError):
+            _comparator_thresholds(np.array(bad), bits, period)
+        x = np.zeros((1, xs.size))
+        x[0, : len(bad)] = bad
+        with pytest.raises(ConversionError):
+            _comparator_thresholds(x, bits, period, out, work)
+
+
 def _scalar_expected_value(samples, weights, quant: PipelineConfig) -> Fraction:
     """Per-input loop over scalar ADC codes and comparator thresholds.
 
@@ -696,11 +748,13 @@ def test_selected_leaf_trial_matches_full_matrix(register, n):
                 assert got_log == want_log, case
 
 
-@pytest.mark.parametrize("seed", (0, 1, 2**63 + 5, 2**64 - 1))
+@pytest.mark.parametrize("seed", (0, 1, 2**63 + 5, 2**64 - 1, 2**64 + 3, 2**130 + 7))
 def test_flip_row_keys_match_scalar_mix(seed):
-    keys = _flip_row_keys(seed, range(7, 9), 40)
-    assert keys.dtype == np.uint64
-    assert keys.tolist() == [[mix(seed, 0xF11B, t, i) for i in range(40)] for t in (7, 8)]
+    # trials of one and two 32-bit words, up to the last one a run allows
+    for trials in (range(7, 9), range(2**32 - 1, 2**32 + 1), range(2**48 - 3, 2**48)):
+        keys = _flip_row_keys(seed, trials, 40)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [[mix(seed, 0xF11B, t, i) for i in range(40)] for t in trials]
 
 
 def test_unit_floats_broadcast_matches_scalar_calls():
@@ -1528,3 +1582,60 @@ def test_count_matches_per_trial_references(n, width, lengths):
 )
 def test_count_matches_per_trial_references_in_many_trial_chunks(n, length, trials):
     _assert_count_matches_references(n, 15, (1, length // 2, length), trials)
+
+
+# Block draws: every shipped distribution fills one row per trial and shapes
+# the whole block; each row must be what numpy's own calls give that trial.
+
+
+def _numpy_inputs(dist, rng, n):
+    """One trial's inputs from numpy's `uniform` and `normal`, with the clips written out."""
+    if isinstance(dist, Uniform):
+        return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    samples = np.minimum(np.abs(rng.normal(0.0, dist.sigma, n)), 1.0)
+    return samples, np.minimum(np.maximum(rng.normal(0.0, dist.sigma, n), -1.0), 1.0)
+
+
+def _assert_identical(got, want, case):
+    assert got.dtype == want.dtype and np.array_equal(got, want), case
+    assert np.array_equal(np.signbit(got), np.signbit(want)), case
+
+
+# sigma 3.0 clips most inputs, and at 5e-324 every product sigma * x rounds
+# to a subnormal or a zero of either sign, which the + 0.0 of numpy's normal
+# makes +0.0
+@pytest.mark.parametrize(
+    "dist",
+    (Uniform(), ZeroPeakedGaussian(0.15), ZeroPeakedGaussian(3.0), ZeroPeakedGaussian(5e-324)),
+    ids=repr,
+)
+@pytest.mark.parametrize("n", (1, 4, 7, 300))
+def test_block_draws_match_numpy_draws_per_trial(dist, n, monkeypatch):
+    # lane blocks of 5 trials cross the draw blocks of 4
+    monkeypatch.setattr(pipelines, "_LANE_BLOCK", 5)
+    seed, trials, step = 2**63 + 5, 23, 4
+    cfg = PipelineConfig(
+        variant="conventional", n_inputs=n, trials=trials, seed=seed, distribution=dist
+    )
+    run = pipelines._ConventionalRun(cfg)
+    # the conventional run's phases follow the inputs; the proposed run draws none
+    for phase_sizes in (run.phase_sizes, ()):
+        lanes = pipelines._trial_lanes(seed, trials)
+        gen = np.random.Generator(np.random.PCG64(0))
+        blocks = [
+            pipelines._draw_trials(
+                cfg, None, range(lo, min(lo + step, trials)), lanes, gen, phase_sizes, run.period
+            )
+            for lo in range(0, trials, step)
+        ]
+        columns = [np.concatenate(column) for column in zip(*blocks)]
+        for t in range(trials):
+            rng = np.random.default_rng((seed, t))
+            inputs = _numpy_inputs(dist, rng, n)
+            want = (*inputs, *(rng.integers(0, run.period, k) for k in phase_sizes))
+            for got, w in zip(columns, want, strict=True):
+                _assert_identical(got[t], w, (t, phase_sizes))
+            # the public draw is the same fill and shape, on one row
+            drawn = dist.draw(np.random.default_rng((seed, t)), n)
+            for got, w in zip(drawn, inputs, strict=True):
+                _assert_identical(got, w, t)
