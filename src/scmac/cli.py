@@ -130,12 +130,25 @@ def _write_text(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+class _Floats(list):
+    """A report's list of floats with their reprs, taken once for every report that writes them."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reprs = list(map(repr, self))
+
+
+def _reprs(values) -> list[str]:
+    """The repr of each value: a `_Floats` list's own, or taken here."""
+    return values.reprs if type(values) is _Floats else list(map(repr, values))
+
+
 def _json_text(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` and a newline, byte for byte.
 
     With an indent, `json` runs its pure-Python encoder, so the text is
     built here: a list of finite floats, most of a comparison report, is one
-    join of `float.__repr__`; dicts with str keys, other lists, str, int and
+    join of their reprs; dicts with str keys, other lists, str, int and
     finite floats are written as `json` writes them; anything else goes to
     `json.dumps` at its indent.
     """
@@ -152,9 +165,9 @@ def _json_value(obj, newline: str) -> str:
     if kind is float and math.isfinite(obj):
         return float.__repr__(obj)
     inner = newline + "  "
-    if kind is list and obj:
+    if (kind is list or kind is _Floats) and obj:
         if set(map(type, obj)) == {float}:
-            text = ("," + inner).join(map(float.__repr__, obj))
+            text = ("," + inner).join(_reprs(obj))
             # the repr of a finite float has no "n", unlike "nan" and "inf"
             if "n" not in text:
                 return "[" + inner + text + newline + "]"
@@ -178,10 +191,9 @@ def _csv_text(header, rows) -> str:
 
 def _trials_csv(res: dict) -> str:
     """The trials table of one side, as `_csv_text` writes its rows of floats."""
-    rows = [
-        f"{t},{dec!r},{orc!r},{dec - orc!r}\n"
-        for t, (dec, orc) in enumerate(zip(res["decoded"], res["oracle"]))
-    ]
+    decoded, oracle = res["decoded"], res["oracle"]
+    columns = enumerate(zip(decoded, oracle, _reprs(decoded), _reprs(oracle)))
+    rows = [f"{t},{d_text},{o_text},{d - o!r}\n" for t, (d, o, d_text, o_text) in columns]
     return "trial,decoded,oracle,error\n" + "".join(rows)
 
 
@@ -213,22 +225,26 @@ def _load_or_default(args) -> ExperimentConfig:
     return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
-def _comparisons_for(cfgs: list[ExperimentConfig]) -> list[ComparisonResult]:
-    """Both pipelines of each config, all from one draw per trial."""
+def _pair(cfg: ExperimentConfig, **changes):
+    """The (conventional, proposed) PipelineConfigs of `cfg` with `changes` set."""
+    return tuple(cfg.pipeline_config(v, **changes) for v in ("conventional", "proposed"))
+
+
+def _comparisons_for(base: ExperimentConfig, pairs) -> list[ComparisonResult]:
+    """Both pipelines of each pair, all from one draw per trial, priced by `base`'s settings."""
     # the points of a sweep share the energy settings of their base config
-    first = cfgs[0]
     return run_comparisons(
-        [(cfg.pipeline_config("conventional"), cfg.pipeline_config("proposed")) for cfg in cfgs],
-        tables=first.tables,
-        energy_profile=first.energy_profile,
-        efficiency_ops=first.efficiency_ops,
-        fom_steps=first.fom_steps,
-        fom_ops=first.fom_ops,
+        pairs,
+        tables=base.tables,
+        energy_profile=base.energy_profile,
+        efficiency_ops=base.efficiency_ops,
+        fom_steps=base.fom_steps,
+        fom_ops=base.fom_ops,
     )
 
 
 def _comparison_for(cfg: ExperimentConfig) -> ComparisonResult:
-    return _comparisons_for([cfg])[0]
+    return _comparisons_for(cfg, [_pair(cfg)])[0]
 
 
 def _parse_stream(token: str) -> Bitstream:
@@ -282,6 +298,10 @@ def cmd_compare(args) -> int:
     print("\n".join(comparison_summary_lines(d)))
     if args.out:
         energy_header = ("module", "conventional_fj_per_output", "proposed_fj_per_output")
+        # the summary and the trials tables write the same decodes and oracles
+        for side in ("conventional", "proposed"):
+            for key in ("decoded", "oracle"):
+                d[side][key] = _Floats(d[side][key])
         reports = [("compare_summary.json", "json", partial(_json_text, d))]
         for side in ("conventional", "proposed"):
             reports.append((f"compare_trials_{side}.csv", "csv", partial(_trials_csv, d[side])))
@@ -303,7 +323,7 @@ def _parse_list(text, cast):
 
 
 def _sweep_fields(m, n, length, sigma, flip) -> dict:
-    """The ExperimentConfig fields one sweep point sets."""
+    """The pipeline fields one sweep point sets."""
     point = dict(m=m, n_inputs=n, stream_length=length, flip_probability=flip)
     if sigma is not None:
         point["distribution"] = ZeroPeakedGaussian(sigma)
@@ -312,22 +332,22 @@ def _sweep_fields(m, n, length, sigma, flip) -> dict:
 
 def _sweep_report(m, n, length, sigma, flip, cmp_res: ComparisonResult) -> tuple[dict, str]:
     """The report row and the printed line of one sweep point."""
-    conv, prop = cmp_res.conventional, cmp_res.proposed
+    conv, prop = cmp_res.conventional.statistics(), cmp_res.proposed.statistics()
     row = {
         "m": m,
         "n_inputs": n,
         "stream_length": length,
         "sigma": "" if sigma is None else repr(sigma),
         "flip_probability": repr(float(flip)),
-        "conventional_rmse": repr(conv.rmse),
-        "proposed_rmse": repr(prop.rmse),
-        "conventional_max_abs_error": repr(conv.max_abs_error),
-        "proposed_max_abs_error": repr(prop.max_abs_error),
+        "conventional_rmse": repr(conv["rmse"]),
+        "proposed_rmse": repr(prop["rmse"]),
+        "conventional_max_abs_error": repr(conv["max_abs_error"]),
+        "proposed_max_abs_error": repr(prop["max_abs_error"]),
         "reduction_percent": repr(cmp_res.reduction_percent),
     }
     line = (
         f"m={m} n={n} L={length} sigma={sigma} p={flip}: "
-        f"conv rmse={conv.rmse:.4g}, prop rmse={prop.rmse:.4g}, "
+        f"conv rmse={conv['rmse']:.4g}, prop rmse={prop['rmse']:.4g}, "
         f"reduction={cmp_res.reduction_percent:.1f}%"
     )
     return row, line
@@ -342,8 +362,9 @@ def cmd_sweep(args) -> int:
     flips = _parse_list(args.flip_list, float) if args.flip_list else [base.flip_probability]
 
     grid = list(itertools.product(ms, ns, lengths, sigmas, flips))
-    # every point is built, and so validated, before the first is drawn
-    points = [dataclasses.replace(base, **_sweep_fields(*key)) for key in grid]
+    # every point is built, and so validated, before the first is drawn; a
+    # point sets pipeline fields alone, so its pair is all it has to check
+    points = [_pair(base, **_sweep_fields(*key)) for key in grid]
     # the points of one (m, N, sigma) family share a draw; sigma varies
     # inside L, so the families are collected before any row is written
     families: dict[tuple, list[int]] = {}
@@ -351,7 +372,7 @@ def cmd_sweep(args) -> int:
         families.setdefault((m, n, sigma), []).append(i)
     reported = [None] * len(grid)
     for family in families.values():
-        for i, cmp_res in zip(family, _comparisons_for([points[i] for i in family])):
+        for i, cmp_res in zip(family, _comparisons_for(base, [points[i] for i in family])):
             reported[i] = _sweep_report(*grid[i], cmp_res)
     rows = [row for row, _ in reported]
     print("\n".join(line for _, line in reported))

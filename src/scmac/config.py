@@ -98,9 +98,11 @@ class ExperimentConfig:
         if self.fom_steps * self.fom_ops > sys.float_info.max:
             raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
 
-    def pipeline_config(self, variant: str) -> PipelineConfig:
+    def pipeline_config(self, variant: str, **changes) -> PipelineConfig:
+        """`variant`'s PipelineConfig of these fields, with `changes` set in place of some."""
         names = [f.name for f in fields(PipelineConfig) if f.name != "variant"]
-        return PipelineConfig(variant=variant, **{name: getattr(self, name) for name in names})
+        values = {name: getattr(self, name) for name in names}
+        return PipelineConfig(variant=variant, **{**values, **changes})
 
     def to_json_dict(self) -> dict:
         # the schema names fields and table sides, as `_config_kwargs` reads them

@@ -114,8 +114,9 @@ class MacInputs:
             raise MacError("need exactly one sign bit per weight")
         if in_arr.size == 0:
             raise MacError("need at least one input pair")
+        # an array holds only 0s and 1s iff deleting every 0 and 1 byte leaves nothing
         for name, arr in (("IN", in_arr), ("W", w_arr), ("SIGN", s_arr)):
-            if arr.max(initial=0) > 1:
+            if arr.tobytes().translate(None, b"\x00\x01"):
                 raise MacError(f"{name} entries must be 0 or 1")
         for arr in (in_arr, w_arr, s_arr):
             arr.setflags(write=False)

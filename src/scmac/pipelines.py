@@ -359,11 +359,13 @@ class _ConventionalRun:
     shorter stream is the first L bits of the longest one (the same phases,
     thresholds and flip keys), so a chunk draws, thresholds, selects and
     ANDs once at the longest length, and each distinct (length, flip) costs
-    one compare, XOR and count of that stream's first L bits. A chunk only
-    counts: it writes its trials' decoded values and the integer
-    popcount-group sums of their oracles, which neither the length nor the
-    flip changes. `finish` turns the sums into exact oracle values, once per
-    flip, and `result` gives each config its decodes, oracles and log.
+    one compare, XOR and count of that stream's first L bits. The work on
+    a draw block's (T, N) rows, `row_step`, runs once per block, and the work
+    on its bits, `count`, once per chunk of the block; together they write each
+    trial's decoded values and the integer popcount-group sums of its
+    oracles, which neither the length nor the flip changes. `finish` turns
+    the sums into exact oracle values, once per flip, and `result` gives
+    each config its decodes, oracles and log.
     """
 
     # the fields its configs share: all it reads but the draw, the length and the flip
@@ -377,33 +379,8 @@ class _ConventionalRun:
         self.lsb2 = select_table(cfg.lfsr_width, cfg.lfsr_taps)
         self.period = self.seq2.size // 2
         self.plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, self.period)
-        longest = self.lengths[-1]
         # the widest per-trial array is (N,) or the (L,) leaf index
-        self.chunk = max(1, _CHUNK_ELEMENTS // max(cfg.n_inputs, longest))
-        # `count` writes a chunk's selected bits, at most chunk * L, into these
-        # buffers; `flat` has room for the trailing 0 of the signed counts
-        size, most = self.chunk * longest, max(self.chunk * cfg.n_inputs, 1 << self.plan.levels)
-        self.leaf = np.empty(size, np.min_scalar_type(most - 1))
-        self.flat, self.idx = np.empty(size + 1, np.int64), np.empty(size, np.int64)
-        self.state, self.thr = np.empty((2, size), self.seq2.dtype)
-        self.bits, self.hits = np.empty((2, size), bool)
-        self.sign = np.empty(size, np.int8)
-        # `count` writes a chunk's |weights|, clipped inputs, ADC codes,
-        # out-of-range flags and thresholds, (chunk, N) each, into these; the
-        # codes, scaled by the period, take the narrowest signed dtype that
-        # holds 2^n * period, as narrow casts and divisions run faster
-        shape = (self.chunk, cfg.n_inputs)
-        self.magnitude, self.clipped = np.empty((2, *shape))
-        self.codes = np.empty(shape, np.min_scalar_type(-(self.period << cfg.binary_bits)))
-        self.outside = np.empty((2, *shape), bool)
-        self.thresholds = np.empty((2, *shape), self.seq2.dtype)
-        # chunk row r's bit t sits at position r * L + t: a phase shifted by
-        # 1 - r * L, plus the position, indexes phase + 1 + t of the doubled
-        # state table; a flip key shifted by -r * L * golden hashes the position
-        # as the key hashes t; a row's bounds end its first L bits, for every L
-        rows = np.arange(self.chunk)[:, None]
-        self.shift, self.bounds = 1 - longest * rows, longest * rows + [0, *self.lengths]
-        self.key_shift = rows.astype(np.uint64) * np.uint64(longest * _GOLDEN & _MASK64)
+        self.width = max(cfg.n_inputs, self.lengths[-1])
         # phases_s, phases_w, then the select phases, one per tree level
         self.phase_sizes = (cfg.n_inputs, cfg.n_inputs, self.plan.levels)
         groups = (cfg.trials, self.plan.starts.size)
@@ -414,48 +391,102 @@ class _ConventionalRun:
         self.c_sums = np.empty(groups, np.min_scalar_type(-cfg.n_inputs)) if flipped else None
         self.saturated = 0
 
-    def count(self, trials, samples, weights, phases_s, phases_w, sel_phases):
-        """Count a chunk of trials, evaluating only the selected MUX leaf.
+    def reserve(self, chunk: int, block: int) -> None:
+        """The buffers of chunks of up to `chunk` trials in draw blocks of up to `block` trials."""
+        cfg, longest = self.cfg, self.lengths[-1]
+        self.chunk = chunk
+        # `count` writes a chunk's selected bits, at most chunk * L, into these
+        # buffers; `flat` has room for the trailing 0 of the signed counts
+        size, most = chunk * longest, max(chunk * cfg.n_inputs, 1 << self.plan.levels)
+        self.leaf = np.empty(size, np.min_scalar_type(most - 1))
+        self.flat, self.idx = np.empty(size + 1, np.int64), np.empty(size, np.int64)
+        self.state, self.thr = np.empty((2, size), self.seq2.dtype)
+        self.bits, self.hits = np.empty((2, size), bool)
+        self.sign = np.empty(size, np.int8)
+        # `row_step` writes a block's |weights|, clipped inputs, ADC codes,
+        # out-of-range flags, thresholds and weight signs, (block, N) each,
+        # into these; the codes, scaled by the period, take the narrowest
+        # signed dtype that holds 2^n * period, as narrow casts and divisions
+        # run faster
+        shape = (block, cfg.n_inputs)
+        self.magnitude, self.clipped = np.empty((2, *shape))
+        self.codes = np.empty(shape, np.min_scalar_type(-(self.period << cfg.binary_bits)))
+        self.outside = np.empty((2, *shape), bool)
+        self.thresholds = np.empty((2, *shape), self.seq2.dtype)
+        self.weight_signs = np.empty(shape, np.int8)
+        # chunk row r's bit t sits at position r * L + t: a phase shifted by
+        # 1 - r * L, plus the position, indexes phase + 1 + t of the doubled
+        # state table; a flip key shifted by -r * L * golden hashes the position
+        # as the key hashes t; a row's bounds end its first L bits, for every L
+        rows = np.arange(chunk)[:, None]
+        self.shift, self.bounds = 1 - longest * rows, longest * rows + [0, *self.lengths]
+        self.key_shift = rows.astype(np.uint64) * np.uint64(longest * _GOLDEN & _MASK64)
 
-        Inputs are (T, N) arrays, one row per trial, and `sel_phases` is
-        (T, levels). Each output bit is one product bit S_j[t] & W_j[t] of the
-        leaf j(t) the tree selects (flipped by its keyed draw), or 0 at a
-        padding leaf; the work is O(T * (N + L * levels)), never T * N * L,
-        and it writes into the run's buffers.
+    def row_step(self, trials: range, samples, weights) -> None:
+        """The row work of a draw block: thresholds, signs, oracle group sums and saturation.
+
+        Inputs are (T, N) arrays, one row per trial of `trials`. The
+        thresholds and signs go to the run's buffers, from which `count`
+        reads the block's chunks; the work is O(T * N).
         """
-        cfg, plan, longest, rows = self.cfg, self.plan, self.lengths[-1], len(trials)
-        out = slice(trials.start, trials.stop)
-        positive = weights >= 0.0
+        cfg, plan, n_rows = self.cfg, self.plan, len(trials)
+        self.block = trials
         convert = partial(_comparator_thresholds, binary_bits=cfg.binary_bits, period=self.period)
-        thr_out, flags = self.thresholds[:, :rows], self.outside[:, :rows]
-        work = self.clipped[:rows], self.codes[:rows]
+        thr_out, flags = self.thresholds[:, :n_rows], self.outside[:, :n_rows]
+        work = self.clipped[:n_rows], self.codes[:n_rows]
         thr_s, sat_s = convert(samples, out=thr_out[0], work=(*work, flags[0]))
-        magnitude = np.abs(weights, out=self.magnitude[:rows])
+        magnitude = np.abs(weights, out=self.magnitude[:n_rows])
         thr_w, sat_w = convert(magnitude, out=thr_out[1], work=(*work, flags[1]))
-        sign = positive.view(np.int8) * np.int8(2) - np.int8(1)
+        sign = self.weight_signs[:n_rows]
+        np.greater_equal(weights, 0.0, out=sign.view(bool))
+        sign *= 2
+        sign -= 1
+        out = slice(trials.start, trials.stop)
+        # a threshold is at most the period, below 2^20, so int64 holds every product
+        products = thr_s.astype(plan.dtype)
+        products *= thr_w
+        products *= sign
+        self.s_sums[out] = plan.group_sums(products)
+        if self.c_sums is not None:
+            self.c_sums[out] = plan.group_sums(sign)
+        self.saturated += np.count_nonzero(np.logical_or(sat_s, sat_w, out=sat_s))
 
+    def count(self, rows: slice, keys, phases_s, phases_w, sel_phases) -> None:
+        """Count the chunk `rows` of the last `row_step` block at its selected MUX leaves only.
+
+        The phases are the chunk's (T, N) rows, and `sel_phases` its
+        (T, levels) rows; `keys` are the block's (block, N) flip row keys,
+        read only with flips. Each output bit is one product bit
+        S_j[t] & W_j[t] of the leaf j(t) the tree selects (flipped by its
+        keyed draw), or 0 at a padding leaf; the work is O(T * L * levels),
+        never T * N * L, and it writes into the run's buffers.
+        """
+        cfg, plan, longest = self.cfg, self.plan, self.lengths[-1]
+        trials = self.block[rows]
+        n_rows, out = len(trials), slice(trials.start, trials.stop)
         # one select network feeds both trees, as a single MUX array would
-        leaf = self.leaf[: rows * longest].reshape(rows, longest)
+        leaf = self.leaf[: n_rows * longest].reshape(n_rows, longest)
         pos, flat = _selected_inputs(self.lsb2, sel_phases, cfg.n_inputs, leaf, self.flat)
         k = pos.size
         bits, hits, state, thr = self.bits[:k], self.hits[:k], self.state[:k], self.thr[:k]
+        thr_s, thr_w = self.thresholds[:, rows]
         for phases, thresholds, out_bits in ((phases_s, thr_s, bits), (phases_w, thr_w, hits)):
-            idx = (phases + self.shift[:rows]).take(flat, out=self.idx[:k], mode="clip")
+            idx = (phases + self.shift[:n_rows]).take(flat, out=self.idx[:k], mode="clip")
             idx += pos
             self.seq2.take(idx, out=state, mode="clip")
             thresholds.take(flat, out=thr, mode="clip")
             np.less_equal(state, thr, out=out_bits)
         bits &= hits
-        signs = sign.take(flat, out=self.sign[:k], mode="clip")
+        signs = self.weight_signs[rows].take(flat, out=self.sign[:k], mode="clip")
         if self.flips[-1] > 0.0:
             # the keyed draw of every selected bit, shared by every flip
-            keys = _flip_row_keys(cfg.seed, trials, cfg.n_inputs) - self.key_shift[:rows]
-            words = keys.take(flat, out=self.idx[:k].view(np.uint64), mode="clip")
+            shifted = keys[rows] - self.key_shift[:n_rows]
+            words = shifted.take(flat, out=self.idx[:k].view(np.uint64), mode="clip")
             unit_words(words, pos.view(np.uint64), out=words, work=flat.view(np.uint64))
         # a row's signed counts between consecutive bounds add up to each length's
         # (row 0's bounds are the lengths); reduceat reads an empty segment's
         # start, and a trailing 0 keeps a start of k inside
-        ends = pos.searchsorted(self.bounds[:rows])
+        ends = pos.searchsorted(self.bounds[:n_rows])
         starts, empty = ends[:, :-1].ravel(), ends[:, :-1] == ends[:, 1:]
         signed = self.flat[: k + 1]
         signed[k] = 0
@@ -465,14 +496,6 @@ class _ConventionalRun:
             sums = np.add.reduceat(signed, starts).reshape(empty.shape)
             sums[empty] = 0
             per_flip[:, out] = (sums.cumsum(axis=1) * (1 << plan.levels) / self.bounds[0, 1:]).T
-        # a threshold is at most the period, below 2^20, so int64 holds every product
-        products = thr_s.astype(plan.dtype)
-        products *= thr_w
-        products *= sign
-        self.s_sums[out] = plan.group_sums(products)
-        if self.c_sums is not None:
-            self.c_sums[out] = plan.group_sums(sign)
-        self.saturated += np.count_nonzero(np.logical_or(sat_s, sat_w, out=sat_s))
 
     def finish(self) -> None:
         """The exact oracles of every flip and the length-independent log notes."""
@@ -525,15 +548,22 @@ class _ProposedRun:
         cfg = self.cfg = cfgs[0]
         self.flips = sorted({c.flip_probability for c in cfgs})
         # the widest per-trial array is (N,) or the (N, m) flip masks
-        per_trial = cfg.n_inputs * cfg.m if self.flips[-1] > 0.0 else cfg.n_inputs
-        self.chunk = max(1, _CHUNK_ELEMENTS // per_trial)
+        self.width = cfg.n_inputs * cfg.m if self.flips[-1] > 0.0 else cfg.n_inputs
         self.n_p, self.n_n = np.empty((2, len(self.flips), cfg.trials), dtype=np.int64)
         self.oracle = np.empty(cfg.trials, dtype=np.int64)
         self.fired = self.clamped = 0
 
-    def count(self, trials, samples, weights):
-        """Count a chunk of trials; inputs are (T, N) arrays."""
-        cfg, m = self.cfg, self.cfg.m
+    def reserve(self, chunk: int, block: int) -> None:
+        """`count`'s chunks of up to `chunk` trials; the run holds no buffers across calls."""
+        self.chunk = chunk
+
+    def row_step(self, trials: range, samples, weights) -> None:
+        """The row work of a draw block: ASC levels, the oracles and the unflipped counts.
+
+        Inputs are (T, N) arrays, one row per trial of `trials`; the
+        product levels stay for `count` to flip.
+        """
+        m, out = self.cfg.m, slice(trials.start, trials.stop)
         positive = weights >= 0.0
         # each (T, N) temporary is freed as soon as it is summed
         exact, fired, clamped = asc_levels(samples, m)
@@ -542,22 +572,31 @@ class _ProposedRun:
         np.minimum(exact, asc_levels(np.abs(weights), m)[0], out=exact)
         n_p = np.where(positive, exact, 0).sum(axis=1)
         n_n = exact.sum(axis=1) - n_p
-        out = slice(trials.start, trials.stop)
         # the quantized oracle reads the same levels: sign * min(level_s, level_w)
         self.oracle[out] = n_p - n_n
-        if self.flips[-1] > 0.0:
-            products = np.arange(m) < exact[:, :, None]
-            keys = _flip_row_keys(cfg.seed, trials, cfg.n_inputs)[:, :, None]
-            words = unit_words(keys, np.arange(m))
         # the flips ascend, so a flip of 0 comes first and counts the unflipped levels
+        if self.flips[0] == 0.0:
+            self.n_p[0, out], self.n_n[0, out] = n_p, n_n
+        self.fired += fired
+        self.clamped += clamped
+        self.block, self.exact, self.positive = trials, exact, positive
+
+    def count(self, rows: slice, keys) -> None:
+        """Count every flip above 0 on the chunk `rows` of the last `row_step` block.
+
+        `keys` are the block's (block, N) flip row keys; the work is O(T * N * m).
+        """
+        if self.flips[-1] == 0.0:
+            return
+        m, trials, positive = self.cfg.m, self.block[rows], self.positive[rows]
+        out = slice(trials.start, trials.stop)
+        products = np.arange(m) < self.exact[rows, :, None]
+        words = unit_words(keys[rows, :, None], np.arange(m))
         for i, flip in enumerate(self.flips):
             if flip > 0.0:
                 per_pair = (products ^ unit_below(words, flip)).sum(axis=2, dtype=np.int64)
                 n_p = np.where(positive, per_pair, 0).sum(axis=1)
-                n_n = per_pair.sum(axis=1) - n_p
-            self.n_p[i, out], self.n_n[i, out] = n_p, n_n
-        self.fired += fired
-        self.clamped += clamped
+                self.n_p[i, out], self.n_n[i, out] = n_p, per_pair.sum(axis=1) - n_p
 
     def finish(self) -> None:
         """The decodes of every flip and the activity log, shared by every config."""
@@ -622,21 +661,23 @@ class ExperimentResult:
 
     @property
     def max_abs_error(self) -> float:
-        return float(np.abs(self.errors).max())
+        return self.statistics()["max_abs_error"]
 
     @property
     def rmse(self) -> float:
-        return float(np.sqrt(np.mean(self.errors**2)))
+        return self.statistics()["rmse"]
 
     @property
     def mean_error(self) -> float:
-        return float(self.errors.mean())
+        return self.statistics()["mean_error"]
 
     def statistics(self) -> dict[str, float]:
+        """Max |error|, RMSE and mean error, from one subtraction of the oracles."""
+        errors = self.errors
         return {
-            "max_abs_error": self.max_abs_error,
-            "rmse": self.rmse,
-            "mean_error": self.mean_error,
+            "max_abs_error": float(np.abs(errors).max()),
+            "rmse": float(np.sqrt(np.mean(errors**2))),
+            "mean_error": float(errors.mean()),
         }
 
     def to_json_dict(self) -> dict:
@@ -726,7 +767,8 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
         if fixed is None:
             dist.draw(rng, n)
         phases[row] = rng.integers(0, period, size=count)
-    return inputs + np.split(phases, np.cumsum(phase_sizes[:-1]), axis=1)
+    first, second = phase_sizes[0], phase_sizes[0] + phase_sizes[1]
+    return inputs + [phases[:, :first], phases[:, first:second], phases[:, second:]]
 
 
 def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
@@ -735,9 +777,10 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     The configs share the draw's (n_inputs, trials, seed, distribution), so
     they draw the same inputs and phases. The configs of each variant share
     one run, and so every field it reads but the stream length and the flip
-    probability. Every draw block holds whole chunks of each run, so each
-    run counts its own chunks of the block and only a run's last chunk can
-    be partial.
+    probability. Every draw block holds whole chunks of each run: each run
+    does the block's row work once, then counts its own chunks of the
+    block, and only a run's last chunk can be partial. The flip row keys
+    are hashed once per block for both runs.
     """
     if not cfgs:
         return []
@@ -757,28 +800,40 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
         if mine:
             _shared(mine, run_class.reads, f"{variant} configs run together")
             runs[variant] = run_class(*mine)
-    # every run's chunk becomes a multiple of the smallest
-    smallest = min(run.chunk for run in runs.values())
-    for run in runs.values():
-        run.chunk -= run.chunk % smallest
-    largest = max(run.chunk for run in runs.values())
     phase_sizes, period = max((run.phase_sizes, run.period) for run in runs.values())
+    # the trials whose inputs and raw phase words come to about a chunk's worth
+    per_block = _CHUNK_ELEMENTS // (2 * cfg.n_inputs + -(-sum(phase_sizes) // 2))
+    # a chunk takes about _CHUNK_ELEMENTS elements of its run's widest
+    # per-trial array; where one trial of the widest run holds more than
+    # that, a narrower run may take as many trials as fit it, up to a draw
+    # block's worth. Every run's chunk becomes a multiple of the smallest
+    budget = max(_CHUNK_ELEMENTS, *(run.width for run in runs.values()))
+    chunks = [
+        max(1, _CHUNK_ELEMENTS // run.width, min(budget // run.width, per_block))
+        for run in runs.values()
+    ]
+    chunks = [chunk - chunk % min(chunks) for chunk in chunks]
     # a draw block holds about a chunk's worth of drawn elements, as each
     # block pays a fixed cost for its phases, and at least one chunk
-    words = -(-sum(phase_sizes) // 2)
-    step = largest * max(1, _CHUNK_ELEMENTS // (2 * cfg.n_inputs + words) // largest)
+    largest = max(chunks)
+    step = largest * max(1, per_block // largest)
+    for run, chunk in zip(runs.values(), chunks):
+        run.reserve(chunk, step)
+    flipped = max(c.flip_probability for c in cfgs) > 0.0
     lanes = _trial_lanes(cfg.seed, cfg.trials)
     gen = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.trials, step):
         block = range(start, min(start + step, cfg.trials))
         arrays = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, period)
+        keys = _flip_row_keys(cfg.seed, block, cfg.n_inputs) if flipped else None
         for run in runs.values():
             del arrays[2 + len(run.phase_sizes) :]
+            run.row_step(block, *arrays[:2])
             for lo in range(0, len(block), run.chunk):
-                rows = slice(lo, lo + run.chunk)
-                run.count(block[rows], *(a[rows] for a in arrays))
+                rows = slice(lo, min(lo + run.chunk, len(block)))
+                run.count(rows, keys, *(a[rows] for a in arrays[2:]))
         # a block's rows are freed before the next block is drawn
-        del arrays
+        del arrays, keys
 
     for run in runs.values():
         run.finish()

@@ -373,9 +373,9 @@ def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch
     seen, priced = [], []
     real = cli._comparisons_for
 
-    def spy(points):
-        seen.extend(dict(point.efficiency_ops) for point in points)
-        results = real(points)
+    def spy(base, pairs):
+        seen.extend(dict(base.efficiency_ops) for _ in pairs)
+        results = real(base, pairs)
         priced.extend(result.proposed.energy.efficiency_ops for result in results)
         return results
 
@@ -383,7 +383,7 @@ def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch
     rc = main(["sweep", "--config", str(path), "--trials", "2", "--n-inputs", "4,8"])
     capsys.readouterr()
     assert rc == 0
-    # each point carries the configured labels; pricing adds its own 2N-1 count
+    # each point takes the configured labels; pricing adds its own 2N-1 count
     assert seen == [{"back_solved": 150, "paper_ops": 42}] * 2
     assert priced == [
         {"back_solved": 150, "paper_ops": 42, "structural_2n_minus_1": 2 * n - 1} for n in (4, 8)

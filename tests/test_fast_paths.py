@@ -178,6 +178,7 @@ def test_comparator_thresholds_match_adc_codes(bits, width):
         stream_length=period,
     )
     run = pipelines._ConventionalRun(cfg)
+    run.reserve(1, 1)
     out, work = run.thresholds[0, :1], (run.clipped[:1], run.codes[:1], run.outside[0, :1])
     got, flags = _comparator_thresholds(xs[None, :], bits, period, out, work)
     assert got is out and got.tolist() == [want] and flags.tolist() == [want_flags.tolist()]
@@ -535,12 +536,40 @@ def _run(cfg):
     return pipelines._ProposedRun(cfg)
 
 
+def _width(cfg):
+    """The widest per-trial array of `cfg`'s run: (N,), the (L,) leaf index or the (N, m) flips."""
+    if cfg.variant == "conventional":
+        return max(cfg.n_inputs, cfg.stream_length)
+    return cfg.n_inputs * cfg.m if cfg.flip_probability > 0.0 else cfg.n_inputs
+
+
+def _chunks(*cfgs):
+    """Each variant's chunk in `_run_pipeline` of `cfgs`, by the chunk rule written out.
+
+    A chunk takes about `_CHUNK_ELEMENTS` elements of its run's widest
+    per-trial array, or as many trials as fit one trial of the widest run,
+    up to the trials whose inputs and phase words come to `_CHUNK_ELEMENTS`;
+    each is then cut to a multiple of the smallest.
+    """
+    elements, n = pipelines._CHUNK_ELEMENTS, cfgs[0].n_inputs
+    widths = {}
+    for cfg in cfgs:
+        widths[cfg.variant] = max(widths.get(cfg.variant, 0), _width(cfg))
+    # the conventional run draws 2N input phases and one select phase per tree level
+    phases = 2 * n + mux_tree_scale(n).bit_length() - 1 if "conventional" in widths else 0
+    per_block = elements // (2 * n + -(-phases // 2))
+    budget = max(elements, *widths.values())
+    chunks = {v: max(1, elements // w, min(budget // w, per_block)) for v, w in widths.items()}
+    small = min(chunks.values())
+    return {variant: chunk // small * small for variant, chunk in chunks.items()}
+
+
 def _boundary_counts(*chunks):
     return sorted({t for c in chunks for t in (c - 1, c, c + 1, 2 * c + 1) if t >= 1})
 
 
 def _trial_counts(cfg):
-    return _boundary_counts(_run(cfg).chunk)
+    return _boundary_counts(_chunks(cfg)[cfg.variant])
 
 
 @pytest.mark.parametrize("variant", ("conventional", "proposed"))
@@ -684,10 +713,11 @@ def _full_matrix_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, l
 
 
 def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int):
-    """(decoded, oracle, log) of one trial through the conventional run's `count`.
+    """(decoded, oracle, log) of one trial through the conventional run's `row_step` and `count`.
 
     The trial is drawn as the pipeline draws it and counted as a one-trial
-    chunk at its own row; that row alone is then finished as a one-trial run.
+    block and chunk at its own row; that row alone is then finished as a
+    one-trial run.
     """
     rng = np.random.default_rng((cfg.seed, trial))
     period = cycle_length(cfg.lfsr_width, cfg.lfsr_taps)
@@ -695,7 +725,10 @@ def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int):
     phases = [rng.integers(0, period, size=k)[None] for k in (cfg.n_inputs, cfg.n_inputs, levels)]
     rows = np.asarray(samples)[None], np.asarray(weights)[None]
     run = pipelines._ConventionalRun(dataclasses.replace(cfg, trials=trial + 1))
-    run.count(range(trial, trial + 1), *rows, *phases)
+    run.reserve(1, 1)
+    block = range(trial, trial + 1)
+    run.row_step(block, *rows)
+    run.count(slice(0, 1), _flip_row_keys(cfg.seed, block, cfg.n_inputs), *phases)
     # the rows before the trial were never counted
     run.cfg = dataclasses.replace(cfg, trials=1)
     run.decoded, run.s_sums = run.decoded[..., trial:], run.s_sums[trial:]
@@ -843,9 +876,10 @@ def _assert_logs_identical(got: ActivityLog, want: ActivityLog):
 
 def _comparison_trial_counts(conv, prop):
     # the boundaries of each run's own chunk and of its chunk in a comparison,
-    # where the larger is cut to a multiple of the smaller
-    own = [_run(cfg).chunk for cfg in (conv, prop)]
-    return _boundary_counts(*own, *(c - c % min(own) for c in own))
+    # where the narrower run may take the wider one's budget and the larger
+    # chunk is cut to a multiple of the smaller
+    own = [_chunks(cfg)[cfg.variant] for cfg in (conv, prop)]
+    return _boundary_counts(*own, *_chunks(conv, prop).values())
 
 
 @pytest.mark.parametrize("n", (1, 7, 300))
@@ -882,10 +916,13 @@ def test_comparison_matches_separate_pipelines(n, flip, fixed, monkeypatch):
 @pytest.mark.parametrize("flip", (0.0, 0.02))
 @pytest.mark.parametrize("length", (1, 15, 8191))
 def test_runs_count_whole_aligned_chunks(flip, length, monkeypatch):
-    """Each run counts whole chunks in trial order; a comparison cuts the larger chunk.
+    """Each run counts whole chunks in trial order; a comparison may widen them and cuts the larger.
 
-    In a comparison the run with the smaller chunk keeps it, and the other
-    run's chunk is the largest multiple of it not above its own.
+    In a comparison a run takes as many elements per chunk as the wider
+    run's one-trial chunk, up to a draw block's worth of trials, if that is
+    more than its own budget; the run with the smaller chunk then keeps it,
+    and the other run's chunk is the largest multiple of it not above its
+    own.
     """
     monkeypatch.setattr(pipelines, "_CHUNK_ELEMENTS", 1 << 7)
     shared = dict(n_inputs=7, trials=41, flip_probability=flip, seed=3)
@@ -894,9 +931,8 @@ def test_runs_count_whole_aligned_chunks(flip, length, monkeypatch):
     # conventional chunk of 8 at L=15
     for m in (15, 5):
         prop = PipelineConfig(variant="proposed", m=m, **shared)
-        own = {cfg.variant: _run(cfg).chunk for cfg in (conv, prop)}
-        small = min(own.values())
-        aligned = {variant: chunk // small * small for variant, chunk in own.items()}
+        own = {cfg.variant: _chunks(cfg)[cfg.variant] for cfg in (conv, prop)}
+        aligned = _chunks(conv, prop)
         for cfgs, chunks in (((conv,), own), ((prop,), own), ((conv, prop), aligned)):
             run = partial(pipelines._run_pipeline, None, None, *cfgs)
             calls = _worker_inputs(monkeypatch, run)[1]
@@ -908,6 +944,72 @@ def test_runs_count_whole_aligned_chunks(flip, length, monkeypatch):
                 assert 1 <= sizes[-1] <= chunk, case
                 covered = [t for trials, _ in calls[cfg.variant] for t in trials]
                 assert covered == list(range(cfg.trials)), case
+
+
+def _step_calls(monkeypatch, run):
+    """The blocks and chunks of `run()`.
+
+    "keys" maps to the blocks whose flip keys were hashed, (variant, "rows")
+    to each run's `row_step` blocks and (variant, "count") to its chunks.
+    """
+    calls = {"keys": []}
+    real_keys = pipelines._flip_row_keys
+
+    def keys_spy(seed, trials, n):
+        calls["keys"].append(trials)
+        return real_keys(seed, trials, n)
+
+    with monkeypatch.context() as m:
+        m.setattr(pipelines, "_flip_row_keys", keys_spy)
+        for cls in (pipelines._ConventionalRun, pipelines._ProposedRun):
+
+            def rows_spy(self, trials, *arrays, _real=cls.row_step):
+                calls.setdefault((self.cfg.variant, "rows"), []).append(trials)
+                return _real(self, trials, *arrays)
+
+            def count_spy(self, rows, *arrays, _real=cls.count):
+                calls.setdefault((self.cfg.variant, "count"), []).append(self.block[rows])
+                return _real(self, rows, *arrays)
+
+            m.setattr(cls, "row_step", rows_spy)
+            m.setattr(cls, "count", count_spy)
+        run()
+    return calls
+
+
+def test_long_stream_sweep_works_its_rows_once_and_counts_proposed_in_one_call(monkeypatch):
+    """The sweep family's one 4-trial block: one key hash, one row step each, one proposed count."""
+    pairs = [
+        tuple(
+            PipelineConfig(
+                variant=variant, n_inputs=300, trials=4, stream_length=length, flip_probability=flip
+            )
+            for variant in ("conventional", "proposed")
+        )
+        for length in (8191, 32767)
+        for flip in (0.0, 0.02)
+    ]
+    calls = _step_calls(monkeypatch, lambda: pipelines.run_comparisons(pairs))
+    assert calls["keys"] == [range(4)]
+    assert calls["conventional", "rows"] == calls["proposed", "rows"] == [range(4)]
+    # a 32767-bit trial fills a conventional chunk
+    assert calls["conventional", "count"] == [range(t, t + 1) for t in range(4)]
+    assert calls["proposed", "count"] == [range(4)]
+
+
+@pytest.mark.parametrize("flip", (0.0, 0.02))
+def test_criterion_6_shape_works_its_rows_once_per_block(flip, monkeypatch):
+    """N=4, L=1024: blocks of 624 trials, each worked once and counted in chunks of 8."""
+    cfg = PipelineConfig(
+        variant="conventional", n_inputs=4, stream_length=1024, flip_probability=flip, trials=1300
+    )
+    calls = _step_calls(monkeypatch, lambda: conventional_pipeline(None, None, cfg))
+    blocks = [range(0, 624), range(624, 1248), range(1248, 1300)]
+    assert calls["conventional", "rows"] == blocks
+    # the keys are hashed only where a flip reads them
+    assert calls["keys"] == (blocks if flip else [])
+    chunks = [range(lo, min(lo + 8, 1300)) for lo in range(0, 1300, 8)]
+    assert calls["conventional", "count"] == chunks
 
 
 @dataclass(frozen=True)
@@ -1319,10 +1421,11 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
     runs = [_run(c) for c in cfgs]
     # each run's chunk is cut to a multiple of the smallest, so every step
     # holds whole chunks of each run
-    smallest = min(run.chunk for run in runs)
-    for run in runs:
-        run.chunk -= run.chunk % smallest
-    step = max(run.chunk for run in runs)
+    chunks = _chunks(*cfgs)
+    step = max(chunks.values())
+    for c, run in zip(cfgs, runs):
+        run.reserve(chunks[c.variant], step)
+    flipped = max(c.flip_probability for c in cfgs) > 0.0
     for start in range(0, cfg.trials, step):
         stop = min(start + step, cfg.trials)
         arrays = None
@@ -1338,12 +1441,14 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
                 arrays = [np.empty((stop - start, d.size), d.dtype) for d in draws]
             for column, d in zip(arrays, draws):
                 column[row] = d
+        keys = pipelines._flip_row_keys(cfg.seed, range(start, stop), n) if flipped else None
         for c, run in zip(cfgs, runs):
             columns = arrays if c.variant == "conventional" else arrays[:2]
+            run.row_step(range(start, stop), *columns[:2])
             for lo in range(start, stop, run.chunk):
                 hi = min(lo + run.chunk, stop)
                 rows = slice(lo - start, hi - start)
-                run.count(range(lo, hi), *(a[rows] for a in columns))
+                run.count(rows, keys, *(a[rows] for a in columns[2:]))
 
     for run in runs:
         run.finish()
@@ -1395,16 +1500,26 @@ def test_bounded_uint32_matches_integers_across_calls():
 
 
 def _worker_inputs(monkeypatch, run):
-    """The result of `run()` and each run's `count` calls in it: variant -> [(trials, inputs)]."""
+    """The result of `run()` and each run's chunks in it: variant -> [(trials, inputs)].
+
+    A chunk's inputs are its rows of the samples and weights its block's
+    `row_step` call took, then the phases its `count` call took.
+    """
     calls = {"conventional": [], "proposed": []}
     with monkeypatch.context() as m:
         for cls in (pipelines._ConventionalRun, pipelines._ProposedRun):
 
-            def spy(self, trials, *arrays, _real=cls.count):
-                calls[self.cfg.variant].append((trials, [np.array(a) for a in arrays]))
+            def rows_spy(self, trials, *arrays, _real=cls.row_step):
+                self.spied_inputs = [np.array(a) for a in arrays]
                 return _real(self, trials, *arrays)
 
-            m.setattr(cls, "count", spy)
+            def count_spy(self, rows, keys, *arrays, _real=cls.count):
+                inputs = [a[rows] for a in self.spied_inputs] + [np.array(a) for a in arrays]
+                calls[self.cfg.variant].append((self.block[rows], inputs))
+                return _real(self, rows, keys, *arrays)
+
+            m.setattr(cls, "row_step", rows_spy)
+            m.setattr(cls, "count", count_spy)
         return run(), calls
 
 
@@ -1514,8 +1629,12 @@ def test_lane_that_hits_lemire_rejection_is_redrawn(monkeypatch):
 COUNT_FLIPS = (0.0, 0.02, 1.0)
 
 
-def _assert_count_matches_references(n, width, lengths, trials, chunk=None):
-    """Count `trials` drawn trials in chunks of `chunk`, by default the run's, and check them."""
+def _assert_count_matches_references(n, width, lengths, trials, chunk=None, block=None):
+    """Count `trials` drawn trials and check them.
+
+    The run takes draw blocks of `block` trials, by default one chunk, and
+    counts each in chunks of `chunk` trials, by default the pipeline's.
+    """
     dist, seed = _OutOfRange(), 2**63 + 5
     cfgs = [
         PipelineConfig(
@@ -1534,8 +1653,10 @@ def _assert_count_matches_references(n, width, lengths, trials, chunk=None):
     ]
     run = pipelines._ConventionalRun(*cfgs)
     assert run.seq2.dtype == np.min_scalar_type(run.period)
-    chunk = chunk or run.chunk
-    assert chunk <= run.chunk
+    chunk = chunk or _chunks(*cfgs)["conventional"]
+    assert chunk <= _chunks(*cfgs)["conventional"]
+    block = block or chunk
+    run.reserve(chunk, block)
     # each trial drawn as the pipeline draws it: inputs, then the phases
     draws = []
     for trial in range(trials):
@@ -1543,17 +1664,27 @@ def _assert_count_matches_references(n, width, lengths, trials, chunk=None):
         inputs = dist.draw(rng, n)
         draws.append((*inputs, *(rng.integers(0, run.period, k) for k in run.phase_sizes)))
     arrays = [np.array(column) for column in zip(*draws)]
-    for lo in range(0, trials, chunk):
-        run.count(range(lo, min(lo + chunk, trials)), *(a[lo : lo + chunk] for a in arrays))
+    for start in range(0, trials, block):
+        trials_in_block = range(start, min(start + block, trials))
+        rows = [a[start : start + block] for a in arrays]
+        run.row_step(trials_in_block, *rows[:2])
+        keys = _flip_row_keys(seed, trials_in_block, n)
+        for lo in range(0, len(trials_in_block), chunk):
+            chunk_rows = slice(lo, min(lo + chunk, len(trials_in_block)))
+            run.count(chunk_rows, keys, *(a[chunk_rows] for a in rows[2:]))
 
+    # every trial's saturated inputs, as its reference logs them once
+    saturation = ActivityLog()
     for trial, (samples, weights, *_) in enumerate(draws):
         for cfg in cfgs:
             rng = np.random.default_rng((seed, trial))
             dist.draw(rng, n)
-            want, _ = _conventional_trial(samples, weights, cfg, rng, trial, ActivityLog())
+            log = saturation if cfg is cfgs[0] else ActivityLog()
+            want, _ = _conventional_trial(samples, weights, cfg, rng, trial, log)
             i, j = run.flips.index(cfg.flip_probability), run.lengths.index(cfg.stream_length)
             case = (trial, cfg.stream_length, cfg.flip_probability)
             assert run.decoded[i, j, trial] == want, case
+    assert run.saturated == saturation.meta.get("adc_saturation", 0)
     thr_s, _ = _comparator_thresholds(arrays[0], cfgs[0].binary_bits, run.period)
     thr_w, _ = _comparator_thresholds(np.abs(arrays[1]), cfgs[0].binary_bits, run.period)
     want_s, want_c, present = _popcount_matmul_sums(thr_s, thr_w, arrays[1] >= 0.0, run.plan.levels)
@@ -1582,6 +1713,18 @@ def test_count_matches_per_trial_references(n, width, lengths):
 )
 def test_count_matches_per_trial_references_in_many_trial_chunks(n, length, trials):
     _assert_count_matches_references(n, 15, (1, length // 2, length), trials)
+
+
+@pytest.mark.parametrize(
+    "n, lengths, block, trials",
+    # the long-stream sweep family's one-trial chunks in its blocks of 4
+    # trials, and criterion 6's 8-trial chunks of 1024 bits in its blocks of
+    # 624 trials, each run ending on a partial block of a partial chunk
+    [(300, (8191, 32767), 4, 4 * 2 + 3), (4, (1024,), 624, 624 + 8 * 2 + 5)],
+)
+def test_count_matches_per_trial_references_in_many_chunk_blocks(n, lengths, block, trials):
+    """A block's row work once, then its chunks' bits: every chunk and block boundary."""
+    _assert_count_matches_references(n, 15, lengths, trials, block=block)
 
 
 # Block draws: every shipped distribution fills one row per trial and shapes

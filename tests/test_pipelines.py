@@ -251,11 +251,12 @@ def test_many_trial_conventional_peak_memory():
 
 
 def test_warm_long_stream_count_allocates_little_beyond_its_run():
-    """A warm one-trial `count` of the long-stream sweep family writes into its run's buffers.
+    """A warm one-trial block of the long-stream sweep family writes into its run's buffers.
 
-    Beyond them it allocates the positions of the real selected bits, 8
-    bytes each (about 150 KiB for the 19k real ones of 32767 at N=300), and
-    arrays of a few bytes per input: 256 KiB in all.
+    Its flip row keys, row work and one-trial `count` allocate, beyond the
+    buffers, the positions of the real selected bits, 8 bytes each (about
+    150 KiB for the 19k real ones of 32767 at N=300), and arrays of a few
+    bytes per input: 256 KiB in all.
     """
     cfgs = [
         conv_cfg(n_inputs=300, trials=4, stream_length=length, flip_probability=flip)
@@ -263,14 +264,22 @@ def test_warm_long_stream_count_allocates_little_beyond_its_run():
         for flip in (0.0, 0.02)
     ]
     run = pipelines._ConventionalRun(*cfgs)
-    assert run.chunk == 1
+    # one trial is wider than the chunk budget, so a chunk holds one trial
+    assert run.width > pipelines._CHUNK_ELEMENTS
+    run.reserve(1, 1)
     rng = np.random.default_rng(3)
     inputs = rng.uniform(0.0, 1.0, (1, 300)), rng.uniform(-1.0, 1.0, (1, 300))
     phases = [rng.integers(0, run.period, (1, k)) for k in run.phase_sizes]
-    run.count(range(1), *inputs, *phases)
+
+    def block():
+        keys = pipelines._flip_row_keys(cfgs[0].seed, range(1), 300)
+        run.row_step(range(1), *inputs)
+        run.count(slice(0, 1), keys, *phases)
+
+    block()
     tracemalloc.start()
     try:
-        run.count(range(1), *inputs, *phases)
+        block()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
