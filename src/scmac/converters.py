@@ -61,28 +61,16 @@ def adc_quantize_flagged(x: float, bits: int) -> tuple[int, bool]:
     return code, saturated
 
 
-def _clip_unit(x) -> tuple[np.ndarray, np.ndarray]:
-    """x clipped to [0, 1] as float64, and its out-of-range flags; NaN is rejected."""
+def _clip_unit(x, out=None, flags=None) -> tuple[np.ndarray, np.ndarray]:
+    """x clipped to [0, 1] as float64, and its out-of-range flags, into `out` and
+    `flags` where given (arrays of x's shape) or new arrays; NaN is rejected."""
     x = np.asarray(x, dtype=np.float64)
-    xc = np.minimum(np.maximum(x, 0.0), 1.0)
-    outside = xc != x  # NaN passes through the clip, so it is flagged too
-    if np.count_nonzero(outside) and np.isnan(x).any():
+    out = np.minimum(np.maximum(x, 0.0, out=out), 1.0, out=out)
+    # NaN passes through the clip, so it is flagged too
+    flags = np.not_equal(out, x, out=flags)
+    if np.count_nonzero(flags) and np.isnan(x).any():
         raise ConversionError("converter input is NaN")
-    return xc, outside
-
-
-def adc_codes(x, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Array form of `adc_quantize_flagged`: int64 codes and saturation flags.
-
-    Scaling by 2^bits is exact in binary floating point, so truncating the
-    clipped, non-negative product gives the same code as the scalar ADC's
-    floor for every input. Codes are int64, so at most 62 bits are allowed.
-    """
-    if not 1 <= bits <= 62:
-        raise ConversionError(f"array ADC needs 1 to 62 bits, got {bits}")
-    xc, saturated = _clip_unit(x)
-    codes = (xc * float(1 << bits)).astype(np.int64)
-    return np.minimum(codes, (1 << bits) - 1), saturated
+    return out, flags
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ class InputDistribution:
 
     `fill_row` fills a row from the generator with one call, and
     `shape_block` turns a (T, 2N) block of filled rows into inputs in place,
-    so a run fills one row per trial and shapes each block once. A
-    distribution that overrides `draw` instead is drawn one trial at a time.
+    so a run fills one row per trial and shapes each block once.
     """
 
     kind = "abstract"

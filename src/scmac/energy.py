@@ -322,13 +322,6 @@ def naive_activity(n_inputs: int) -> tuple[ActivityLog, ActivityLog]:
 # ---------------------------------------------------------------------------
 
 
-def enabled_sa_count_for_level(level: int, m: int) -> int:
-    """SAs fired by chain gating for a conversion that lands at `level` ones."""
-    if not (0 <= level <= m):
-        raise EnergyModelError(f"level {level} outside [0, {m}]")
-    return 1 + min(level, m - 1)
-
-
 def expected_enabled_sas(m: int, survival: Callable[[float], float]) -> float:
     """Closed-form chain-gating average: 1 + sum_i P(x >= i/(m+1)).
 

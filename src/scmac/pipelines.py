@@ -31,7 +31,7 @@ from . import mac as mac_mod
 from ._prng import _GOLDEN, _MASK64, bounded_uint32, mix, pcg64_lanes, splitmix64_array
 from ._prng import unit_below, unit_words
 from .bitstream import mux_tree_scale
-from .converters import asc_levels, thermometer_quantize
+from .converters import _clip_unit, asc_levels, thermometer_quantize
 from .distributions import Explicit, InputDistribution, Uniform
 from .energy import (
     ENERGY_PROFILES,
@@ -43,7 +43,7 @@ from .energy import (
     naive_activity,
     reduction_percent,
 )
-from .errors import ConfigError, ConversionError, MacError, SizeMismatchError, short_int
+from .errors import ConfigError, MacError, SizeMismatchError, short_int
 from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_table
 from .mac import MacConfig
 
@@ -174,24 +174,18 @@ class PipelineConfig:
 def _comparator_thresholds(x, binary_bits: int, period: int, out=None, work=None):
     """Comparator thresholds of inputs x and where x lies outside [0, 1]; NaN is rejected.
 
-    A threshold floor-scales x's n-bit ADC code, the code `adc_codes` gives,
+    A threshold floor-scales x's n-bit ADC code, `adc_quantize_flagged`'s
     min(floor(clip(x, 0, 1) * 2^n), 2^n - 1), onto the LFSR range:
     floor(code * period / (2^n - 1)) is the code's full-period ones count,
-    and PipelineConfig keeps code * period below 2^63. `out` takes the
+    the code itself at period 2^n - 1, and PipelineConfig keeps code *
+    period below 2^63. This is the one array ADC. `out` takes the
     thresholds, in any integer dtype that holds the period, and `work`, a
     triple of arrays of x's shape, the clipped inputs (float64), the codes
     (a signed dtype that holds 2^n * period) and the flags (bool); where not
     given, they are new arrays and the thresholds are the int64 codes array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if work is None:
-        work = np.empty(x.shape), np.empty(x.shape, np.int64), np.empty(x.shape, bool)
-    clipped, codes, outside = work
-    np.maximum(x, 0.0, out=clipped)
-    np.minimum(clipped, 1.0, out=clipped)
-    # NaN passes through the clip, so it is flagged too
-    if np.count_nonzero(np.not_equal(clipped, x, out=outside)) and np.isnan(x).any():
-        raise ConversionError("converter input is NaN")
+    clipped, codes, outside = work or (None, np.empty(np.shape(x), np.int64), None)
+    clipped, outside = _clip_unit(x, clipped, outside)
     # scaling by 2^n is exact, and the cast truncates the non-negative product
     np.multiply(clipped, float(1 << binary_bits), out=codes, casting="unsafe")
     top = (1 << binary_bits) - 1
@@ -727,18 +721,13 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
     """
     n, rows, dist = cfg.n_inputs, len(trials), cfg.distribution
     count = sum(phase_sizes)
+    block = np.empty((rows, 2 * n))
     if fixed is not None:
-        inputs = [np.tile(x, (rows, 1)) for x in fixed]
-        if not count:
-            return inputs
-    block = None if fixed is not None else np.empty((rows, 2 * n))
-    # a distribution with its own `draw` is drawn a trial at a time, and may
-    # leave a spare 32-bit half that shifts the stream the phases read
-    per_trial = block is not None and type(dist).draw is not InputDistribution.draw
+        block[:, :n], block[:, n:] = fixed
     bg = gen.bit_generator
     raw = np.empty((rows, -(-count // 2)), dtype=np.uint64)
-    spare = []
-    for row in range(rows):
+    # fixed inputs without phases draw nothing, so no lane is seeded for them
+    for row in range(rows if fixed is None or count else 0):
         state, inc = next(lanes)
         bg.state = {
             "bit_generator": "PCG64",
@@ -746,22 +735,16 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
             "has_uint32": 0,
             "uinteger": 0,
         }
-        if per_trial:
-            block[row, :n], block[row, n:] = dist.draw(gen, n)
-            if bg.state["has_uint32"]:
-                spare.append(row)
-        elif block is not None:
+        if fixed is None:
             dist.fill_row(gen, block[row])
         if count:
             raw[row] = bg.random_raw(raw.shape[1])
-    if block is not None:
-        if not per_trial:
-            dist.shape_block(block)
-        inputs = [block[:, :n], block[:, n:]]
+    if fixed is None:
+        dist.shape_block(block)
+    inputs = [block[:, :n], block[:, n:]]
     if not count:
         return inputs
     phases, redraw = bounded_uint32(raw, count, period)
-    redraw[spare] = True
     for row in np.flatnonzero(redraw):
         rng = np.random.default_rng((cfg.seed, trials[row]))
         if fixed is None:

@@ -22,7 +22,6 @@ from scmac import (
 from scmac.energy import (
     EVENT_KEYS,
     brute_force_enabled_average,
-    enabled_sa_count_for_level,
     uniform_survival,
     zero_peaked_survival,
 )
@@ -167,10 +166,6 @@ def test_naive_profile_lands_in_expected_band():
     # the ADC line dominates the conventional side
     conv_report = accumulate(conv_log, conv)
     assert conv_report.categories_fj["adc_convert"] > 0.5 * conv_report.total_fj
-
-
-def test_enabled_sa_count_per_level():
-    assert [enabled_sa_count_for_level(c, 3) for c in range(4)] == [1, 2, 3, 3]
 
 
 def test_expected_enabled_uniform_closed_form():

@@ -34,10 +34,10 @@ from scmac._prng import (
     unit_words,
 )
 from scmac.bitstream import flip_mask, mux_tree_scale
-from scmac.converters import adc_codes, adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
-from scmac.distributions import InputDistribution, Uniform, ZeroPeakedGaussian
+from scmac.converters import adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
+from scmac.distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
 from scmac.energy import ActivityLog
-from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle
+from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle, state_table
 from scmac.mac import ProductCounts, charge_share, decode_voltage, phase1_voltages
 from scmac.pipelines import _comparator_thresholds, _flip_row_keys
 
@@ -110,7 +110,9 @@ def test_asc_levels_rejects_nan():
 
 
 def _assert_adc_matches(xs, bits):
-    codes, saturated = adc_codes(np.asarray(xs, dtype=np.float64), bits)
+    """The thresholds at period 2^n - 1, where each equals its code, against the scalar ADC."""
+    xs = np.asarray(xs, dtype=np.float64)
+    codes, saturated = _comparator_thresholds(xs, bits, (1 << bits) - 1)
     want = [adc_quantize_flagged(float(x), bits) for x in xs]
     assert list(zip(codes.tolist(), saturated.tolist())) == want
 
@@ -134,10 +136,31 @@ def test_adc_codes_at_code_boundaries(bits):
 
 
 def test_adc_codes_widest_supported_width():
-    _assert_adc_matches([0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.5], 62)
-    for bits in (0, 63):
-        with pytest.raises(ConversionError):
-            adc_codes([0.5], bits)
+    """61 bits at the narrowest register, period 3: code * 3 // (2^61 - 1) of the scalar code."""
+    bits, period = 61, 3
+    xs = [0.0, 0.5, float(np.nextafter(1.0, 0.0)), 1.0, 1.5]
+    cfg = PipelineConfig(
+        variant="conventional",
+        n_inputs=len(xs),
+        binary_bits=bits,
+        lfsr_width=2,
+        lfsr_taps=(2, 1),
+        stream_length=period,
+    )
+    codes, want_flags = zip(*(adc_quantize_flagged(x, bits) for x in xs))
+    want = [c * period // ((1 << bits) - 1) for c in codes]
+    got, flags = _comparator_thresholds(np.array(xs), bits, period)
+    assert got.tolist() == want and flags.tolist() == list(want_flags)
+    # and in a run's buffers, whose codes need all of int64
+    run = pipelines._ConventionalRun(cfg)
+    run.reserve(1, 1)
+    out, work = run.thresholds[0, :1], (run.clipped[:1], run.codes[:1], run.outside[0, :1])
+    got, flags = _comparator_thresholds(np.array([xs]), bits, period, out, work)
+    assert got.tolist() == [want] and flags.tolist() == [list(want_flags)]
+    assert run.codes.dtype == np.int64
+    for bits in (0, 62):
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, binary_bits=bits)
 
 
 def _threshold_inputs(bits: int) -> list[float]:
@@ -161,13 +184,13 @@ def _threshold_inputs(bits: int) -> list[float]:
     "bits, width", [(1, 15), (2, 3), (4, 15), (7, 8), (10, 20), (16, 15), (33, 20), (48, 15)]
 )
 def test_comparator_thresholds_match_adc_codes(bits, width):
-    """floor(code * P / (2^n - 1)) of `adc_codes`' codes, and their flags, in new and run buffers."""
+    """floor(code * P / (2^n - 1)) of scalar ADC codes, and their flags, in new and run buffers."""
     xs = np.array(_threshold_inputs(bits))
     period = (1 << width) - 1
-    codes, want_flags = adc_codes(xs, bits)
-    want = [c * period // ((1 << bits) - 1) for c in codes.tolist()]
+    codes, want_flags = zip(*(adc_quantize_flagged(x, bits) for x in xs.tolist()))
+    want, want_flags = [c * period // ((1 << bits) - 1) for c in codes], list(want_flags)
     got, flags = _comparator_thresholds(xs, bits, period)
-    assert got.tolist() == want and flags.tolist() == want_flags.tolist()
+    assert got.tolist() == want and flags.tolist() == want_flags
     # a run's buffers: the state table's dtype and the narrowest codes that hold 2^n * P
     cfg = PipelineConfig(
         variant="conventional",
@@ -181,7 +204,7 @@ def test_comparator_thresholds_match_adc_codes(bits, width):
     run.reserve(1, 1)
     out, work = run.thresholds[0, :1], (run.clipped[:1], run.codes[:1], run.outside[0, :1])
     got, flags = _comparator_thresholds(xs[None, :], bits, period, out, work)
-    assert got is out and got.tolist() == [want] and flags.tolist() == [want_flags.tolist()]
+    assert got is out and got.tolist() == [want] and flags.tolist() == [want_flags]
     assert np.iinfo(run.codes.dtype).min <= -(period << bits)
     assert run.codes.dtype.itemsize <= (8 if bits + width > 31 else 4)
     for bad in ([0.5, np.nan], [np.nan]):
@@ -394,8 +417,9 @@ def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, 
     """
     n_bits = cfg.binary_bits
     width, taps = cfg.lfsr_width, cfg.lfsr_taps
-    seq, _ = state_cycle(width, taps)
-    period = seq.size
+    period = cycle_length(width, taps)
+    # int64, as a uint8 state would overflow the select shifts below
+    seq = state_table(width, taps)[:period].astype(np.int64)
     length = cfg.stream_length
     n = cfg.n_inputs
 
@@ -511,12 +535,20 @@ def _per_trial_run(samples, weights, cfg: PipelineConfig):
 
 @dataclass(frozen=True)
 class _OutOfRange(InputDistribution):
-    """Inputs that overshoot both ends of the range, so the ADC saturates and the ASC clamps."""
+    """Inputs that overshoot both ends of the range, so the ADC saturates and the ASC clamps:
+    numpy's `uniform(-0.3, 1.3)` samples and `uniform(-1.3, 1.3)` weights."""
 
     kind = "out_of_range"
 
-    def draw(self, rng, n):
-        return rng.uniform(-0.3, 1.3, n), rng.uniform(-1.3, 1.3, n)
+    def fill_row(self, rng, row):
+        rng.random(out=row)
+
+    def shape_block(self, block):
+        # numpy's uniform(low, high) is low + (high - low) * x
+        n = block.shape[1] // 2
+        for part, (low, high) in ((block[:, :n], (-0.3, 1.3)), (block[:, n:], (-1.3, 1.3))):
+            part *= high - low
+            part += low
 
 
 def _assert_batched_matches_per_trial(samples, weights, cfg):
@@ -1013,15 +1045,15 @@ def test_criterion_6_shape_works_its_rows_once_per_block(flip, monkeypatch):
 
 
 @dataclass(frozen=True)
-class _CountingUniform(InputDistribution):
-    """Uniform draws that tally how often they are drawn."""
+class _CountingUniform(Uniform):
+    """Uniform draws that tally how often a trial's row is filled."""
 
     draws: list = dataclasses.field(default_factory=list, compare=False, hash=False)
     kind = "counting_uniform"
 
-    def draw(self, rng, n):
-        self.draws.append(n)
-        return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    def fill_row(self, rng, row):
+        self.draws.append(row.size // 2)
+        super().fill_row(rng, row)
 
 
 def test_comparison_draws_each_trial_once():
@@ -1543,17 +1575,7 @@ def _assert_lanes_match_default_rng(samples, weights, *cfgs, monkeypatch):
         _assert_logs_identical(g.activity, w.activity)
 
 
-@dataclass(frozen=True)
-class _HalfWordInputs(InputDistribution):
-    """Inputs from `integers`, which draws 32-bit halves: an odd N leaves a spare half."""
-
-    kind = "half_word"
-
-    def draw(self, rng, n):
-        return rng.integers(0, 9, n) / 8.0, rng.integers(-8, 9, n) / 8.0
-
-
-@pytest.mark.parametrize("inputs", ("uniform", "gaussian", "fixed", "half_word"))
+@pytest.mark.parametrize("inputs", ("uniform", "gaussian", "fixed", "explicit"))
 @pytest.mark.parametrize("n", (1, 7, 300))
 def test_lane_draws_match_default_rng_draws(inputs, n, monkeypatch):
     # a small chunk budget puts chunk and draw-block boundaries inside short
@@ -1564,9 +1586,12 @@ def test_lane_draws_match_default_rng_draws(inputs, n, monkeypatch):
     fixed = inputs == "fixed"
     samples = rng.uniform(-0.1, 1.1, n) if fixed else None
     weights = rng.uniform(-1.1, 1.1, n) if fixed else None
-    dist = {"gaussian": ZeroPeakedGaussian(0.3), "half_word": _HalfWordInputs()}.get(
-        inputs, Uniform()
-    )
+    explicit = Explicit(tuple(rng.uniform(0.0, 1.0, n)), tuple(rng.uniform(-1.0, 1.0, n)))
+    dist = {"gaussian": ZeroPeakedGaussian(0.3), "explicit": explicit}.get(inputs, Uniform())
+    # a row's fill leaves no spare 32-bit half, which would shift the phases drawn after it
+    gen = np.random.default_rng(n)
+    dist.fill_row(gen, np.empty(2 * n))
+    assert gen.bit_generator.state["has_uint32"] == 0
     for width, taps in WIDTH_TAPS.items():
         shared = dict(n_inputs=n, distribution=dist, seed=2**63 + 5)
         conv = PipelineConfig(
@@ -1585,6 +1610,14 @@ def test_lane_draws_match_default_rng_draws(inputs, n, monkeypatch):
             _assert_lanes_match_default_rng(samples, weights, cfgs[0], monkeypatch=monkeypatch)
             if width == 15:
                 _assert_lanes_match_default_rng(samples, weights, cfgs[1], monkeypatch=monkeypatch)
+
+
+def test_fixed_inputs_without_phases_seed_no_lanes(monkeypatch):
+    # a proposed run of fixed inputs draws nothing, so no trial's generator is seeded
+    monkeypatch.setattr(pipelines, "pcg64_lanes", None)
+    cfg = PipelineConfig(variant="proposed", n_inputs=3, trials=5)
+    res = proposed_pipeline([0.1, 0.5, 0.9], [0.5, -0.5, 1.0], cfg)
+    assert np.array_equal(res.decoded, np.full(5, res.oracle[0]))
 
 
 # seed 1, trial 180 at N=300, sigma 0.15 and width 17: one of its phase
@@ -1727,12 +1760,15 @@ def test_count_matches_per_trial_references_in_many_chunk_blocks(n, lengths, blo
     _assert_count_matches_references(n, 15, lengths, trials, block=block)
 
 
-# Block draws: every shipped distribution fills one row per trial and shapes
-# the whole block; each row must be what numpy's own calls give that trial.
+# Block draws: every shipped distribution, and the tests' out-of-range one,
+# fills one row per trial and shapes the whole block; each row must be what
+# numpy's own calls give that trial.
 
 
 def _numpy_inputs(dist, rng, n):
     """One trial's inputs from numpy's `uniform` and `normal`, with the clips written out."""
+    if isinstance(dist, _OutOfRange):
+        return rng.uniform(-0.3, 1.3, n), rng.uniform(-1.3, 1.3, n)
     if isinstance(dist, Uniform):
         return rng.uniform(0.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
     samples = np.minimum(np.abs(rng.normal(0.0, dist.sigma, n)), 1.0)
@@ -1749,7 +1785,13 @@ def _assert_identical(got, want, case):
 # makes +0.0
 @pytest.mark.parametrize(
     "dist",
-    (Uniform(), ZeroPeakedGaussian(0.15), ZeroPeakedGaussian(3.0), ZeroPeakedGaussian(5e-324)),
+    (
+        Uniform(),
+        ZeroPeakedGaussian(0.15),
+        ZeroPeakedGaussian(3.0),
+        ZeroPeakedGaussian(5e-324),
+        _OutOfRange(),
+    ),
     ids=repr,
 )
 @pytest.mark.parametrize("n", (1, 4, 7, 300))

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module of `src/scmac`, a test or a demo imports
-is used in it, and every module-level private name is read somewhere in the
-package."""
+is used in it, every module-level private name is read somewhere in the
+package, and every public function and class serves the package, its
+exports, the demos or the benchmark, not the tests alone."""
 
 import ast
 from pathlib import Path
@@ -106,3 +107,39 @@ def test_unread_private_name_check_finds_unread_names():
 def test_every_private_name_is_read_in_the_package():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert _unread_private_names(sources) == []
+
+
+# scalar models kept as oracles for the tests, which no program reads
+TEST_ORACLES = {"lfsr.py:lfsr_outputs", "mac.py:baseline_voltage"}
+
+
+def _unread_public_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Public module-level functions and classes of `sources` that neither
+    `sources` nor `readers` read."""
+    read = set().union(*(_read_names(source) for source in [*sources.values(), *readers]))
+    return sorted(
+        f"{module}:{node.name}"
+        for module, source in sources.items()
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_unread_public_definition_check_finds_unread_definitions():
+    sources = {
+        "a.py": "def used():\n    pass\ndef helper():\n    return used()\nclass Dead:\n    pass\n",
+        # exported through an import, like `__init__.py`
+        "__init__.py": "from .b import Exported\n",
+        "b.py": "class Exported:\n    pass\ndef demo_only():\n    pass\nLATER = 1\n",
+    }
+    readers = ["import b\nb.demo_only()\n"]
+    assert _unread_public_definitions(sources, readers) == ["a.py:Dead", "a.py:helper"]
+
+
+def test_every_public_definition_is_read_outside_the_tests():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    folders = (ROOT / "demos", ROOT / "perfbench")
+    readers = [p.read_text() for folder in folders for p in folder.glob("*.py")]
+    assert set(_unread_public_definitions(sources, readers)) == TEST_ORACLES
