@@ -311,33 +311,6 @@ def _flip_row_keys(seed: int, trials: range, n: int) -> np.ndarray:
     return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
 
 
-def _selected_inputs(lsb2, sel_phases, n: int, leaf, flat):
-    """Flat bit position row * L + t and flat input index row * N + j(t) of every real selected bit.
-
-    Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the tree
-    outputs leaf j(t) = sum_l sel_l[t] << l (Horner's rule). Leaves j >= N
-    are all-zero padding, never flipped, and are dropped. `leaf` is a (T, L)
-    buffer of an unsigned dtype that holds 2^levels - 1 and T * N, and
-    `flat` an int64 buffer of T * L or more.
-    """
-    # row p is the window lsb2[p + 1 : p + 1 + L]; rows stop inside the table.
-    # A view on the table's buffer, as as_strided would build, intern and
-    # drop the keys of an __array_interface__ dict on every call, and so
-    # churn the interpreter's table of interned strings
-    shape, strides = (lsb2.size // 2, leaf.shape[1]), lsb2.strides * 2
-    windows = np.ndarray(shape, lsb2.dtype, lsb2, lsb2.itemsize, strides)
-    leaf.fill(0)
-    for level in reversed(range(sel_phases.shape[1])):
-        leaf <<= 1
-        leaf |= windows[sel_phases[:, level]]
-    # the mask of real leaves borrows the bytes of `flat`
-    pos = np.flatnonzero(np.less(leaf, n, out=flat.view(bool)[: leaf.size].reshape(leaf.shape)))
-    leaf += (n * np.arange(leaf.shape[0]))[:, None].astype(leaf.dtype)
-    flat = flat[: pos.size]
-    flat[:] = leaf.ravel()[pos]
-    return pos, flat
-
-
 def _shared(cfgs, names, what: str) -> None:
     """ConfigError naming the fields of `names` on which `cfgs` differ, if any."""
     differ = [name for name in names if len({getattr(cfg, name) for cfg in cfgs}) > 1]
@@ -393,6 +366,10 @@ class _ConventionalRun:
         # buffers; `flat` has room for the trailing 0 of the signed counts
         size, most = chunk * longest, max(chunk * cfg.n_inputs, 1 << self.plan.levels)
         self.leaf = np.empty(size, np.min_scalar_type(most - 1))
+        # the select bytes are built in `acc`, which is the leaf itself when it
+        # is a byte; row r's leaves plus r * N are its flat input indices
+        self.acc = self.leaf if self.leaf.itemsize == 1 else np.empty(size, np.uint8)
+        self.leaf_offsets = (cfg.n_inputs * np.arange(chunk)[:, None]).astype(self.leaf.dtype)
         self.flat, self.idx = np.empty(size + 1, np.int64), np.empty(size, np.int64)
         self.state, self.thr = np.empty((2, size), self.seq2.dtype)
         self.bits, self.hits = np.empty((2, size), bool)
@@ -443,7 +420,57 @@ class _ConventionalRun:
         self.s_sums[out] = plan.group_sums(products)
         if self.c_sums is not None:
             self.c_sums[out] = plan.group_sums(sign)
-        self.saturated += np.count_nonzero(np.logical_or(sat_s, sat_w, out=sat_s))
+        self.saturated += int(np.count_nonzero(np.logical_or(sat_s, sat_w, out=sat_s)))
+
+    def selected_inputs(self, sel_phases):
+        """Flat bit position row * L + t and flat input index row * N + j(t) of every real selected bit.
+
+        Tree level l sends slot 2k + sel_l[t] to slot k, so at bit t the tree
+        outputs leaf j(t) = sum_l sel_l[t] << l. Leaves j >= N are all-zero
+        padding, never flipped, and are dropped. `sel_phases` are the chunk's
+        (T, levels) select phases, and L is the longest stream length; the
+        work is O(T * L * levels) byte operations, into the run's buffers.
+        """
+        lsb2, levels, n = self.lsb2, sel_phases.shape[1], self.cfg.n_inputs
+        n_rows, longest = sel_phases.shape[0], self.lengths[-1]
+        size = n_rows * longest
+        leaf = self.leaf[:size].reshape(n_rows, longest)
+        acc = self.acc[:size].reshape(n_rows, longest)
+        # row p is the window lsb2[p + 1 : p + 1 + L]; rows stop inside the table.
+        # A view on the table's buffer, as as_strided would build, intern and
+        # drop the keys of an __array_interface__ dict on every call, and so
+        # churn the interpreter's table of interned strings
+        shape, strides = (lsb2.size // 2, longest), lsb2.strides * 2
+        windows = np.ndarray(shape, lsb2.dtype, lsb2, lsb2.itemsize, strides)
+        if not levels:
+            # a one-input tree selects leaf 0 at every bit
+            leaf.fill(0)
+        # a scalar phase reads its window as a view, an array of them gathers
+        phases = sel_phases[0] if n_rows == 1 else sel_phases.T
+        # Horner's rule on each byte of levels, top byte first, in uint8 steps
+        # (uint16 shifts and mixed-dtype ORs measured slower); each byte then
+        # goes into the leaf with one shift and OR
+        for lo in reversed(range(0, levels, 8)):
+            top = min(lo + 8, levels) - 1
+            acc[...] = windows[phases[top]]
+            for level in reversed(range(lo, top)):
+                acc += acc
+                acc |= windows[phases[level]]
+            if lo + 8 < levels:
+                leaf <<= 8
+                leaf |= acc
+            elif self.acc is not self.leaf:
+                np.copyto(leaf, acc)
+        # the mask of real leaves borrows the bytes of `flat`
+        pos = np.flatnonzero(np.less(leaf, n, out=self.flat.view(bool)[:size].reshape(leaf.shape)))
+        if n_rows > 1:
+            leaf += self.leaf_offsets[:n_rows]
+        # take casts into no other dtype, so the real leaves are gathered
+        # into the bytes of `idx` and widened into `flat`
+        k = pos.size
+        flat = self.flat[:k]
+        flat[...] = leaf.ravel().take(pos, out=self.idx.view(leaf.dtype)[:k], mode="clip")
+        return pos, flat
 
     def count(self, rows: slice, keys, phases_s, phases_w, sel_phases) -> None:
         """Count the chunk `rows` of the last `row_step` block at its selected MUX leaves only.
@@ -455,12 +482,10 @@ class _ConventionalRun:
         keyed draw), or 0 at a padding leaf; the work is O(T * L * levels),
         never T * N * L, and it writes into the run's buffers.
         """
-        cfg, plan, longest = self.cfg, self.plan, self.lengths[-1]
-        trials = self.block[rows]
+        plan, trials = self.plan, self.block[rows]
         n_rows, out = len(trials), slice(trials.start, trials.stop)
         # one select network feeds both trees, as a single MUX array would
-        leaf = self.leaf[: n_rows * longest].reshape(n_rows, longest)
-        pos, flat = _selected_inputs(self.lsb2, sel_phases, cfg.n_inputs, leaf, self.flat)
+        pos, flat = self.selected_inputs(sel_phases)
         k = pos.size
         bits, hits, state, thr = self.bits[:k], self.hits[:k], self.state[:k], self.thr[:k]
         thr_s, thr_w = self.thresholds[:, rows]
@@ -561,7 +586,7 @@ class _ProposedRun:
         positive = weights >= 0.0
         # each (T, N) temporary is freed as soon as it is summed
         exact, fired, clamped = asc_levels(samples, m)
-        fired, clamped = int(fired.sum()), np.count_nonzero(clamped)
+        fired, clamped = int(fired.sum()), int(np.count_nonzero(clamped))
         # the AND of two thermometer codes has min(count_a, count_b) leading ones
         np.minimum(exact, asc_levels(np.abs(weights), m)[0], out=exact)
         n_p = np.where(positive, exact, 0).sum(axis=1)

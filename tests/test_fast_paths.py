@@ -1318,13 +1318,16 @@ def test_state_cycle_without_the_width_tap_raises():
 def _selected_inputs(lsb2, sel_phases, length: int, n: int):
     """Bit position t, flat input index and trial row of every real selected bit.
 
-    `pipelines._selected_inputs` with buffers of its own, sized as its
-    docstring asks; the row and the bit position come from the flat position.
+    `_ConventionalRun.selected_inputs` in the buffers of a width-15 run of
+    stream length `length` reserved for one chunk of every trial row; the
+    row and the bit position come from the flat position.
     """
     n_trials, levels = sel_phases.shape
-    leaf = np.empty((n_trials, length), np.min_scalar_type(max(n_trials * n, 1 << levels) - 1))
-    flat = np.empty(n_trials * length, np.int64)
-    pos, flat = pipelines._selected_inputs(lsb2, sel_phases, n, leaf, flat)
+    cfg = PipelineConfig(variant="conventional", n_inputs=n, stream_length=length, trials=n_trials)
+    run = pipelines._ConventionalRun(cfg)
+    assert np.array_equal(run.lsb2, lsb2) and run.plan.levels == levels
+    run.reserve(n_trials, 1)
+    pos, flat = run.selected_inputs(sel_phases)
     rows, t = np.divmod(pos, length)
     return t, flat, rows
 
@@ -1341,8 +1344,11 @@ def _gathered_selected_inputs(seq, sel_phases, length: int, n: int):
     return np.broadcast_to(t, real.shape)[real], leaf[real]
 
 
-# leaf widths on both sides of the uint8 and uint16 boundaries
-@pytest.mark.parametrize("n", (1, 2, 3, 255, 256, 257, 300, 65536, 65537))
+# leaf widths on both sides of the uint8 and uint16 boundaries, and tree
+# depths on both sides of each byte of levels: 7|8, 8|9, 15|16 and 16|17
+@pytest.mark.parametrize(
+    "n", (1, 2, 3, 128, 129, 255, 256, 257, 300, 32768, 32769, 65536, 65537)
+)
 def test_selected_inputs_match_wrapped_gather(n):
     width, taps = 15, MAXIMAL_TAPS[15]
     seq, _ = state_cycle(width, taps)
@@ -1388,8 +1394,11 @@ def _masked_selected_inputs(lsb2, sel_phases, length: int, n: int):
     return np.broadcast_to(np.arange(length), real.shape)[real], flat[real]
 
 
-# leaf widths on both sides of the uint8 and uint16 boundaries
-@pytest.mark.parametrize("n", (1, 2, 255, 256, 257, 300, 65536, 65537))
+# leaf widths on both sides of the uint8 and uint16 boundaries, and tree
+# depths on both sides of each byte of levels: 7|8, 8|9, 15|16 and 16|17
+@pytest.mark.parametrize(
+    "n", (1, 2, 128, 129, 255, 256, 257, 300, 32768, 32769, 65536, 65537)
+)
 @pytest.mark.parametrize("n_trials", (1, 4))
 def test_selected_inputs_match_masked_reference(n, n_trials):
     width, taps = 15, MAXIMAL_TAPS[15]

@@ -1,6 +1,7 @@
 """End-to-end pipeline behavior: exactness, unbiasedness, noise, accounting."""
 
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -315,6 +316,22 @@ def test_comparison_shares_inputs_and_prices_energy():
     assert cmp_res.conventional.trials == cmp_res.proposed.trials == 5
     assert cmp_res.reduction_percent == pytest.approx(82.1, abs=1.0)
     assert cmp_res.proposed.energy.reduction_vs_baseline_percent == cmp_res.reduction_percent
+
+
+def test_clamped_and_saturated_counts_are_json_ints():
+    """Out-of-range inputs log saturation and clamp counts that `json` writes as ints."""
+    cmp_res = run_comparison(
+        conv_cfg(trials=2),
+        prop_cfg(trials=2),
+        samples=[1.2, 0.5, -0.1, 0.3],
+        weights=[0.5, -0.5, 1.5, 0.2],
+        energy_profile="measured",
+    )
+    conv_meta = cmp_res.conventional.activity.meta
+    prop_meta = cmp_res.proposed.activity.meta
+    assert conv_meta["adc_saturation"] == prop_meta["asc_input_clamped"] == 4
+    assert type(conv_meta["adc_saturation"]) is type(prop_meta["asc_input_clamped"]) is int
+    json.dumps(cmp_res.to_json_dict())
 
 
 def test_comparison_rejects_mismatched_shared_parameters():
