@@ -123,10 +123,7 @@ def mux_tree_scale(k: int) -> int:
     """Denominator 2^ceil(log2 k) that MUX-tree accumulation divides by."""
     if k < 1:
         raise StreamError("tree size must be positive")
-    c = 0
-    while (1 << c) < k:
-        c += 1
-    return 1 << c
+    return 1 << (k - 1).bit_length()
 
 
 def mux_tree_accumulate(streams, sel) -> Bitstream:

@@ -48,7 +48,7 @@ from .errors import (
     short_int,
 )
 from .mac import MacConfig, MacInputs, decode_voltage, mac_evaluate
-from .pipelines import ComparisonResult, run_comparisons
+from .pipelines import VARIANTS, ComparisonResult, run_comparisons
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,7 +114,7 @@ def comparison_summary_lines(d: dict) -> list[str]:
 def _module_energies(d: dict):
     """(module, conventional, proposed) fJ per output for each module either
     side logs, None on a side without it; then the totals."""
-    sides = [d[variant]["energy"] for variant in ("conventional", "proposed")]
+    sides = [d[variant]["energy"] for variant in VARIANTS]
     for key in EVENT_KEYS:
         fj = [e["categories_fj"].get(key) for e in sides]
         if fj != [None, None]:
@@ -227,7 +227,7 @@ def _load_or_default(args) -> ExperimentConfig:
 
 def _pair(cfg: ExperimentConfig, **changes):
     """The (conventional, proposed) PipelineConfigs of `cfg` with `changes` set."""
-    return tuple(cfg.pipeline_config(v, **changes) for v in ("conventional", "proposed"))
+    return tuple(cfg.pipeline_config(v, **changes) for v in VARIANTS)
 
 
 def _comparisons_for(base: ExperimentConfig, pairs) -> list[ComparisonResult]:
@@ -299,11 +299,11 @@ def cmd_compare(args) -> int:
     if args.out:
         energy_header = ("module", "conventional_fj_per_output", "proposed_fj_per_output")
         # the summary and the trials tables write the same decodes and oracles
-        for side in ("conventional", "proposed"):
+        for side in VARIANTS:
             for key in ("decoded", "oracle"):
                 d[side][key] = _Floats(d[side][key])
         reports = [("compare_summary.json", "json", partial(_json_text, d))]
-        for side in ("conventional", "proposed"):
+        for side in VARIANTS:
             reports.append((f"compare_trials_{side}.csv", "csv", partial(_trials_csv, d[side])))
         reports.append(
             ("compare_energy.csv", "csv", partial(_csv_text, energy_header, _module_energies(d)))

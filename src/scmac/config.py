@@ -52,12 +52,9 @@ from functools import partial
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
 from .energy import ENERGY_PROFILES, EVENT_KEYS, EnergyTable, default_tables
 from .errors import ConfigError, EnergyModelError
-from .pipelines import PipelineConfig
+from .pipelines import VARIANTS, PipelineConfig
 
 SCHEMA_VERSION = 1
-
-# the `tables` field holds these two energy_tables entries as a pair
-_TABLE_SIDES = ("conventional", "proposed")
 
 
 @dataclass
@@ -106,7 +103,7 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         # the schema names fields and table sides, as `_config_kwargs` reads them
-        values = {**vars(self), **dict(zip(_TABLE_SIDES, self.tables))}
+        values = {**vars(self), **dict(zip(VARIANTS, self.tables))}
         d = {"schema_version": SCHEMA_VERSION}
         for section, keys in _SCHEMA.items():
             d[section] = {key: _json_value(values[name]) for key, (name, _) in keys.items()}
@@ -214,7 +211,7 @@ _SCHEMA = {
     "mac": {"m": ("m", _strict_int), "vdd": ("vdd", _number)},
     "energy_tables": {
         side: (side, partial(_table, shipped))
-        for side, shipped in zip(_TABLE_SIDES, default_tables())
+        for side, shipped in zip(VARIANTS, default_tables())
     },
     "experiment": {
         "trials": ("trials", _strict_int),
@@ -246,7 +243,7 @@ def _config_kwargs(raw: dict) -> dict:
     for section, keys in _SCHEMA.items():
         kwargs.update(_read_object(section, raw.get(section, {}), keys))
     kwargs["tables"] = tuple(
-        kwargs.pop(side, table) for side, table in zip(_TABLE_SIDES, default_tables())
+        kwargs.pop(side, table) for side, table in zip(VARIANTS, default_tables())
     )
     return kwargs
 

@@ -29,19 +29,6 @@ from .errors import EnergyModelError
 
 FEMTO = 1e-15
 
-# Event vocabulary; activity logs and energy tables share these keys.
-EVENT_KEYS: tuple[str, ...] = (
-    "sram_cell_access",
-    "adc_convert",
-    "bsc_convert",
-    "sbc_convert",
-    "sc_logic_eval",
-    "asc_convert",
-    "mixed_signal_mac_eval",
-    "sa_fire",
-)
-
-
 @dataclass(frozen=True)
 class EnergyTable:
     """Unit energies in femtojoules per event."""
@@ -63,6 +50,11 @@ class EnergyTable:
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# Event vocabulary: activity logs share the table's fields as their keys, in
+# field order, which is the row order of the energy reports.
+EVENT_KEYS: tuple[str, ...] = tuple(f.name for f in fields(EnergyTable))
 
 
 # 28nm reference unit energies. The converter keys follow the structures:

@@ -96,6 +96,8 @@ def _thermometer_rows(counts, m: int) -> np.ndarray:
     for c in counts:
         if not 0 <= c <= m:
             raise ConversionError(f"count {c} outside [0, {m}]")
+        if c % 1:
+            raise ConversionError(f"count {c} is not a whole number")
     return np.arange(m) < np.asarray(counts, dtype=np.int64).reshape(-1, 1)
 
 
@@ -182,15 +184,11 @@ def product_matrix(inputs: MacInputs) -> np.ndarray:
     return inputs.in_bits & inputs.w_bits
 
 
-def counts_from_products(products: np.ndarray, signs: np.ndarray) -> ProductCounts:
-    pos = signs.astype(bool)
-    per_pair = products.sum(axis=1, dtype=np.int64)
-    return ProductCounts(int(per_pair[pos].sum()), int(per_pair[~pos].sum()))
-
-
 def count_products(inputs: MacInputs) -> ProductCounts:
     """n_p and n_n straight from the definition."""
-    return counts_from_products(product_matrix(inputs), inputs.signs)
+    per_pair = product_matrix(inputs).sum(axis=1, dtype=np.int64)
+    n_p = int(per_pair @ inputs.signs)
+    return ProductCounts(n_p, int(per_pair.sum()) - n_p)
 
 
 def _vdd_share(count: int, caps: int, vdd: float) -> float:
@@ -258,28 +256,24 @@ def decode_counts(n_p, n_n, cfg: MacConfig) -> np.ndarray:
 
     Equal to `decode_voltage(charge_share(*phase1_voltages(...)))` per
     element: each distinct side count is priced once by the same exact
-    quotient, then sharing, the range checks and the decode run as array
-    operations in the scalar order. np.rint rounds half to even, as
-    round() does.
+    quotient, then sharing and the decode run as array operations in the
+    scalar order. np.rint rounds half to even, as round() does.
     """
-    n_p = np.asarray(n_p, dtype=np.int64)
-    n_n = np.asarray(n_n, dtype=np.int64)
+    n_p, n_n = np.asarray(n_p), np.asarray(n_n)
     if n_p.ndim != 1 or n_n.shape != n_p.shape:
         raise MacError(f"count arrays must be 1-D and equal in shape, got {n_p.shape} and {n_n.shape}")
-    if n_p.size == 0:
-        return np.zeros(0, dtype=np.int64)
     max_count, caps = cfg.max_count, cfg.caps_per_side
-    if min(n_p.min(), n_n.min()) < 0:
-        raise MacError("product counts cannot be negative")
-    if max(n_p.max(), n_n.max()) > max_count:
-        raise MacError(f"counts exceed m*N = {max_count}")
+    # np.unique sorts, so its ends bound both n_p and m*N - n_n
     counts, index = np.unique(np.concatenate([n_p, max_count - n_n]), return_inverse=True)
-    side = np.array([_vdd_share(c, caps, cfg.vdd) for c in counts.tolist()])
+    if counts.size and (counts[0] < 0 or counts[-1] > max_count):
+        raise MacError(f"product counts must lie in [0, {max_count}]")
+    if counts.dtype != np.int64 and np.any(counts % 1):
+        raise MacError("product counts must be whole numbers")
+    # with 0 <= c <= m*N, decode_voltage's range check cannot fail: each side is the
+    # correctly rounded c * vdd / (m*N + 1), rounding is monotone, so the sides and their
+    # halved sum lie in [0, max_voltage], and MacConfig's vdd <= float max / 2 keeps it finite
+    side = np.array([_vdd_share(c, caps, cfg.vdd) for c in counts.astype(np.int64).tolist()])
     v = (side[index[: n_p.size]] + side[index[n_p.size :]]) / 2.0
-    tol = 1e-9 * cfg.vdd
-    top = max_voltage(cfg)
-    if not np.all((-tol <= v) & (v <= top + tol)):
-        raise MacError(f"voltages outside [0, {top}]")
     raw = 2.0 * v / cfg.vdd * caps - max_count
     return np.rint(raw).astype(np.int64)
 

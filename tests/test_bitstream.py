@@ -167,6 +167,17 @@ def test_mux_tree_pads_to_power_of_two():
     assert mux_tree_scale(3) == 4
 
 
+def test_mux_tree_scale_is_the_doubling_loop():
+    scale = 1
+    for k in range(1, 2**17 + 2):
+        while scale < k:
+            scale *= 2
+        assert mux_tree_scale(k) == scale
+    for k in (0, -1):
+        with pytest.raises(StreamError, match="tree size must be positive"):
+            mux_tree_scale(k)
+
+
 def test_mux_tree_empty_rejected():
     with pytest.raises(StreamError):
         mux_tree_accumulate([], Bitstream.from_string("01"))

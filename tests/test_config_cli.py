@@ -80,6 +80,10 @@ def test_config_defaults():
     assert cfg.efficiency_ops == {}
 
 
+def _explicit(sample, weight):
+    return {"kind": "explicit", "samples": [sample], "weights": [weight]}
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
         config_from_dict({"pipelines": {}})
@@ -87,6 +91,25 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"pipeline": {"n_input": 4}})
     with pytest.raises(ConfigError):
         config_from_dict({"experiment": {"energy_profile": "optimistic"}})
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ({"experiment": {"efficiency_ops": {"x": 0}}}, "efficiency_ops.x must be positive"),
+        (
+            {"pipeline": {"input_distribution": _explicit(1.5, 0.5)}},
+            r"explicit samples must lie in \[0, 1\]",
+        ),
+        (
+            {"pipeline": {"input_distribution": _explicit(0.5, -1.5)}},
+            r"explicit weights must lie in \[-1, 1\]",
+        ),
+    ],
+)
+def test_config_rejects_out_of_range_values(raw, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(raw)
 
 
 def test_config_rejects_wrong_version():
@@ -546,6 +569,18 @@ def _probe(text: str, key: str):
             "m * n_inputs = 1.000e+8000 exceeds",
             id="m_and_n_inputs_of_4001_digits",
         ),
+        _probe(
+            '{"experiment": {"efficiency_ops": {"x": 0}}}',
+            "error: bad config: efficiency_ops.x must be positive",
+        ),
+        _probe(
+            json.dumps({"pipeline": {"input_distribution": _explicit(1.5, 0.5)}}),
+            "explicit samples must lie in [0, 1]",
+        ),
+        _probe(
+            json.dumps({"pipeline": {"input_distribution": _explicit(0.5, -1.5)}}),
+            "explicit weights must lie in [-1, 1]",
+        ),
         # an explicit distribution must hold N entries, checked at load rather than at the draw
         _probe(
             '{"pipeline": {"n_inputs": 4, "input_distribution": '
@@ -558,10 +593,6 @@ def test_cli_rejects_bad_values_exit_2(tmp_path, capsys, monkeypatch, text, key)
     err = _assert_rejected(tmp_path, capsys, monkeypatch, text, key)
     # no message prints a huge config value whole
     assert not re.search(r"\d{21}", err), err
-
-
-def _explicit(sample, weight):
-    return {"kind": "explicit", "samples": [sample], "weights": [weight]}
 
 
 # every number field of the schema, as a function of its value

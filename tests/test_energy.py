@@ -44,6 +44,20 @@ def test_default_table_values():
     assert prop.sbc_convert == 0.0
 
 
+def test_event_keys_keep_their_order():
+    # the order sets the rows of the energy CSV and of the printed module table
+    assert EVENT_KEYS == (
+        "sram_cell_access",
+        "adc_convert",
+        "bsc_convert",
+        "sbc_convert",
+        "sc_logic_eval",
+        "asc_convert",
+        "mixed_signal_mac_eval",
+        "sa_fire",
+    )
+
+
 def test_accumulate_empty_log():
     assert accumulate(ActivityLog(), default_tables()[1]).total_fj == 0.0
 

@@ -1260,9 +1260,24 @@ def test_decode_counts_keeps_order_and_repeats():
     assert mac_mod.decode_counts([], [], cfg).size == 0
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 @pytest.mark.parametrize(
     "n_p, n_n",
-    [([13], [0]), ([0], [13]), ([-1], [0]), ([0], [-1]), ([2, 13], [3, 4]), ([1, 2], [1])],
+    [
+        ([13], [0]),
+        ([0], [13]),
+        ([-1], [0]),
+        ([0], [-1]),
+        ([2, 13], [3, 4]),
+        ([1, 2], [1]),
+        # m*N - n_n wraps at the int64 ends; the sorted side counts still catch it
+        ([_INT64.min], [0]),
+        ([_INT64.max], [0]),
+        ([0], [_INT64.min]),
+        ([0], [_INT64.max]),
+    ],
 )
 def test_decode_counts_rejects_bad_counts(n_p, n_n):
     cfg = MacConfig(3, 4, 0.8)  # m*N = 12

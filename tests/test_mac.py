@@ -225,6 +225,17 @@ def test_decode_counts_exact_at_the_product_count_bound(vdd):
     assert np.array_equal(decode_counts(n_p, n_n, cfg), n_p - n_n)
 
 
+def test_fractional_counts_are_refused():
+    with pytest.raises(MacError, match="whole numbers"):
+        decode_counts(np.array([1.5, 2]), np.array([1, 1]), MacConfig(4, 2))
+    with pytest.raises(ConversionError, match="count 1.5 is not a whole number"):
+        MacInputs.from_thermometer_counts([1.5, 2], [2, 2], [1, 0], 4)
+    # whole-number floats still count
+    assert decode_counts(np.array([1.0, 2.0]), np.array([1, 1]), MacConfig(4, 2)).tolist() == [0, 1]
+    inputs = MacInputs.from_thermometer_counts([1.0, 2], [2, 2.0], [1, 0], 4)
+    assert inputs.in_bits.tolist() == [[1, 0, 0, 0], [1, 1, 0, 0]]
+
+
 def test_voltages_use_exact_fractions():
     # 1/3-style ratios survive: VP at n_p=1, m=1, N=2 is exactly 1/3 in binary64
     vp, _ = phase1_voltages(ProductCounts(1, 0), MacConfig(1, 2, 1.0))

@@ -341,6 +341,11 @@ def test_comparison_rejects_mismatched_shared_parameters():
         run_comparison(conv_cfg(n_inputs=4), prop_cfg(n_inputs=8))
 
 
+def test_comparison_rejects_unknown_energy_profile():
+    with pytest.raises(ConfigError, match="unknown energy profile 'bogus'"):
+        run_comparison(conv_cfg(), prop_cfg(), energy_profile="bogus")
+
+
 def test_identical_variants_reduce_zero():
     """Same table and same activity on both sides cancels to 0%."""
     cfg_a = conv_cfg(trials=2)
@@ -437,6 +442,8 @@ def test_fixed_inputs_size_mismatch():
 def test_variant_config_guard():
     with pytest.raises(ConfigError):
         conventional_pipeline(None, None, prop_cfg())
+    with pytest.raises(ConfigError, match="variant must be one of"):
+        PipelineConfig(variant="bogus", n_inputs=2)
 
 
 def test_stream_length_bounded_by_period():
