@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from . import mac as mac_mod
 from ._prng import _GOLDEN, _MASK64, bounded_uint32, mix, pcg64_lanes, splitmix64_array
 from ._prng import unit_below, unit_words
 from .bitstream import mux_tree_scale
-from .converters import _clip_unit, asc_levels, thermometer_quantize
+from .converters import _clip_unit, thermometer_quantize, unit_levels
 from .distributions import Explicit, InputDistribution, Uniform
 from .energy import (
     ENERGY_PROFILES,
@@ -171,28 +170,28 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _comparator_thresholds(x, binary_bits: int, period: int, out=None, work=None):
-    """Comparator thresholds of inputs x and where x lies outside [0, 1]; NaN is rejected.
+def _comparator_thresholds(clipped, binary_bits: int, period: int, out=None, codes=None):
+    """Comparator thresholds of inputs already clipped to [0, 1] by `converters._clip_unit`.
 
-    A threshold floor-scales x's n-bit ADC code, `adc_quantize_flagged`'s
+    A threshold floor-scales the input's n-bit ADC code, `adc_quantize_flagged`'s
     min(floor(clip(x, 0, 1) * 2^n), 2^n - 1), onto the LFSR range:
     floor(code * period / (2^n - 1)) is the code's full-period ones count,
     the code itself at period 2^n - 1, and PipelineConfig keeps code *
     period below 2^63. This is the one array ADC. `out` takes the
-    thresholds, in any integer dtype that holds the period, and `work`, a
-    triple of arrays of x's shape, the clipped inputs (float64), the codes
-    (a signed dtype that holds 2^n * period) and the flags (bool); where not
-    given, they are new arrays and the thresholds are the int64 codes array.
+    thresholds, in any integer dtype that holds the period, and `codes`, of
+    the inputs' shape, the codes (a signed dtype that holds 2^n * period);
+    where not given, they are new arrays and the thresholds are the int64
+    codes array.
     """
-    clipped, codes, outside = work or (None, np.empty(np.shape(x), np.int64), None)
-    clipped, outside = _clip_unit(x, clipped, outside)
+    if codes is None:
+        codes = np.empty(np.shape(clipped), np.int64)
     # scaling by 2^n is exact, and the cast truncates the non-negative product
     np.multiply(clipped, float(1 << binary_bits), out=codes, casting="unsafe")
     top = (1 << binary_bits) - 1
     np.minimum(codes, top, out=codes)
     codes *= period
     out = codes if out is None else out
-    return np.floor_divide(codes, top, out=out, casting="unsafe"), outside
+    return np.floor_divide(codes, top, out=out, casting="unsafe")
 
 
 # the grouped oracle sums N threshold products of up to period^2 each; at or
@@ -285,8 +284,8 @@ def exact_oracle(samples, weights, cfg: PipelineConfig):
         return total
     # the config has checked that the taps are maximal
     period = (1 << cfg.lfsr_width) - 1
-    thr_s, _ = _comparator_thresholds(samples[None, :], cfg.binary_bits, period)
-    thr_w, _ = _comparator_thresholds(np.abs(weights)[None, :], cfg.binary_bits, period)
+    unit, _ = _clip_unit([samples, np.abs(weights)])
+    thr_s, thr_w = _comparator_thresholds(unit, cfg.binary_bits, period)[:, None]
     plan = _OraclePlan(cfg.n_inputs, cfg.lfsr_width, period)
     sign = np.where(weights[None, :] >= 0.0, 1, -1)
     products = thr_s.astype(plan.dtype) * thr_w.astype(plan.dtype) * sign
@@ -374,15 +373,12 @@ class _ConventionalRun:
         self.state, self.thr = np.empty((2, size), self.seq2.dtype)
         self.bits, self.hits = np.empty((2, size), bool)
         self.sign = np.empty(size, np.int8)
-        # `row_step` writes a block's |weights|, clipped inputs, ADC codes,
-        # out-of-range flags, thresholds and weight signs, (block, N) each,
-        # into these; the codes, scaled by the period, take the narrowest
-        # signed dtype that holds 2^n * period, as narrow casts and divisions
-        # run faster
+        # `row_step` writes a block's ADC codes, thresholds and weight signs,
+        # (block, N) each, into these; the codes, scaled by the period, take
+        # the narrowest signed dtype that holds 2^n * period, as narrow casts
+        # and divisions run faster
         shape = (block, cfg.n_inputs)
-        self.magnitude, self.clipped = np.empty((2, *shape))
         self.codes = np.empty(shape, np.min_scalar_type(-(self.period << cfg.binary_bits)))
-        self.outside = np.empty((2, *shape), bool)
         self.thresholds = np.empty((2, *shape), self.seq2.dtype)
         self.weight_signs = np.empty(shape, np.int8)
         # chunk row r's bit t sits at position r * L + t: a phase shifted by
@@ -393,23 +389,22 @@ class _ConventionalRun:
         self.shift, self.bounds = 1 - longest * rows, longest * rows + [0, *self.lengths]
         self.key_shift = rows.astype(np.uint64) * np.uint64(longest * _GOLDEN & _MASK64)
 
-    def row_step(self, trials: range, samples, weights) -> None:
+    def row_step(self, trials: range, unit, positive, outside) -> None:
         """The row work of a draw block: thresholds, signs, oracle group sums and saturation.
 
-        Inputs are (T, N) arrays, one row per trial of `trials`. The
-        thresholds and signs go to the run's buffers, from which `count`
-        reads the block's chunks; the work is O(T * N).
+        The inputs are `_prepare_inputs`' arrays, one row per trial of
+        `trials`. The thresholds and signs go to the run's buffers, from
+        which `count` reads the block's chunks; the work is O(T * N).
         """
-        cfg, plan, n_rows = self.cfg, self.plan, len(trials)
+        cfg, plan, n_rows, n = self.cfg, self.plan, len(trials), self.cfg.n_inputs
         self.block = trials
-        convert = partial(_comparator_thresholds, binary_bits=cfg.binary_bits, period=self.period)
-        thr_out, flags = self.thresholds[:, :n_rows], self.outside[:, :n_rows]
-        work = self.clipped[:n_rows], self.codes[:n_rows]
-        thr_s, sat_s = convert(samples, out=thr_out[0], work=(*work, flags[0]))
-        magnitude = np.abs(weights, out=self.magnitude[:n_rows])
-        thr_w, sat_w = convert(magnitude, out=thr_out[1], work=(*work, flags[1]))
+        codes = self.codes[:n_rows]
+        thr_s, thr_w = (
+            _comparator_thresholds(half, cfg.binary_bits, self.period, out, codes)
+            for half, out in zip((unit[:, :n], unit[:, n:]), self.thresholds[:, :n_rows])
+        )
         sign = self.weight_signs[:n_rows]
-        np.greater_equal(weights, 0.0, out=sign.view(bool))
+        np.copyto(sign, positive)
         sign *= 2
         sign -= 1
         out = slice(trials.start, trials.stop)
@@ -420,7 +415,7 @@ class _ConventionalRun:
         self.s_sums[out] = plan.group_sums(products)
         if self.c_sums is not None:
             self.c_sums[out] = plan.group_sums(sign)
-        self.saturated += int(np.count_nonzero(np.logical_or(sat_s, sat_w, out=sat_s)))
+        self.saturated += int(np.count_nonzero(outside[:, :n] | outside[:, n:]))
 
     def selected_inputs(self, sel_phases):
         """Flat bit position row * L + t and flat input index row * N + j(t) of every real selected bit.
@@ -576,28 +571,29 @@ class _ProposedRun:
         """`count`'s chunks of up to `chunk` trials; the run holds no buffers across calls."""
         self.chunk = chunk
 
-    def row_step(self, trials: range, samples, weights) -> None:
+    def row_step(self, trials: range, unit, positive, outside) -> None:
         """The row work of a draw block: ASC levels, the oracles and the unflipped counts.
 
-        Inputs are (T, N) arrays, one row per trial of `trials`; the
-        product levels stay for `count` to flip.
+        The inputs are `_prepare_inputs`' arrays, one row per trial of
+        `trials`; the product levels stay for `count` to flip.
         """
-        m, out = self.cfg.m, slice(trials.start, trials.stop)
-        positive = weights >= 0.0
-        # each (T, N) temporary is freed as soon as it is summed
-        exact, fired, clamped = asc_levels(samples, m)
-        fired, clamped = int(fired.sum()), int(np.count_nonzero(clamped))
+        m, n, out = self.cfg.m, self.cfg.n_inputs, slice(trials.start, trials.stop)
+        levels = unit_levels(unit, m)
+        samples = levels[:, :n]
+        # a level-l sample fires 1 + min(l, m - 1) = 1 + l - [l == m] SAs
+        fired = samples.size + int(samples.sum(dtype=np.int64))
+        fired -= int(np.count_nonzero(samples == m))
         # the AND of two thermometer codes has min(count_a, count_b) leading ones
-        np.minimum(exact, asc_levels(np.abs(weights), m)[0], out=exact)
-        n_p = np.where(positive, exact, 0).sum(axis=1)
-        n_n = exact.sum(axis=1) - n_p
+        exact = np.minimum(samples, levels[:, n:])
+        n_p = np.multiply(exact, positive).sum(axis=1, dtype=np.int64)
+        n_n = exact.sum(axis=1, dtype=np.int64) - n_p
         # the quantized oracle reads the same levels: sign * min(level_s, level_w)
         self.oracle[out] = n_p - n_n
         # the flips ascend, so a flip of 0 comes first and counts the unflipped levels
         if self.flips[0] == 0.0:
             self.n_p[0, out], self.n_n[0, out] = n_p, n_n
         self.fired += fired
-        self.clamped += clamped
+        self.clamped += int(np.count_nonzero(outside[:, :n]))
         self.block, self.exact, self.positive = trials, exact, positive
 
     def count(self, rows: slice, keys) -> None:
@@ -614,7 +610,7 @@ class _ProposedRun:
         for i, flip in enumerate(self.flips):
             if flip > 0.0:
                 per_pair = (products ^ unit_below(words, flip)).sum(axis=2, dtype=np.int64)
-                n_p = np.where(positive, per_pair, 0).sum(axis=1)
+                n_p = np.multiply(per_pair, positive).sum(axis=1)
                 self.n_p[i, out], self.n_n[i, out] = n_p, per_pair.sum(axis=1) - n_p
 
     def finish(self) -> None:
@@ -733,7 +729,8 @@ def _trial_lanes(seed: int, trials: int):
 
 
 def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_sizes, period):
-    """(T, size) rows of inputs and LFSR phases for a block of trials.
+    """(T, size) rows of inputs and LFSR phases for a block of trials: the
+    (T, 2N) samples and weights, then the phases of each size.
 
     The rows equal what each trial's own `np.random.default_rng((seed, t))`
     gives: its inputs (or `fixed`), then `integers(0, period, size=k)` for
@@ -766,9 +763,8 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
             raw[row] = bg.random_raw(raw.shape[1])
     if fixed is None:
         dist.shape_block(block)
-    inputs = [block[:, :n], block[:, n:]]
     if not count:
-        return inputs
+        return [block]
     phases, redraw = bounded_uint32(raw, count, period)
     for row in np.flatnonzero(redraw):
         rng = np.random.default_rng((cfg.seed, trials[row]))
@@ -776,7 +772,25 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
             dist.draw(rng, n)
         phases[row] = rng.integers(0, period, size=count)
     first, second = phase_sizes[0], phase_sizes[0] + phase_sizes[1]
-    return inputs + [phases[:, :first], phases[:, first:second], phases[:, second:]]
+    return [block, phases[:, :first], phases[:, first:second], phases[:, second:]]
+
+
+def _prepare_inputs(inputs, unit=None, positive=None, outside=None):
+    """Both runs' `row_step` inputs from a draw block's (T, 2N) samples and weights.
+
+    They are the weight signs as `positive` (weights >= 0), then the whole
+    block, with the weights turned into their magnitudes in place, clipped to
+    [0, 1] as `unit` and flagged where it lay outside as `outside`; NaN is
+    rejected. The arrays are written into the buffers given, (T, 2N),
+    (T, N) and (T, 2N), or new ones; `row_step` takes them as
+    (unit, positive, outside).
+    """
+    n = inputs.shape[1] // 2
+    weights = inputs[:, n:]
+    positive = np.greater_equal(weights, 0.0, out=positive)
+    np.abs(weights, out=weights)
+    unit, outside = _clip_unit(inputs, unit, outside)
+    return unit, positive, outside
 
 
 def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentResult]:
@@ -788,7 +802,7 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     probability. Every draw block holds whole chunks of each run: each run
     does the block's row work once, then counts its own chunks of the
     block, and only a run's last chunk can be partial. The flip row keys
-    are hashed once per block for both runs.
+    are hashed, and the inputs clipped, once per block for both runs.
     """
     if not cfgs:
         return []
@@ -827,21 +841,27 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     step = largest * max(1, per_block // largest)
     for run, chunk in zip(runs.values(), chunks):
         run.reserve(chunk, step)
+    # the prepared inputs of every block, held for the whole call
+    n = cfg.n_inputs
+    unit, outside = np.empty((step, 2 * n)), np.empty((step, 2 * n), bool)
+    positive = np.empty((step, n), bool)
     flipped = max(c.flip_probability for c in cfgs) > 0.0
     lanes = _trial_lanes(cfg.seed, cfg.trials)
     gen = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.trials, step):
         block = range(start, min(start + step, cfg.trials))
-        arrays = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, period)
-        keys = _flip_row_keys(cfg.seed, block, cfg.n_inputs) if flipped else None
+        inputs, *phases = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, period)
+        size = len(block)
+        prepared = _prepare_inputs(inputs, unit[:size], positive[:size], outside[:size])
+        keys = _flip_row_keys(cfg.seed, block, n) if flipped else None
         for run in runs.values():
-            del arrays[2 + len(run.phase_sizes) :]
-            run.row_step(block, *arrays[:2])
-            for lo in range(0, len(block), run.chunk):
-                rows = slice(lo, min(lo + run.chunk, len(block)))
-                run.count(rows, keys, *(a[rows] for a in arrays[2:]))
+            del phases[len(run.phase_sizes) :]
+            run.row_step(block, *prepared)
+            for lo in range(0, size, run.chunk):
+                rows = slice(lo, min(lo + run.chunk, size))
+                run.count(rows, keys, *(a[rows] for a in phases))
         # a block's rows are freed before the next block is drawn
-        del arrays, keys
+        del inputs, phases, keys
 
     for run in runs.values():
         run.finish()

@@ -952,7 +952,9 @@ def test_config_mutation_gate(tmp_path, capsys):
             for key in path[:-1]:
                 node = node.setdefault(key, {})
             node[path[-1]] = value
-            p = tmp_path / "cfg.json"
+            # a fresh file per mutant: truncating one file 360 times can flush
+            # it to disk each time, which took about 50 ms a write on ext4
+            p = tmp_path / f"cfg{runs}.json"
             p.write_text(json.dumps(raw))
             out = tmp_path / f"out{runs}"
             runs += 1

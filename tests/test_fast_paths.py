@@ -1,6 +1,7 @@
 """Differential tests: each array fast path against its scalar reference model."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -34,7 +35,14 @@ from scmac._prng import (
     unit_words,
 )
 from scmac.bitstream import flip_mask, mux_tree_scale
-from scmac.converters import adc_quantize_flagged, asc_encode, asc_levels, ref_ladder
+from scmac.converters import (
+    _clip_unit,
+    adc_quantize_flagged,
+    asc_encode,
+    asc_levels,
+    ref_ladder,
+    unit_levels,
+)
 from scmac.distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
 from scmac.energy import ActivityLog
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_cycle, state_table
@@ -109,10 +117,21 @@ def test_asc_levels_rejects_nan():
         asc_levels([0.5, float("nan")], 4)
 
 
+def _thresholds(xs, bits, period, out=None, codes=None):
+    """`_comparator_thresholds` of inputs clipped by `_clip_unit`, and their out-of-range flags."""
+    clipped, flags = _clip_unit(xs)
+    return _comparator_thresholds(clipped, bits, period, out, codes), flags
+
+
+def _prepared(samples, weights):
+    """`row_step`'s inputs from (T, N) samples and weights, prepared as a pipeline draw block."""
+    return pipelines._prepare_inputs(np.hstack([samples, weights]))
+
+
 def _assert_adc_matches(xs, bits):
     """The thresholds at period 2^n - 1, where each equals its code, against the scalar ADC."""
     xs = np.asarray(xs, dtype=np.float64)
-    codes, saturated = _comparator_thresholds(xs, bits, (1 << bits) - 1)
+    codes, saturated = _thresholds(xs, bits, (1 << bits) - 1)
     want = [adc_quantize_flagged(float(x), bits) for x in xs]
     assert list(zip(codes.tolist(), saturated.tolist())) == want
 
@@ -149,13 +168,13 @@ def test_adc_codes_widest_supported_width():
     )
     codes, want_flags = zip(*(adc_quantize_flagged(x, bits) for x in xs))
     want = [c * period // ((1 << bits) - 1) for c in codes]
-    got, flags = _comparator_thresholds(np.array(xs), bits, period)
+    got, flags = _thresholds(np.array(xs), bits, period)
     assert got.tolist() == want and flags.tolist() == list(want_flags)
     # and in a run's buffers, whose codes need all of int64
     run = pipelines._ConventionalRun(cfg)
     run.reserve(1, 1)
-    out, work = run.thresholds[0, :1], (run.clipped[:1], run.codes[:1], run.outside[0, :1])
-    got, flags = _comparator_thresholds(np.array([xs]), bits, period, out, work)
+    out, codes = run.thresholds[0, :1], run.codes[:1]
+    got, flags = _thresholds(np.array([xs]), bits, period, out, codes)
     assert got.tolist() == [want] and flags.tolist() == [list(want_flags)]
     assert run.codes.dtype == np.int64
     for bits in (0, 62):
@@ -189,7 +208,7 @@ def test_comparator_thresholds_match_adc_codes(bits, width):
     period = (1 << width) - 1
     codes, want_flags = zip(*(adc_quantize_flagged(x, bits) for x in xs.tolist()))
     want, want_flags = [c * period // ((1 << bits) - 1) for c in codes], list(want_flags)
-    got, flags = _comparator_thresholds(xs, bits, period)
+    got, flags = _thresholds(xs, bits, period)
     assert got.tolist() == want and flags.tolist() == want_flags
     # a run's buffers: the state table's dtype and the narrowest codes that hold 2^n * P
     cfg = PipelineConfig(
@@ -202,18 +221,86 @@ def test_comparator_thresholds_match_adc_codes(bits, width):
     )
     run = pipelines._ConventionalRun(cfg)
     run.reserve(1, 1)
-    out, work = run.thresholds[0, :1], (run.clipped[:1], run.codes[:1], run.outside[0, :1])
-    got, flags = _comparator_thresholds(xs[None, :], bits, period, out, work)
+    out, codes = run.thresholds[0, :1], run.codes[:1]
+    got, flags = _thresholds(xs[None, :], bits, period, out, codes)
     assert got is out and got.tolist() == [want] and flags.tolist() == [want_flags]
     assert np.iinfo(run.codes.dtype).min <= -(period << bits)
     assert run.codes.dtype.itemsize <= (8 if bits + width > 31 else 4)
     for bad in ([0.5, np.nan], [np.nan]):
         with pytest.raises(ConversionError):
-            _comparator_thresholds(np.array(bad), bits, period)
+            _thresholds(np.array(bad), bits, period)
         x = np.zeros((1, xs.size))
         x[0, : len(bad)] = bad
         with pytest.raises(ConversionError):
-            _comparator_thresholds(x, bits, period, out, work)
+            _thresholds(x, bits, period, out, codes)
+
+
+# The shared input prep: one clip of a draw block's samples and weight
+# magnitudes feeds the conventional thresholds and the proposed levels.
+
+
+def _prep_edges(m: int, bits: int) -> list[float]:
+    """Every level edge k/(m+1) and code edge k/2^n with both float neighbours,
+    signed zeros, 1, both infinities and inputs beyond both ends of [0, 1]."""
+    xs = [0.0, -0.0, 1.0, np.inf, -np.inf, -5e-324, -0.5, 1.5, 1e308]
+    for den in (m + 1, 1 << bits):
+        for k in range(den + 1):
+            edge = k / den
+            xs += [edge, float(np.nextafter(edge, -1.0)), float(np.nextafter(edge, 2.0))]
+    return xs
+
+
+# m + 1 = 2^n at (1, 1), (7, 3), (15, 4) and (255, 8), where the levels widen
+# past uint8; m = 254 is the widest in uint8
+@pytest.mark.parametrize(
+    "m, bits", [(1, 1), (7, 3), (14, 4), (15, 4), (254, 8), (255, 8), (300, 5)]
+)
+def test_shared_prep_matches_scalar_converters(m, bits):
+    """Levels, thresholds, fired SAs, clamps, saturations and oracles of one prepared block."""
+    samples = _prep_edges(m, bits)
+    # the edges again, reversed, with every other sign flipped: -0.0 and 0.0 trade places
+    weights = [-x if i % 2 else x for i, x in enumerate(reversed(samples))]
+    n = len(samples)
+    conv_cfg = PipelineConfig(variant="conventional", n_inputs=n, m=m, binary_bits=bits)
+    prop_cfg = dataclasses.replace(conv_cfg, variant="proposed")
+    unit, positive, outside = _prepared(np.array([samples]), np.array([weights]))
+    conv, prop = pipelines._ConventionalRun(conv_cfg), pipelines._ProposedRun(prop_cfg)
+    for run in (conv, prop):
+        run.reserve(1, 1)
+        run.row_step(range(1), unit, positive, outside)
+
+    ladder, top = ref_ladder(m), (1 << bits) - 1
+    magnitudes = [abs(w) for w in weights]
+    assert positive[0].tolist() == [w >= 0.0 for w in weights]
+    # asc_encode takes Fractions, so an infinity is clamped as +-2 is
+    finite = [x if math.isfinite(x) else math.copysign(2.0, x) for x in samples + magnitudes]
+    asc = [asc_encode(Fraction(x), ladder) for x in finite]
+    levels = [code.count for code, _ in asc]
+    assert outside[0].tolist() == [activity.input_clamped for _, activity in asc]
+    got_levels = unit_levels(unit, m)
+    assert got_levels.dtype == np.min_scalar_type(m + 1) and got_levels[0].tolist() == levels
+    assert prop.fired == sum(activity.enabled_sa_count for _, activity in asc[:n])
+    assert prop.clamped == sum(activity.input_clamped for _, activity in asc[:n])
+    products = [min(a, b) for a, b in zip(levels[:n], levels[n:])]
+    n_p = sum(p for p, w in zip(products, weights) if w >= 0.0)
+    assert (prop.n_p[0, 0], prop.n_n[0, 0]) == (n_p, sum(products) - n_p)
+    assert prop.oracle[0] == 2 * n_p - sum(products)
+
+    adc = [adc_quantize_flagged(x, bits) for x in samples + magnitudes]
+    thresholds = [code * conv.period // top for code, _ in adc]
+    assert conv.thresholds[:, 0].tolist() == [thresholds[:n], thresholds[n:]]
+    assert [flag for _, flag in adc] == outside[0].tolist()
+    assert conv.saturated == sum(a or b for (_, a), (_, b) in zip(adc[:n], adc[n:]))
+
+
+@pytest.mark.parametrize("variant", pipelines.VARIANTS)
+@pytest.mark.parametrize("side", ("samples", "weights"))
+def test_fixed_input_nan_is_refused(variant, side):
+    cfg = PipelineConfig(variant=variant, n_inputs=3, trials=2)
+    inputs = {"samples": [0.5, 0.25, 1.0], "weights": [-0.5, 0.0, 1.5]}
+    inputs[side][1] = float("nan")
+    with pytest.raises(ConversionError):
+        pipelines._run_pipeline(inputs["samples"], inputs["weights"], cfg)
 
 
 def _scalar_expected_value(samples, weights, quant: PipelineConfig) -> Fraction:
@@ -425,8 +512,8 @@ def _conventional_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, 
 
     weights = np.asarray(weights, dtype=np.float64)
     positive = weights >= 0.0
-    thr_s, sat_s = _comparator_thresholds(samples, n_bits, period)
-    thr_w, sat_w = _comparator_thresholds(np.abs(weights), n_bits, period)
+    thr_s, sat_s = _thresholds(samples, n_bits, period)
+    thr_w, sat_w = _thresholds(np.abs(weights), n_bits, period)
     saturated = np.count_nonzero(sat_s | sat_w)
     if saturated:
         log.note("adc_saturation", saturated)
@@ -699,8 +786,8 @@ def _full_matrix_trial(samples, weights, cfg: PipelineConfig, rng, trial: int, l
 
     weights = np.asarray(weights, dtype=np.float64)
     positive = weights >= 0.0
-    thr_s, sat_s = _comparator_thresholds(samples, n_bits, period)
-    thr_w, sat_w = _comparator_thresholds(np.abs(weights), n_bits, period)
+    thr_s, sat_s = _thresholds(samples, n_bits, period)
+    thr_w, sat_w = _thresholds(np.abs(weights), n_bits, period)
     saturated = np.count_nonzero(sat_s | sat_w)
     if saturated:
         log.note("adc_saturation", saturated)
@@ -759,7 +846,7 @@ def _batched_trial(samples, weights, cfg: PipelineConfig, trial: int):
     run = pipelines._ConventionalRun(dataclasses.replace(cfg, trials=trial + 1))
     run.reserve(1, 1)
     block = range(trial, trial + 1)
-    run.row_step(block, *rows)
+    run.row_step(block, *_prepared(*rows))
     run.count(slice(0, 1), _flip_row_keys(cfg.seed, block, cfg.n_inputs), *phases)
     # the rows before the trial were never counted
     run.cfg = dataclasses.replace(cfg, trials=1)
@@ -981,18 +1068,24 @@ def test_runs_count_whole_aligned_chunks(flip, length, monkeypatch):
 def _step_calls(monkeypatch, run):
     """The blocks and chunks of `run()`.
 
-    "keys" maps to the blocks whose flip keys were hashed, (variant, "rows")
-    to each run's `row_step` blocks and (variant, "count") to its chunks.
+    "keys" maps to the blocks whose flip keys were hashed, "clips" to the
+    shapes of the inputs clipped, (variant, "rows") to each run's `row_step`
+    blocks and (variant, "count") to its chunks.
     """
-    calls = {"keys": []}
-    real_keys = pipelines._flip_row_keys
+    calls = {"keys": [], "clips": []}
+    real_keys, real_clip = pipelines._flip_row_keys, pipelines._clip_unit
 
     def keys_spy(seed, trials, n):
         calls["keys"].append(trials)
         return real_keys(seed, trials, n)
 
+    def clip_spy(x, *buffers):
+        calls["clips"].append(np.shape(x))
+        return real_clip(x, *buffers)
+
     with monkeypatch.context() as m:
         m.setattr(pipelines, "_flip_row_keys", keys_spy)
+        m.setattr(pipelines, "_clip_unit", clip_spy)
         for cls in (pipelines._ConventionalRun, pipelines._ProposedRun):
 
             def rows_spy(self, trials, *arrays, _real=cls.row_step):
@@ -1027,6 +1120,16 @@ def test_long_stream_sweep_works_its_rows_once_and_counts_proposed_in_one_call(m
     # a 32767-bit trial fills a conventional chunk
     assert calls["conventional", "count"] == [range(t, t + 1) for t in range(4)]
     assert calls["proposed", "count"] == [range(4)]
+
+
+def test_reference_shape_clips_each_block_once_for_both_runs(monkeypatch):
+    """N=300, 200 trials: eight draw blocks, each one (T, 2N) clip read by both row steps."""
+    conv = PipelineConfig(variant="conventional", n_inputs=300, trials=200)
+    prop = dataclasses.replace(conv, variant="proposed")
+    calls = _step_calls(monkeypatch, lambda: pipelines.run_comparison(conv, prop))
+    blocks = calls["conventional", "rows"]
+    assert calls["proposed", "rows"] == blocks and len(blocks) == 8
+    assert calls["clips"] == [(len(block), 600) for block in blocks]
 
 
 @pytest.mark.parametrize("flip", (0.0, 0.02))
@@ -1498,13 +1601,14 @@ def _default_rng_run_pipeline(samples, weights, *cfgs: PipelineConfig):
             for column, d in zip(arrays, draws):
                 column[row] = d
         keys = pipelines._flip_row_keys(cfg.seed, range(start, stop), n) if flipped else None
+        prepared = _prepared(*arrays[:2])
         for c, run in zip(cfgs, runs):
-            columns = arrays if c.variant == "conventional" else arrays[:2]
-            run.row_step(range(start, stop), *columns[:2])
+            phases = arrays[2:] if c.variant == "conventional" else []
+            run.row_step(range(start, stop), *prepared)
             for lo in range(start, stop, run.chunk):
                 hi = min(lo + run.chunk, stop)
                 rows = slice(lo - start, hi - start)
-                run.count(rows, keys, *(a[rows] for a in columns[2:]))
+                run.count(rows, keys, *(a[rows] for a in phases))
 
     for run in runs:
         run.finish()
@@ -1558,23 +1662,27 @@ def test_bounded_uint32_matches_integers_across_calls():
 def _worker_inputs(monkeypatch, run):
     """The result of `run()` and each run's chunks in it: variant -> [(trials, inputs)].
 
-    A chunk's inputs are its rows of the samples and weights its block's
-    `row_step` call took, then the phases its `count` call took.
+    A chunk's inputs are its rows of the samples and weights drawn for its
+    block, as `_prepare_inputs` took them before the prep, then the phases
+    its `count` call took.
     """
     calls = {"conventional": [], "proposed": []}
+    drawn = []
+    real_prepare = pipelines._prepare_inputs
+
+    def prepare_spy(inputs, *buffers):
+        drawn[:] = np.hsplit(np.array(inputs), 2)
+        return real_prepare(inputs, *buffers)
+
     with monkeypatch.context() as m:
+        m.setattr(pipelines, "_prepare_inputs", prepare_spy)
         for cls in (pipelines._ConventionalRun, pipelines._ProposedRun):
 
-            def rows_spy(self, trials, *arrays, _real=cls.row_step):
-                self.spied_inputs = [np.array(a) for a in arrays]
-                return _real(self, trials, *arrays)
-
             def count_spy(self, rows, keys, *arrays, _real=cls.count):
-                inputs = [a[rows] for a in self.spied_inputs] + [np.array(a) for a in arrays]
+                inputs = [a[rows] for a in drawn] + [np.array(a) for a in arrays]
                 calls[self.cfg.variant].append((self.block[rows], inputs))
                 return _real(self, rows, keys, *arrays)
 
-            m.setattr(cls, "row_step", rows_spy)
             m.setattr(cls, "count", count_spy)
         return run(), calls
 
@@ -1724,7 +1832,7 @@ def _assert_count_matches_references(n, width, lengths, trials, chunk=None, bloc
     for start in range(0, trials, block):
         trials_in_block = range(start, min(start + block, trials))
         rows = [a[start : start + block] for a in arrays]
-        run.row_step(trials_in_block, *rows[:2])
+        run.row_step(trials_in_block, *_prepared(*rows[:2]))
         keys = _flip_row_keys(seed, trials_in_block, n)
         for lo in range(0, len(trials_in_block), chunk):
             chunk_rows = slice(lo, min(lo + chunk, len(trials_in_block)))
@@ -1742,8 +1850,8 @@ def _assert_count_matches_references(n, width, lengths, trials, chunk=None, bloc
             case = (trial, cfg.stream_length, cfg.flip_probability)
             assert run.decoded[i, j, trial] == want, case
     assert run.saturated == saturation.meta.get("adc_saturation", 0)
-    thr_s, _ = _comparator_thresholds(arrays[0], cfgs[0].binary_bits, run.period)
-    thr_w, _ = _comparator_thresholds(np.abs(arrays[1]), cfgs[0].binary_bits, run.period)
+    thr_s, _ = _thresholds(arrays[0], cfgs[0].binary_bits, run.period)
+    thr_w, _ = _thresholds(np.abs(arrays[1]), cfgs[0].binary_bits, run.period)
     want_s, want_c, present = _popcount_matmul_sums(thr_s, thr_w, arrays[1] >= 0.0, run.plan.levels)
     assert run.s_sums.tolist() == want_s[:, present].tolist()
     assert run.c_sums.tolist() == want_c[:, present].tolist()
@@ -1837,7 +1945,9 @@ def test_block_draws_match_numpy_draws_per_trial(dist, n, monkeypatch):
             )
             for lo in range(0, trials, step)
         ]
-        columns = [np.concatenate(column) for column in zip(*blocks)]
+        # each block's (T, 2N) inputs, then its phases
+        block, *phases = (np.concatenate(column) for column in zip(*blocks))
+        columns = [*np.hsplit(block, 2), *phases]
         for t in range(trials):
             rng = np.random.default_rng((seed, t))
             inputs = _numpy_inputs(dist, rng, n)

@@ -274,7 +274,7 @@ def test_warm_long_stream_count_allocates_little_beyond_its_run():
 
     def block():
         keys = pipelines._flip_row_keys(cfgs[0].seed, range(1), 300)
-        run.row_step(range(1), *inputs)
+        run.row_step(range(1), *pipelines._prepare_inputs(np.hstack(inputs)))
         run.count(slice(0, 1), keys, *phases)
 
     block()
