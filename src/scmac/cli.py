@@ -123,10 +123,20 @@ def _module_energies(d: dict):
 
 
 def _write_text(path: str, text: str) -> None:
+    data = text.encode("utf-8")
+    # a replace over an existing file can flush it to disk, so a report
+    # that already holds these bytes is left as it is
+    try:
+        if os.path.getsize(path) == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return
+    except OSError:
+        pass
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(data)
     os.replace(tmp, path)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionError
+from .errors import ConversionError, short_int
 
 # Primitive polynomials for the shipped widths (tap positions, 1-indexed;
 # position w is the register MSB).
@@ -28,6 +28,30 @@ MAXIMAL_TAPS: dict[int, tuple[int, ...]] = {
 }
 
 
+# the LFSR tables are built from a 2^w-entry state array: about 0.05 s and a
+# 21 MB traced peak at width 20, doubling per extra bit
+MAX_LFSR_WIDTH = 20
+
+
+def register_taps(width: int, taps: tuple[int, ...] | None = None) -> tuple[int, ...]:
+    """The register's taps, sorted high to low; the shipped set when `taps` is None.
+
+    Taps must lie in 1..width and include the width, which makes each step invertible.
+    """
+    if taps is None:
+        if width not in MAXIMAL_TAPS:
+            raise ConversionError(
+                f"no shipped taps for lfsr_width {short_int(width)}; "
+                f"pick one of {sorted(MAXIMAL_TAPS)} or set lfsr_taps"
+            )
+        return MAXIMAL_TAPS[width]
+    taps = tuple(int(t) for t in taps)
+    if width < 2 or not taps or any(t < 1 or t > width for t in taps) or width not in taps:
+        shown, w = ", ".join(map(short_int, taps)), short_int(width)
+        raise ConversionError(f"lfsr_taps [{shown}] must lie in 1..{w} and include the width {w}")
+    return tuple(sorted(set(taps), reverse=True))
+
+
 @dataclass(frozen=True)
 class Lfsr:
     """Immutable LFSR state: stepping returns a new instance."""
@@ -37,31 +61,16 @@ class Lfsr:
     state: int
 
     def __post_init__(self):
-        if self.width < 2:
-            raise ConversionError(f"LFSR width must be >= 2, got {self.width}")
-        taps = tuple(sorted(set(int(t) for t in self.taps), reverse=True))
-        object.__setattr__(self, "taps", taps)
-        if not taps or any(t < 1 or t > self.width for t in taps):
-            raise ConversionError(f"taps {taps} outside 1..{self.width}")
-        if self.width not in taps:
-            raise ConversionError("tap set must include the register width")
+        object.__setattr__(self, "taps", register_taps(self.width, self.taps))
         if not (1 <= self.state < (1 << self.width)):
             raise ConversionError(
                 f"LFSR state must be a nonzero {self.width}-bit value, got {self.state}"
             )
 
-    @property
-    def period(self) -> int:
-        return cycle_length(self.width, self.taps)
-
 
 def default_lfsr(width: int = 4, seed: int = 0b1000) -> Lfsr:
     """LFSR with the shipped maximal tap set for the given width."""
-    if width not in MAXIMAL_TAPS:
-        raise ConversionError(
-            f"no shipped tap set for width {width}; available: {sorted(MAXIMAL_TAPS)}"
-        )
-    return Lfsr(width, MAXIMAL_TAPS[width], seed)
+    return Lfsr(width, register_taps(width), seed)
 
 
 def _tap_mask(width: int, taps: tuple[int, ...]) -> int:
@@ -121,23 +130,25 @@ def _feedback_bits(width: int, taps: tuple[int, ...], count: int) -> np.ndarray:
 
 
 def _cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
+    taps = register_taps(width, taps)
     key = (width, taps)
     cached = _SEQ_CACHE.get(key)
     if cached is not None:
         return cached
+    if width > MAX_LFSR_WIDTH:
+        raise ConversionError(
+            f"lfsr_width {short_int(width)} exceeds the supported maximum {MAX_LFSR_WIDTH}"
+        )
     # the state after k steps is the width-bit window of feedback bits
-    # ending at step k, newest bit lowest; 2^width states must revisit 1
+    # ending at step k, newest bit lowest; with the width tap a step is
+    # invertible, so state 1 comes back within 2^width steps
     count = 1 << width
     bits = _feedback_bits(width, taps, count)
     states = np.zeros(count, dtype=np.int64)
     for j in range(width):
         states <<= 1
         states |= bits[j : j + count]
-    returns = np.flatnonzero(states[1:] == 1)
-    if returns.size == 0:
-        raise ConversionError(f"state 1 never recurs under taps {taps}: the tap set needs the width")
-    period = int(returns[0]) + 1
+    period = int(np.flatnonzero(states[1:] == 1)[0]) + 1
     # only the doubled tables stay cached; `state_cycle` widens them on demand
     seq2 = np.tile(states[:period].astype(np.min_scalar_type(count - 1)), 2)
     # a state's LSB is its newest feedback bit

@@ -42,44 +42,15 @@ from .energy import (
     naive_activity,
     reduction_percent,
 )
-from .errors import ConfigError, MacError, SizeMismatchError, short_int
-from .lfsr import MAXIMAL_TAPS, cycle_length, select_table, state_table
+from .errors import ConfigError, ConversionError, MacError, SizeMismatchError, short_int
+from .lfsr import cycle_length, register_taps, select_table, state_table
 from .mac import MacConfig
 
 VARIANTS = ("conventional", "proposed")
 
-# the LFSR tables are built from a 2^w-entry state array: about 0.05 s and a
-# 21 MB traced peak at width 20, doubling per extra bit
-MAX_LFSR_WIDTH = 20
-
 # a run keeps several 8-byte words per trial, so 2^48 trials would need
 # petabytes; far enough beyond that, numpy cannot even size the arrays
 MAX_TRIALS = 1 << 48
-
-
-def _maximal_period(width: int, taps: tuple[int, ...]) -> int:
-    """Period of a maximal-length (width, taps) LFSR; ConfigError otherwise.
-
-    The comparator mapping and the conventional oracle both assume the
-    cycle visits every state 1..2^width - 1: a shorter cycle decodes a
-    different expectation than the oracle computes.
-    """
-    if width > MAX_LFSR_WIDTH:
-        raise ConfigError(
-            f"lfsr_width {short_int(width)} exceeds the supported maximum {MAX_LFSR_WIDTH}"
-        )
-    if width < 2 or not taps or any(t < 1 or t > width for t in taps) or width not in taps:
-        shown = ", ".join(map(short_int, taps))
-        raise ConfigError(
-            f"lfsr_taps [{shown}] must lie in 1..{width} and include the width {width}"
-        )
-    period = cycle_length(width, taps)
-    if period != (1 << width) - 1:
-        raise ConfigError(
-            f"lfsr_taps {list(taps)} are not maximal for width {width}: "
-            f"period {period}, not {(1 << width) - 1}"
-        )
-    return period
 
 
 @dataclass(frozen=True)
@@ -131,16 +102,20 @@ class PipelineConfig:
                 f"explicit input_distribution has {len(dist.samples)} entries, "
                 f"need n_inputs = {short_int(self.n_inputs)}"
             )
-        taps = self.lfsr_taps
-        if taps is None:
-            if self.lfsr_width not in MAXIMAL_TAPS:
-                raise ConfigError(
-                    f"no shipped taps for lfsr_width {short_int(self.lfsr_width)}; "
-                    f"pick one of {sorted(MAXIMAL_TAPS)} or set lfsr_taps"
-                )
-            taps = MAXIMAL_TAPS[self.lfsr_width]
-        object.__setattr__(self, "lfsr_taps", tuple(taps))
-        period = _maximal_period(self.lfsr_width, self.lfsr_taps)
+        try:
+            taps = register_taps(self.lfsr_width, self.lfsr_taps)
+            period = cycle_length(self.lfsr_width, taps)
+        except ConversionError as exc:
+            raise ConfigError(str(exc)) from None
+        # every report echoes the taps as given
+        object.__setattr__(self, "lfsr_taps", tuple(self.lfsr_taps or taps))
+        # the comparator mapping and the conventional oracle both assume the
+        # cycle visits every state 1..2^width - 1
+        if period != (1 << self.lfsr_width) - 1:
+            raise ConfigError(
+                f"lfsr_taps {list(self.lfsr_taps)} are not maximal for width {self.lfsr_width}: "
+                f"period {period}, not {(1 << self.lfsr_width) - 1}"
+            )
         if self.stream_length < 1 or self.stream_length > period:
             raise ConfigError(
                 f"stream_length must lie in [1, {period}] for a width-"

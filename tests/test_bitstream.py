@@ -251,3 +251,20 @@ def test_product_statistics_match_pq():
     vals = _bernoulli_stream_values(p, q, length, trials, seed=20_260_810)
     sigma_single = np.sqrt(p * q * (1 - p * q) / length)
     assert abs(vals.mean() - p * q) <= 3 * sigma_single / np.sqrt(trials)
+
+
+_ONE, _TWO = Bitstream.from_string("1"), Bitstream.from_string("01")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: mux_add(_ONE, _TWO, _TWO), LengthMismatchError, "differ", id="add"),
+        pytest.param(
+            lambda: mux_tree_accumulate([_ONE, _TWO], _ONE), LengthMismatchError, "share", id="tree"
+        ),
+    ],
+)
+def test_bitstream_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

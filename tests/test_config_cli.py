@@ -251,6 +251,26 @@ def test_cli_compare_deterministic_bytes(tmp_path, capsys):
         assert a == b, f"{name} differs between identical runs"
 
 
+def test_cli_rerun_into_one_directory_replaces_only_changed_reports(tmp_path, capsys, monkeypatch):
+    """A report that already holds the new bytes is left alone; any other is replaced."""
+    replaced = []
+    real_replace = os.replace
+    monkeypatch.setattr(cli.os, "replace", lambda a, b: (replaced.append(b), real_replace(a, b)))
+    # measured energies follow the inputs, so a new seed changes all four reports
+    args = ["compare", "--trials", "2", "--n-inputs", "4", "--profile", "measured"]
+    args += ["--out", str(tmp_path)]
+    assert main(args) == 0
+    assert len(replaced) == 4
+    first = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()}
+    replaced.clear()
+    assert main(args) == 0
+    assert replaced == []
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in tmp_path.iterdir()} == first
+    assert main(args + ["--seed", "2"]) == 0
+    assert sorted(os.path.basename(p) for p in replaced) == sorted(first)
+    capsys.readouterr()
+
+
 # sha256 of the help text at 80 columns, recorded while `main` built a new
 # parser per call
 HELP_GOLDEN = {

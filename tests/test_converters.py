@@ -1,16 +1,20 @@
 """LFSR, BSC/SBC, ADC, reference ladder, and thermometer ASC."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scmac import (
     Bitstream,
+    ConfigError,
     ConversionError,
     Lfsr,
+    PipelineConfig,
     RefLadder,
     ThermometerCode,
     adc_quantize,
@@ -23,7 +27,17 @@ from scmac import (
     sbc_decode,
     thermometer_quantize,
 )
-from scmac.lfsr import lfsr_outputs
+from scmac.converters import AscActivity, asc_levels
+from scmac.lfsr import (
+    cycle_length,
+    lfsr_outputs,
+    phase_of_state,
+    select_bits,
+    select_table,
+    state_cycle,
+    state_table,
+    threshold_bits,
+)
 
 
 def test_lfsr_4bit_visits_all_states():
@@ -54,6 +68,54 @@ def test_lfsr_rejects_bad_taps():
         Lfsr(4, (3, 2), 1)  # must include the width
     with pytest.raises(ConversionError):
         Lfsr(4, (5, 4), 1)
+
+
+# (21, 19) is maximal, so only the table bound stops these: at the full
+# 2^21 entries each builder would trace tens of MB
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: state_table(21, (21, 19)), id="state_table"),
+        pytest.param(lambda: select_table(21, (21, 19)), id="select_table"),
+        pytest.param(lambda: cycle_length(21, (21, 19)), id="cycle_length"),
+        pytest.param(lambda: state_cycle(21, (21, 19)), id="state_cycle"),
+        pytest.param(lambda: phase_of_state(21, (21, 19), 1), id="phase_of_state"),
+        pytest.param(lambda: threshold_bits(21, (21, 19), 0, 8, 3), id="threshold_bits"),
+        pytest.param(lambda: select_bits(21, (21, 19), 0, 8), id="select_bits"),
+        pytest.param(lambda: bsc_encode(3, Lfsr(21, (21, 19), 1)), id="bsc_encode"),
+    ],
+)
+def test_table_builders_refuse_a_register_past_the_width_bound(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConversionError, match="lfsr_width 21 exceeds the supported maximum 20"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_scalar_register_steps_past_the_table_bound():
+    reg, out = lfsr_next(Lfsr(32, (32, 22, 2, 1), 1))
+    assert out == 0b11 and lfsr_next(reg)[1] == 0b110
+
+
+@pytest.mark.parametrize("width, taps", [(4, (3, 2)), (4, (5, 4)), (4, ()), (1, (1,))])
+def test_register_and_config_refuse_bad_taps_alike(width, taps):
+    with pytest.raises(ConversionError, match="include the width") as reg:
+        Lfsr(width, taps, 1)
+    with pytest.raises(ConfigError) as cfg:
+        PipelineConfig(variant="conventional", n_inputs=4, lfsr_width=width, lfsr_taps=taps)
+    assert str(cfg.value) == str(reg.value)
+
+
+def test_default_register_and_config_miss_shipped_taps_alike():
+    with pytest.raises(ConversionError, match="no shipped taps") as reg:
+        default_lfsr(5)
+    with pytest.raises(ConfigError) as cfg:
+        PipelineConfig(variant="conventional", n_inputs=4, lfsr_width=5)
+    assert str(cfg.value) == str(reg.value)
 
 
 def test_bsc_zero_and_full_scale():
@@ -171,3 +233,22 @@ def test_asc_count_matches_floor_formula(x, m):
     code, _ = asc_encode(x, ladder)
     expected = min(math.floor(Fraction(x) * (m + 1)), m)
     assert code.count == expected == thermometer_quantize(x, m)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: adc_quantize_flagged(0.5, 0), ConversionError, "one bit", id="adc"),
+        pytest.param(lambda: RefLadder((), 1), ConversionError, "one tap", id="ladder_taps"),
+        pytest.param(lambda: RefLadder((0.5,), 0), ConversionError, "vdd must", id="ladder_vdd"),
+        pytest.param(lambda: ThermometerCode(()), ConversionError, "nonempty", id="thermometer"),
+        pytest.param(lambda: AscActivity((False, True)), ConversionError, "SA 0", id="activity"),
+        pytest.param(lambda: asc_encode(math.nan, ref_ladder(3)), ConversionError, "NaN", id="asc"),
+        pytest.param(lambda: asc_levels(np.array([0.5]), 0), ConversionError, "m >=", id="levels"),
+        # taps (4, 2) cycle through 1, 2, 5, 10, 4, 8 only
+        pytest.param(lambda: phase_of_state(4, (4, 2), 3), ConversionError, "not on", id="phase"),
+    ],
+)
+def test_converter_and_register_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

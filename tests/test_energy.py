@@ -257,3 +257,21 @@ def test_accumulate_rejects_unpriceable_log():
     log.counts["not_a_module"] = 3
     with pytest.raises(EnergyModelError):
         accumulate(log, default_tables()[0])
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: fom(1e-12, 0, 1), EnergyModelError, "positive", id="fom"),
+        pytest.param(lambda: naive_activity(0), EnergyModelError, "n_inputs", id="naive"),
+        pytest.param(
+            lambda: expected_enabled_sas(0, uniform_survival), EnergyModelError, "m must", id="sas"
+        ),
+        pytest.param(
+            lambda: brute_force_enabled_average(15, []), EnergyModelError, "one sample", id="brute"
+        ),
+    ],
+)
+def test_energy_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

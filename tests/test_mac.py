@@ -260,3 +260,33 @@ def test_from_thermometer_counts_rejects_out_of_range(in_counts, w_counts, bad):
         MacInputs.from_thermometer_counts(in_counts, w_counts, [1, 0], 4)
     with pytest.raises(ConversionError, match=f"count {bad} outside \\[0, 4\\]"):
         ThermometerCode.from_count(bad, 4)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: MacConfig(1, 0), MacError, "n_inputs must", id="config"),
+        pytest.param(
+            lambda: MacInputs.from_thermometer_counts([], [], [], 0),
+            ConversionError,
+            "nonempty",
+            id="thermometer",
+        ),
+        pytest.param(
+            lambda: MacInputs(np.zeros((0, 3)), np.zeros((0, 3)), []),
+            MacError,
+            "one input pair",
+            id="rows",
+        ),
+        pytest.param(
+            lambda: MacInputs.from_streams([Bitstream.from_string("1")], []),
+            MacError,
+            "1 inputs but 0",
+            id="streams",
+        ),
+        pytest.param(lambda: ProductCounts(-1, 0), MacError, "negative", id="counts"),
+    ],
+)
+def test_mac_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -18,7 +18,7 @@ from scmac import (
     run_comparison,
 )
 from scmac import pipelines
-from scmac.distributions import ZeroPeakedGaussian
+from scmac.distributions import Explicit, ZeroPeakedGaussian
 from scmac.energy import EVENT_KEYS, accumulate, default_tables
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_bits, threshold_bits
 from scmac.bitstream import Bitstream, mux_tree_accumulate, mux_tree_scale
@@ -491,3 +491,19 @@ def test_too_wide_binary_bits_rejected():
 def test_config_rejects_non_finite_and_negative_values(kw):
     with pytest.raises(ConfigError):
         prop_cfg(**kw)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda: Explicit((0.5,), (0.5,)).draw(np.random.default_rng(1), 2),
+            ConfigError,
+            "has 1 entries, need 2",
+            id="explicit_draw",
+        ),
+    ],
+)
+def test_distribution_rejections(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
