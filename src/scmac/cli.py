@@ -220,16 +220,12 @@ def _write_reports(out_dir: str, fmt: str, reports) -> None:
 # subcommands
 # ---------------------------------------------------------------------------
 
-# each override flag is stored under the ExperimentConfig field it sets
-_OVERRIDES = (
-    "seed", "m", "n_inputs", "stream_length", "flip_probability", "trials", "energy_profile"
-)
-
-
 def _load_or_default(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else default_config()
+    # each override flag is stored under the ExperimentConfig field it sets
     given = vars(args)
-    overrides = {name: given[name] for name in _OVERRIDES if given.get(name) is not None}
+    names = [f.name for f in dataclasses.fields(cfg)]
+    overrides = {name: given[name] for name in names if given.get(name) is not None}
     if given.get("sigma") is not None:
         overrides["distribution"] = ZeroPeakedGaussian(args.sigma)
     return dataclasses.replace(cfg, **overrides) if overrides else cfg

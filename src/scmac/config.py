@@ -52,28 +52,19 @@ from functools import partial
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
 from .energy import ENERGY_PROFILES, EVENT_KEYS, EnergyTable, default_tables
 from .errors import ConfigError, EnergyModelError
-from .pipelines import VARIANTS, PipelineConfig
+from .pipelines import VARIANTS, PipelineConfig, RunConfig
 
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class ExperimentConfig:
+@dataclass(frozen=True)
+class ExperimentConfig(RunConfig):
     """Validated, fully-defaulted configuration for the CLI and harness."""
 
     n_inputs: int = 300
-    binary_bits: int = 4
-    stream_length: int = 15
-    lfsr_width: int = 15
-    lfsr_taps: tuple[int, ...] | None = None
-    output_rate_hz: float = 10e6
-    flip_probability: float = 0.0
     distribution: InputDistribution = field(default_factory=ZeroPeakedGaussian)
-    m: int = 15
-    vdd: float = 1.0
-    tables: tuple[EnergyTable, EnergyTable] = field(default_factory=default_tables)
     trials: int = 200
-    seed: int = 1
+    tables: tuple[EnergyTable, EnergyTable] = field(default_factory=default_tables)
     energy_profile: str = "calibrated"
     efficiency_ops: dict[str, int] = field(default_factory=dict)
     fom_steps: int = 2395
@@ -82,8 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.energy_profile not in ENERGY_PROFILES:
             raise ConfigError(f"unknown energy_profile {self.energy_profile!r}")
-        # a bad pipeline field fails here, at load time, not when the run starts
-        self.pipeline_config("proposed")
+        # a bad run field fails here, at load time, not when the run starts
+        super().__post_init__()
         if self.fom_steps < 1 or self.fom_ops < 1:
             raise ConfigError("fom_steps and fom_ops must be positive")
         # the energy model divides by these counts as floats
@@ -96,9 +87,8 @@ class ExperimentConfig:
             raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
 
     def pipeline_config(self, variant: str, **changes) -> PipelineConfig:
-        """`variant`'s PipelineConfig of these fields, with `changes` set in place of some."""
-        names = [f.name for f in fields(PipelineConfig) if f.name != "variant"]
-        values = {name: getattr(self, name) for name in names}
+        """`variant`'s PipelineConfig of these run fields, with `changes` set in place of some."""
+        values = {f.name: getattr(self, f.name) for f in fields(RunConfig)}
         return PipelineConfig(variant=variant, **{**values, **changes})
 
     def to_json_dict(self) -> dict:

@@ -97,10 +97,6 @@ class RefLadder:
             prev = v
 
     @property
-    def m(self) -> int:
-        return len(self.vrefs)
-
-    @property
     def vref_volts(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.vrefs)
 
@@ -111,6 +107,18 @@ def ref_ladder(m: int, vdd: float = 1.0) -> RefLadder:
         raise ConversionError("ladder needs m >= 1 taps")
     vdd_f = Fraction(vdd)
     return RefLadder(tuple(Fraction(i + 1, m + 1) * vdd_f for i in range(m)), vdd_f)
+
+
+def _thermometer_rows(counts, m: int) -> np.ndarray:
+    """(len(counts), m) thermometer bits, counts[i] leading ones in row i; each whole, in [0, m]."""
+    if m < 1:
+        raise ConversionError("thermometer bits must be a nonempty 0/1 sequence")
+    for c in counts:
+        if not 0 <= c <= m:
+            raise ConversionError(f"count {c} outside [0, {m}]")
+        if c % 1:
+            raise ConversionError(f"count {c} is not a whole number")
+    return np.arange(m) < np.asarray(counts, dtype=np.int64).reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -130,13 +138,7 @@ class ThermometerCode:
 
     @classmethod
     def from_count(cls, count: int, m: int) -> "ThermometerCode":
-        if not (0 <= count <= m):
-            raise ConversionError(f"count {count} outside [0, {m}]")
-        return cls((1,) * count + (0,) * (m - count))
-
-    @property
-    def m(self) -> int:
-        return len(self.bits)
+        return cls(_thermometer_rows([count], m)[0])
 
     @property
     def count(self) -> int:

@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 from decimal import Decimal
+from numbers import Integral
 
 
 class ScmacError(Exception):
@@ -42,3 +43,10 @@ def short_int(n: int) -> str:
     should print whole.
     """
     return str(n) if abs(n) < 10**20 else f"{Decimal(n):.3e}"
+
+
+def require_int(name: str, value, error: type[ScmacError]) -> int:
+    """`value` as an int; `error` unless it is an integer, a Python or numpy int but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionError, short_int
+from .errors import ConversionError, require_int, short_int
 
 # Primitive polynomials for the shipped widths (tap positions, 1-indexed;
 # position w is the register MSB).
@@ -36,8 +36,9 @@ MAX_LFSR_WIDTH = 20
 def register_taps(width: int, taps: tuple[int, ...] | None = None) -> tuple[int, ...]:
     """The register's taps, sorted high to low; the shipped set when `taps` is None.
 
-    Taps must lie in 1..width and include the width, which makes each step invertible.
+    Integer taps must lie in 1..width and include the width, which makes each step invertible.
     """
+    require_int("lfsr_width", width, ConversionError)
     if taps is None:
         if width not in MAXIMAL_TAPS:
             raise ConversionError(
@@ -45,7 +46,7 @@ def register_taps(width: int, taps: tuple[int, ...] | None = None) -> tuple[int,
                 f"pick one of {sorted(MAXIMAL_TAPS)} or set lfsr_taps"
             )
         return MAXIMAL_TAPS[width]
-    taps = tuple(int(t) for t in taps)
+    taps = tuple(require_int("lfsr_taps", t, ConversionError) for t in taps)
     if width < 2 or not taps or any(t < 1 or t > width for t in taps) or width not in taps:
         shown, w = ", ".join(map(short_int, taps)), short_int(width)
         raise ConversionError(f"lfsr_taps [{shown}] must lie in 1..{w} and include the width {w}")

@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .bitstream import Bitstream
-from .errors import ConversionError, MacError, short_int
+from .converters import _thermometer_rows
+from .errors import MacError, require_int, short_int
 
 
 # The largest m*N whose float decode is exact. Each side voltage, their sum,
@@ -49,6 +50,8 @@ class MacConfig:
     vdd: float = 1.0
 
     def __post_init__(self):
+        for name in ("m", "n_inputs"):
+            require_int(name, getattr(self, name), MacError)
         if self.m < 1:
             raise MacError(f"m must be >= 1, got {short_int(self.m)}")
         if self.n_inputs < 1:
@@ -87,18 +90,6 @@ class SignedStochNumber:
     def __post_init__(self):
         if self.sign not in (0, 1):
             raise MacError(f"sign bit must be 0 or 1, got {self.sign}")
-
-
-def _thermometer_rows(counts, m: int) -> np.ndarray:
-    """(len(counts), m) thermometer bits; range-checked like `ThermometerCode.from_count`."""
-    if m < 1:
-        raise ConversionError("thermometer bits must be a nonempty 0/1 sequence")
-    for c in counts:
-        if not 0 <= c <= m:
-            raise ConversionError(f"count {c} outside [0, {m}]")
-        if c % 1:
-            raise ConversionError(f"count {c} is not a whole number")
-    return np.arange(m) < np.asarray(counts, dtype=np.int64).reshape(-1, 1)
 
 
 class MacInputs:

@@ -42,7 +42,8 @@ from .energy import (
     naive_activity,
     reduction_percent,
 )
-from .errors import ConfigError, ConversionError, MacError, SizeMismatchError, short_int
+from .errors import ConfigError, ConversionError, MacError, SizeMismatchError, require_int
+from .errors import short_int
 from .lfsr import cycle_length, register_taps, select_table, state_table
 from .mac import MacConfig
 
@@ -54,8 +55,8 @@ MAX_TRIALS = 1 << 48
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for one datapath variant.
+class RunConfig:
+    """The run fields of both datapath variants, and their checks.
 
     `m` is the stochastic word width of the proposed coding, `binary_bits`
     the conventional ADC/BSC precision, `stream_length` the conventional
@@ -63,7 +64,6 @@ class PipelineConfig:
     threshold is rescaled so the per-bit one-probability stays exact).
     """
 
-    variant: str
     n_inputs: int
     m: int = 15
     vdd: float = 1.0
@@ -78,8 +78,9 @@ class PipelineConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        # m and n_inputs are integer-checked by MacConfig, lfsr_width by register_taps
+        for name in ("binary_bits", "stream_length", "trials", "seed"):
+            require_int(name, getattr(self, name), ConfigError)
         for name in ("n_inputs", "m", "binary_bits"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {short_int(getattr(self, name))}")
@@ -107,14 +108,12 @@ class PipelineConfig:
             period = cycle_length(self.lfsr_width, taps)
         except ConversionError as exc:
             raise ConfigError(str(exc)) from None
-        # every report echoes the taps as given
-        object.__setattr__(self, "lfsr_taps", tuple(self.lfsr_taps or taps))
         # the comparator mapping and the conventional oracle both assume the
         # cycle visits every state 1..2^width - 1
         if period != (1 << self.lfsr_width) - 1:
             raise ConfigError(
-                f"lfsr_taps {list(self.lfsr_taps)} are not maximal for width {self.lfsr_width}: "
-                f"period {period}, not {(1 << self.lfsr_width) - 1}"
+                f"lfsr_taps {list(self.lfsr_taps or taps)} are not maximal for width "
+                f"{self.lfsr_width}: period {period}, not {(1 << self.lfsr_width) - 1}"
             )
         if self.stream_length < 1 or self.stream_length > period:
             raise ConfigError(
@@ -128,6 +127,21 @@ class PipelineConfig:
                 f"binary_bits {short_int(self.binary_bits)} is too wide for a "
                 f"period-{period} LFSR: comparator thresholds would overflow int64"
             )
+
+
+@dataclass(frozen=True)
+class PipelineConfig(RunConfig):
+    """The run fields of one datapath variant."""
+
+    variant: str = field(kw_only=True)
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        super().__post_init__()
+        # every report echoes the taps, as given or the shipped ones
+        taps = self.lfsr_taps or register_taps(self.lfsr_width)
+        object.__setattr__(self, "lfsr_taps", tuple(taps))
 
     @property
     def mac_config(self) -> MacConfig:
@@ -656,10 +670,6 @@ class ExperimentResult:
     @property
     def rmse(self) -> float:
         return self.statistics()["rmse"]
-
-    @property
-    def mean_error(self) -> float:
-        return self.statistics()["mean_error"]
 
     def statistics(self) -> dict[str, float]:
         """Max |error|, RMSE and mean error, from one subtraction of the oracles."""

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned in the assertions below.
 """
 
+import dataclasses
 import itertools
 import json
 import time
@@ -145,8 +146,7 @@ def test_criterion_3_headline_report_consistency():
 def test_criterion_4_energy_reduction_profiles():
     """Calibrated profile reproduces the 82.1% reduction; naive stays in (80, 99)."""
     with _verdict(4, "energy reduction under calibrated and naive profiles"):
-        cfg = default_config()
-        cfg.trials = 2
+        cfg = dataclasses.replace(default_config(), trials=2)
         conv = cfg.pipeline_config("conventional")
         prop = cfg.pipeline_config("proposed")
         calibrated = run_comparison(conv, prop, energy_profile="calibrated")

@@ -24,6 +24,7 @@ from scmac import (
 from scmac.cli import comparison_summary_lines, main
 from scmac.distributions import Explicit, Uniform, ZeroPeakedGaussian
 from scmac.energy import CONVENTIONAL_TABLE, PROPOSED_TABLE, default_tables
+from scmac.lfsr import MAXIMAL_TAPS
 
 
 def test_default_config_round_trips():
@@ -78,6 +79,57 @@ def test_config_defaults():
     assert cfg.output_rate_hz == 10e6
     assert isinstance(cfg.distribution, ZeroPeakedGaussian)
     assert cfg.efficiency_ops == {}
+
+
+def test_experiment_config_adds_only_the_pricing_fields():
+    run_fields = {f.name for f in dataclasses.fields(pipelines.RunConfig)}
+    own = {f.name for f in dataclasses.fields(config.ExperimentConfig)} - run_fields
+    assert own == {"tables", "energy_profile", "efficiency_ops", "fom_steps", "fom_ops"}
+
+
+# the second config sets every run field away from both classes' defaults
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        default_config(),
+        dataclasses.replace(
+            default_config(),
+            n_inputs=5,
+            m=7,
+            vdd=0.8,
+            binary_bits=5,
+            stream_length=9,
+            lfsr_width=4,
+            lfsr_taps=(4, 3),
+            output_rate_hz=2e6,
+            distribution=Uniform(),
+            flip_probability=0.01,
+            trials=3,
+            seed=9,
+        ),
+    ],
+    ids=["default", "changed"],
+)
+@pytest.mark.parametrize("variant", pipelines.VARIANTS)
+def test_pipeline_config_carries_every_run_field(cfg, variant):
+    run = cfg.pipeline_config(variant)
+    assert run.variant == variant
+    for f in dataclasses.fields(pipelines.RunConfig):
+        # a run echoes the shipped taps where the config names none
+        value = getattr(cfg, f.name)
+        expected = MAXIMAL_TAPS[cfg.lfsr_width] if value is None else value
+        assert getattr(run, f.name) == expected, f.name
+
+
+def test_experiment_config_is_frozen():
+    cfg = default_config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.trials = 2
+
+
+def test_config_without_taps_writes_null_taps():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.json")
+    assert load_config(path).to_json_dict()["pipeline"]["lfsr_taps"] is None
 
 
 def _explicit(sample, weight):

@@ -14,6 +14,7 @@ from scmac import (
     ConfigError,
     ConversionError,
     Lfsr,
+    MacInputs,
     PipelineConfig,
     RefLadder,
     ThermometerCode,
@@ -110,6 +111,26 @@ def test_register_and_config_refuse_bad_taps_alike(width, taps):
     assert str(cfg.value) == str(reg.value)
 
 
+# taps None takes the shipped set, which 4.0 == 4 would find
+@pytest.mark.parametrize(
+    "width, taps, message",
+    [
+        pytest.param(4, (4, 3.7), "lfsr_taps must be an integer, got 3.7", id="float_tap"),
+        pytest.param(4, (4, True), "lfsr_taps must be an integer, got True", id="bool_tap"),
+        pytest.param(4.0, (4, 3), "lfsr_width must be an integer, got 4.0", id="width"),
+        pytest.param(4.0, None, "lfsr_width must be an integer, got 4.0", id="shipped_width"),
+    ],
+)
+def test_register_refuses_non_integer_width_and_taps(width, taps, message):
+    with pytest.raises(ConversionError) as exc:
+        Lfsr(width, taps, 1)
+    assert str(exc.value) == message
+
+
+def test_register_accepts_numpy_integers():
+    assert Lfsr(np.int64(4), (np.int64(4), np.uint8(3)), 1).taps == (4, 3)
+
+
 def test_default_register_and_config_miss_shipped_taps_alike():
     with pytest.raises(ConversionError, match="no shipped taps") as reg:
         default_lfsr(5)
@@ -187,6 +208,16 @@ def test_thermometer_code_validation():
     with pytest.raises(ConversionError):
         ThermometerCode((1, 0, 1))
     assert ThermometerCode.from_count(2, 3).bits == (1, 1, 0)
+
+
+def test_thermometer_counts_follow_one_rule():
+    # a code and a row of MAC inputs refuse a fractional count alike and take a whole float
+    with pytest.raises(ConversionError, match="count 1.5 is not a whole number"):
+        ThermometerCode.from_count(1.5, 4)
+    with pytest.raises(ConversionError, match="count 1.5 is not a whole number"):
+        MacInputs.from_thermometer_counts([1.5], [0], [1], 4)
+    assert ThermometerCode.from_count(2.0, 4).bits == (1, 1, 0, 0)
+    assert MacInputs.from_thermometer_counts([2.0], [0], [1], 4).in_bits.tolist() == [[1, 1, 0, 0]]
 
 
 def test_asc_encode_examples():

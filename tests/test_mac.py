@@ -225,6 +225,24 @@ def test_decode_counts_exact_at_the_product_count_bound(vdd):
     assert np.array_equal(decode_counts(n_p, n_n, cfg), n_p - n_n)
 
 
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        pytest.param(3.5, 2, "m must be an integer, got 3.5", id="m"),
+        pytest.param(True, 2, "m must be an integer, got True", id="bool_m"),
+        pytest.param(3, 2.0, "n_inputs must be an integer, got 2.0", id="n_inputs"),
+    ],
+)
+def test_mac_config_refuses_non_integer_sizes(m, n, message):
+    with pytest.raises(MacError) as exc:
+        MacConfig(m, n)
+    assert str(exc.value) == message
+
+
+def test_mac_config_accepts_numpy_integers():
+    assert MacConfig(np.int64(3), np.uint16(2)).max_count == 6
+
+
 def test_fractional_counts_are_refused():
     with pytest.raises(MacError, match="whole numbers"):
         decode_counts(np.array([1.5, 2]), np.array([1, 1]), MacConfig(4, 2))

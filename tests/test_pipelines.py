@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -482,6 +483,30 @@ def test_too_wide_binary_bits_rejected():
     assert conventional_pipeline([1.0], [1.0], cfg).oracle[0] == exact_oracle([1.0], [1.0], cfg)
     with pytest.raises(ConfigError, match="overflow"):
         conv_cfg(n_inputs=1, trials=1, binary_bits=49)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_inputs", 4.5),
+        ("m", 3.5),
+        ("binary_bits", 2.5),
+        ("stream_length", 7.5),
+        ("lfsr_width", 4.0),
+        ("trials", 2.5),
+        ("trials", True),
+        ("seed", 1.5),
+    ],
+)
+def test_run_fields_must_be_integers(name, value):
+    with pytest.raises(ConfigError) as exc:
+        conv_cfg(**{name: value})
+    assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_pipeline_config_adds_only_the_variant():
+    run_fields = [f.name for f in fields(pipelines.RunConfig)]
+    assert [f.name for f in fields(PipelineConfig)] == [*run_fields, "variant"]
 
 
 @pytest.mark.parametrize(
