@@ -4,7 +4,8 @@ Subcommands: `mac` (one MAC from explicit bitstreams), `compare` (both
 pipelines side by side), `sweep` (parameter grid), `asc-stats` (gating
 savings per distribution), `selftest` (built-in invariant suites).
 
-Exit codes: 0 success, 2 bad config/flags, 3 size mismatch, 4 I/O failure.
+Exit codes: 0 success, 1 any other scmac error or a failed selftest, 2 bad
+config/flags, 3 size mismatch, 4 I/O failure.
 All randomness derives from the config/--seed value, so repeated runs
 write byte-identical reports.
 """
@@ -237,16 +238,8 @@ def _pair(cfg: ExperimentConfig, **changes):
 
 
 def _comparisons_for(base: ExperimentConfig, pairs) -> list[ComparisonResult]:
-    """Both pipelines of each pair, all from one draw per trial, priced by `base`'s settings."""
-    # the points of a sweep share the energy settings of their base config
-    return run_comparisons(
-        pairs,
-        tables=base.tables,
-        energy_profile=base.energy_profile,
-        efficiency_ops=base.efficiency_ops,
-        fom_steps=base.fom_steps,
-        fom_ops=base.fom_ops,
-    )
+    """Both pipelines of each pair, priced by `base`'s settings, as `run_comparisons` runs them."""
+    return run_comparisons(pairs, **base.pricing)
 
 
 def _comparison_for(cfg: ExperimentConfig) -> ComparisonResult:
@@ -371,15 +364,8 @@ def cmd_sweep(args) -> int:
     # every point is built, and so validated, before the first is drawn; a
     # point sets pipeline fields alone, so its pair is all it has to check
     points = [_pair(base, **_sweep_fields(*key)) for key in grid]
-    # the points of one (m, N, sigma) family share a draw; sigma varies
-    # inside L, so the families are collected before any row is written
-    families: dict[tuple, list[int]] = {}
-    for i, (m, n, _, sigma, _) in enumerate(grid):
-        families.setdefault((m, n, sigma), []).append(i)
-    reported = [None] * len(grid)
-    for family in families.values():
-        for i, cmp_res in zip(family, _comparisons_for(base, [points[i] for i in family])):
-            reported[i] = _sweep_report(*grid[i], cmp_res)
+    results = _comparisons_for(base, points)
+    reported = [_sweep_report(*key, cmp_res) for key, cmp_res in zip(grid, results)]
     rows = [row for row, _ in reported]
     print("\n".join(line for _, line in reported))
     if args.out:

@@ -51,7 +51,7 @@ from functools import partial
 
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
 from .energy import ENERGY_PROFILES, EVENT_KEYS, EnergyTable, default_tables
-from .errors import ConfigError, EnergyModelError
+from .errors import ConfigError, EnergyModelError, require_int
 from .pipelines import VARIANTS, PipelineConfig, RunConfig
 
 SCHEMA_VERSION = 1
@@ -85,6 +85,12 @@ class ExperimentConfig(RunConfig):
                 raise ConfigError(f"efficiency_ops.{name} must be at most {sys.float_info.max:.6e}")
         if self.fom_steps * self.fom_ops > sys.float_info.max:
             raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
+
+    @property
+    def pricing(self) -> dict:
+        """The fields this config adds to the run fields: `run_comparisons`' pricing keywords."""
+        run = {f.name for f in fields(RunConfig)}
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in run}
 
     def pipeline_config(self, variant: str, **changes) -> PipelineConfig:
         """`variant`'s PipelineConfig of these run fields, with `changes` set in place of some."""
@@ -134,10 +140,9 @@ def _read_object(key: str, value, keys: dict) -> dict:
 
 def _strict_int(key: str, value) -> int:
     """An integer config value; bools, fractional floats and other types are ConfigErrors."""
-    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not integral:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return require_int(key, value, ConfigError)
 
 
 def _number(key: str, value) -> float:

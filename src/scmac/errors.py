@@ -1,7 +1,7 @@
 """Exception types shared across the package."""
 
 from decimal import Decimal
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ScmacError(Exception):
@@ -50,3 +50,9 @@ def require_int(name: str, value, error: type[ScmacError]) -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def require_real(name: str, value, error: type[ScmacError]) -> None:
+    """`error` unless `value` is a real number, a Python or numpy one but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a number, got {value!r}")

@@ -62,6 +62,8 @@ class Lfsr:
     state: int
 
     def __post_init__(self):
+        object.__setattr__(self, "width", require_int("lfsr_width", self.width, ConversionError))
+        object.__setattr__(self, "state", require_int("LFSR state", self.state, ConversionError))
         object.__setattr__(self, "taps", register_taps(self.width, self.taps))
         if not (1 <= self.state < (1 << self.width)):
             raise ConversionError(
@@ -131,6 +133,7 @@ def _feedback_bits(width: int, taps: tuple[int, ...], count: int) -> np.ndarray:
 
 
 def _cycle(width: int, taps: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    width = require_int("lfsr_width", width, ConversionError)
     taps = register_taps(width, taps)
     key = (width, taps)
     cached = _SEQ_CACHE.get(key)

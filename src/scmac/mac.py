@@ -29,7 +29,7 @@ import numpy as np
 
 from .bitstream import Bitstream
 from .converters import _thermometer_rows
-from .errors import MacError, require_int, short_int
+from .errors import MacError, require_int, require_real, short_int
 
 
 # The largest m*N whose float decode is exact. Each side voltage, their sum,
@@ -51,7 +51,8 @@ class MacConfig:
 
     def __post_init__(self):
         for name in ("m", "n_inputs"):
-            require_int(name, getattr(self, name), MacError)
+            object.__setattr__(self, name, require_int(name, getattr(self, name), MacError))
+        require_real("vdd", self.vdd, MacError)
         if self.m < 1:
             raise MacError(f"m must be >= 1, got {short_int(self.m)}")
         if self.n_inputs < 1:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .energy import (
     reduction_percent,
 )
 from .errors import ConfigError, ConversionError, MacError, SizeMismatchError, require_int
-from .errors import short_int
+from .errors import require_real, short_int
 from .lfsr import cycle_length, register_taps, select_table, state_table
 from .mac import MacConfig
 
@@ -78,9 +79,15 @@ class RunConfig:
     seed: int = 1
 
     def __post_init__(self):
-        # m and n_inputs are integer-checked by MacConfig, lfsr_width by register_taps
-        for name in ("binary_bits", "stream_length", "trials", "seed"):
-            require_int(name, getattr(self, name), ConfigError)
+        # each field's type is checked first, and an integer is kept as a Python int
+        ints = ("n_inputs", "m", "binary_bits", "stream_length", "lfsr_width", "trials", "seed")
+        for name in ints:
+            object.__setattr__(self, name, require_int(name, getattr(self, name), ConfigError))
+        for name in ("output_rate_hz", "flip_probability"):
+            require_real(name, getattr(self, name), ConfigError)
+        dist = self.distribution
+        if not isinstance(dist, InputDistribution):
+            raise ConfigError(f"distribution must be an InputDistribution, got {dist!r}")
         for name in ("n_inputs", "m", "binary_bits"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {short_int(getattr(self, name))}")
@@ -97,7 +104,6 @@ class RunConfig:
         except MacError as exc:
             raise ConfigError(str(exc)) from None
         # the draw would refuse it only after the run has started
-        dist = self.distribution
         if isinstance(dist, Explicit) and len(dist.samples) != self.n_inputs:
             raise ConfigError(
                 f"explicit input_distribution has {len(dist.samples)} entries, "
@@ -108,6 +114,8 @@ class RunConfig:
             period = cycle_length(self.lfsr_width, taps)
         except ConversionError as exc:
             raise ConfigError(str(exc)) from None
+        if self.lfsr_taps is not None:
+            object.__setattr__(self, "lfsr_taps", tuple(map(int, self.lfsr_taps)))
         # the comparator mapping and the conventional oracle both assume the
         # cycle visits every state 1..2^width - 1
         if period != (1 << self.lfsr_width) - 1:
@@ -297,6 +305,10 @@ def _flip_row_keys(seed: int, trials: range, n: int) -> np.ndarray:
     t = np.arange(trials.start, trials.stop, trials.step, dtype=np.uint64)
     acc = splitmix64_array(t ^ np.uint64(mix(seed, 0xF11B)))
     return splitmix64_array(acc[:, None] ^ np.arange(n, dtype=np.uint64))
+
+
+# the fields that fix each trial's inputs and phases: configs run from one draw share them
+_DRAW_FIELDS = ("n_inputs", "trials", "seed", "distribution")
 
 
 def _shared(cfgs, names, what: str) -> None:
@@ -792,7 +804,7 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     if not cfgs:
         return []
     cfg = cfgs[0]
-    _shared(cfgs, ("n_inputs", "trials", "seed", "distribution"), "configs run together")
+    _shared(cfgs, _DRAW_FIELDS, "configs run together")
     fixed = None
     if samples is not None or weights is not None:
         if samples is None or weights is None:
@@ -901,54 +913,56 @@ def run_comparisons(
 ) -> list[ComparisonResult]:
     """Run both pipelines of each (conventional, proposed) pair on identical inputs and price them.
 
-    All pairs are run from one draw per trial, so they must share n_inputs,
-    trials, seed and distribution, and the configs of each variant every
-    field it reads but the stream length and the flip probability: a sweep
-    over stream lengths and flip probabilities draws once, counts the
-    longest stream once for every length and flip, and runs the proposed
-    path once. No pairs give no results. `energy_profile` selects the
-    activity counts used for the headline comparison: "calibrated"
-    (back-solved reference-design counts), "naive" (one event per module
-    action), or "measured" (the pipelines' own logs, per-bit SRAM).
-    `efficiency_ops` maps labels to op counts and defaults to the
-    back-solved 150-op figure; the structural 2N-1 count is always added,
-    in place if a label of that name is given.
+    The pairs run in families, each from one draw per trial. A family's
+    pairs share the draw fields and each variant's run `reads`, so a sweep
+    over stream lengths and flip probabilities counts the longest stream
+    once for every length and flip and runs the proposed path once. Every
+    pair, and any fixed `samples` and `weights`, is checked before the
+    first family draws; results come in pair order, and no pairs give none.
+    `energy_profile` selects the activity counts used for the headline
+    comparison: "calibrated" (back-solved reference-design counts),
+    "naive" (one event per module action), or "measured" (the pipelines'
+    own logs, per-bit SRAM). `efficiency_ops` maps labels to op counts and
+    defaults to the back-solved 150-op figure; the structural 2N-1 count is
+    always added, in place if a label of that name is given.
     """
     pairs = list(pairs)
-    shared = ("n_inputs", "trials", "seed", "output_rate_hz", "distribution", "flip_probability")
-    for conv_cfg, prop_cfg in pairs:
+    shared = (*_DRAW_FIELDS, "output_rate_hz", "flip_probability")
+    conv_key = attrgetter(*_DRAW_FIELDS, *_ConventionalRun.reads)
+    prop_key = attrgetter(*_ProposedRun.reads)
+    families: dict[tuple, list[int]] = {}
+    for i, (conv_cfg, prop_cfg) in enumerate(pairs):
         _shared((conv_cfg, prop_cfg), shared, "both variants of a comparison")
         _require_variant(conv_cfg, "conventional")
         _require_variant(prop_cfg, "proposed")
+        families.setdefault((conv_key(conv_cfg), prop_key(prop_cfg)), []).append(i)
     if energy_profile not in ENERGY_PROFILES:
         raise ConfigError(f"unknown energy profile {energy_profile!r}")
+    if samples is not None and weights is not None:
+        for family in families.values():
+            _check_fixed_inputs(samples, weights, pairs[family[0]][0])
 
-    conv_table, prop_table = tables if tables is not None else default_tables()
-    results = _run_pipeline(samples, weights, *(cfg for pair in pairs for cfg in pair))
+    tables = tables if tables is not None else default_tables()
     labels = efficiency_ops or {"back_solved": 150}
-    comparisons = []
-    for (conv_cfg, prop_cfg), conv_res, prop_res in zip(pairs, results[::2], results[1::2]):
-        ops = {**labels, "structural_2n_minus_1": 2 * conv_cfg.n_inputs - 1}
-        if energy_profile == "calibrated":
-            conv_log, prop_log = calibrated_activity()
-            outputs = (1, 1)
-        elif energy_profile == "naive":
-            conv_log, prop_log = naive_activity(conv_cfg.n_inputs)
-            outputs = (1, 1)
-        else:
-            conv_log, prop_log = conv_res.activity, prop_res.activity
-            outputs = (conv_cfg.trials, prop_cfg.trials)
-
-        common = dict(efficiency_ops=ops, fom_steps=fom_steps, fom_ops=fom_ops)
-        conv_res.energy = accumulate(
-            conv_log, conv_table, outputs=outputs[0], rate_hz=conv_cfg.output_rate_hz, **common
-        )
-        prop_res.energy = accumulate(
-            prop_log, prop_table, outputs=outputs[1], rate_hz=prop_cfg.output_rate_hz, **common
-        )
-        red = reduction_percent(conv_res.energy, prop_res.energy)
-        prop_res.energy.reduction_vs_baseline_percent = red
-        comparisons.append(ComparisonResult(conv_res, prop_res, red, energy_profile))
+    comparisons = [None] * len(pairs)
+    for family in families.values():
+        got = _run_pipeline(samples, weights, *(cfg for i in family for cfg in pairs[i]))
+        for i, conv_res, prop_res in zip(family, got[::2], got[1::2]):
+            # both sides of a pair share N, trials and the output rate
+            cfg = pairs[i][0]
+            if energy_profile == "calibrated":
+                logs, outputs = calibrated_activity(), 1
+            elif energy_profile == "naive":
+                logs, outputs = naive_activity(cfg.n_inputs), 1
+            else:
+                logs, outputs = (conv_res.activity, prop_res.activity), cfg.trials
+            ops = {**labels, "structural_2n_minus_1": 2 * cfg.n_inputs - 1}
+            priced = dict(outputs=outputs, rate_hz=cfg.output_rate_hz, efficiency_ops=ops)
+            for res, log, table in zip((conv_res, prop_res), logs, tables):
+                res.energy = accumulate(log, table, fom_steps=fom_steps, fom_ops=fom_ops, **priced)
+            red = reduction_percent(conv_res.energy, prop_res.energy)
+            prop_res.energy.reduction_vs_baseline_percent = red
+            comparisons[i] = ComparisonResult(conv_res, prop_res, red, energy_profile)
     return comparisons
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -85,6 +86,12 @@ def test_experiment_config_adds_only_the_pricing_fields():
     run_fields = {f.name for f in dataclasses.fields(pipelines.RunConfig)}
     own = {f.name for f in dataclasses.fields(config.ExperimentConfig)} - run_fields
     assert own == {"tables", "energy_profile", "efficiency_ops", "fom_steps", "fom_ops"}
+
+
+def test_experiment_config_pricing_is_the_comparison_keywords():
+    params = inspect.signature(pipelines.run_comparisons).parameters
+    keywords = {name for name, p in params.items() if p.kind is p.KEYWORD_ONLY}
+    assert set(default_config().pricing) == keywords - {"samples", "weights"}
 
 
 # the second config sets every run field away from both classes' defaults
@@ -483,6 +490,21 @@ def test_cli_sweep_keeps_configured_efficiency_ops(tmp_path, capsys, monkeypatch
     assert priced == [
         {"back_solved": 150, "paper_ops": 42, "structural_2n_minus_1": 2 * n - 1} for n in (4, 8)
     ]
+
+
+def test_cli_sweep_makes_one_comparisons_call(capsys, monkeypatch):
+    """`run_comparisons` finds the families of the grid, so the sweep hands it every point."""
+    calls = []
+    real = cli._comparisons_for
+
+    def spy(base, pairs):
+        calls.append(len(pairs))
+        return real(base, pairs)
+
+    monkeypatch.setattr(cli, "_comparisons_for", spy)
+    assert main(["sweep", "--m", "3,5", "--n-inputs", "4,8", "--trials", "2"]) == 0
+    capsys.readouterr()
+    assert calls == [4]
 
 
 def _explicit_config(tmp_path, n: int) -> str:

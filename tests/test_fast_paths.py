@@ -1256,6 +1256,46 @@ def test_run_pipeline_and_run_comparisons_of_nothing_are_empty():
     assert pipelines.run_comparisons([]) == []
 
 
+def _three_family_pairs():
+    """Five pairs from three families, interleaved: (N, m) of (4, 3), (8, 3) and (4, 5)."""
+    keys = ("n_inputs", "m", "stream_length", "flip_probability")
+    points = [(4, 3, 15, 0.0), (8, 3, 15, 0.02), (4, 5, 7, 0.0), (4, 3, 7, 0.02), (8, 3, 31, 0.0)]
+    shared = dict(trials=3, seed=11, distribution=ZeroPeakedGaussian(0.3))
+    return [
+        tuple(
+            PipelineConfig(variant=variant, **dict(zip(keys, point)), **shared)
+            for variant in ("conventional", "proposed")
+        )
+        for point in points
+    ]
+
+
+@pytest.mark.parametrize("profile", ("calibrated", "naive", "measured"))
+def test_run_comparisons_runs_each_family_from_one_draw(profile, monkeypatch):
+    """Pairs that cannot share a draw run in families, one `_run_pipeline` call each."""
+    pairs = _three_family_pairs()
+    calls = []
+    real = pipelines._run_pipeline
+
+    def spy(samples, weights, *cfgs):
+        calls.append(cfgs)
+        return real(samples, weights, *cfgs)
+
+    monkeypatch.setattr(pipelines, "_run_pipeline", spy)
+    got = pipelines.run_comparisons(pairs, energy_profile=profile)
+    # families in the order of their first pair, each with its pairs in order
+    assert calls == [(*pairs[0], *pairs[3]), (*pairs[1], *pairs[4]), pairs[2]]
+    want = [pipelines.run_comparison(*pair, energy_profile=profile) for pair in pairs]
+    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
+
+
+def test_run_comparisons_checks_fixed_inputs_of_every_family_before_drawing(monkeypatch):
+    monkeypatch.setattr(pipelines, "_draw_trials", lambda *args: pytest.fail("drew trials"))
+    # the first family's N is 4, which the inputs fit; the second's is 8
+    with pytest.raises(SizeMismatchError, match="expected 8 samples"):
+        pipelines.run_comparisons(_three_family_pairs(), samples=[0.5] * 4, weights=[-0.25] * 4)
+
+
 @pytest.mark.parametrize(
     "change",
     [

@@ -11,6 +11,7 @@ import pytest
 
 from scmac import (
     ConfigError,
+    MacError,
     PipelineConfig,
     SizeMismatchError,
     conventional_pipeline,
@@ -18,10 +19,11 @@ from scmac import (
     proposed_pipeline,
     run_comparison,
 )
-from scmac import pipelines
+from scmac import lfsr, pipelines
 from scmac.distributions import Explicit, ZeroPeakedGaussian
 from scmac.energy import EVENT_KEYS, accumulate, default_tables
 from scmac.lfsr import MAXIMAL_TAPS, cycle_length, select_bits, threshold_bits
+from scmac.mac import MacConfig
 from scmac.bitstream import Bitstream, mux_tree_accumulate, mux_tree_scale
 
 
@@ -502,6 +504,57 @@ def test_run_fields_must_be_integers(name, value):
     with pytest.raises(ConfigError) as exc:
         conv_cfg(**{name: value})
     assert str(exc.value) == f"{name} must be an integer, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_inputs", 5),
+        ("m", 7),
+        ("binary_bits", 6),
+        ("stream_length", 7),
+        ("lfsr_width", 4),
+        ("trials", 3),
+        ("seed", 9),
+        ("lfsr_taps", (15, 14)),
+    ],
+)
+def test_numpy_integer_run_fields_report_like_python_ints(name, value):
+    """Each integer run field is kept as a Python int, so the report is the same and dumps."""
+    as_numpy = tuple(map(np.int64, value)) if name == "lfsr_taps" else np.int64(value)
+    want, got = (
+        run_comparison(conv_cfg(**kw), prop_cfg(**kw))
+        for kw in ({"trials": 2, name: value}, {"trials": 2, name: as_numpy})
+    )
+    assert got.to_json_dict() == want.to_json_dict()
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_numpy_integer_widths_build_the_same_tables():
+    assert np.array_equal(lfsr.state_table(np.int64(5), (5, 3)), lfsr.state_table(5, (5, 3)))
+    register = lfsr.Lfsr(np.int64(4), (4, 3), np.int64(8))
+    assert (type(register.width), type(register.state)) == (int, int)
+    assert type(MacConfig(np.int64(3), np.int64(2)).m) is int
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: conv_cfg(distribution=None), ConfigError, "distribution must be an Input"),
+        (lambda: conv_cfg(distribution="uniform"), ConfigError, "distribution must be an Input"),
+        (lambda: conv_cfg(n_inputs="3"), ConfigError, "n_inputs must be an integer, got '3'"),
+        (lambda: prop_cfg(m=None), ConfigError, "m must be an integer, got None"),
+        (lambda: prop_cfg(vdd="1"), ConfigError, "vdd must be a number, got '1'"),
+        (lambda: conv_cfg(output_rate_hz=None), ConfigError, "output_rate_hz must be a number"),
+        (lambda: conv_cfg(flip_probability="0"), ConfigError, "flip_probability must be a number"),
+        (lambda: MacConfig(3, 2, "1"), MacError, "vdd must be a number, got '1'"),
+    ],
+    ids=("dist-none", "dist-str", "n_inputs", "m", "vdd", "rate", "flip", "mac-vdd"),
+)
+def test_wrong_typed_run_fields_name_the_field(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value).startswith(message)
 
 
 def test_pipeline_config_adds_only_the_variant():
