@@ -50,7 +50,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
 from .distributions import Explicit, InputDistribution, Uniform, ZeroPeakedGaussian
-from .energy import ENERGY_PROFILES, EVENT_KEYS, EnergyTable, default_tables
+from .energy import EVENT_KEYS, EnergyTable, Pricing, default_tables
 from .errors import ConfigError, EnergyModelError, require_int
 from .pipelines import VARIANTS, PipelineConfig, RunConfig
 
@@ -58,39 +58,22 @@ SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ExperimentConfig(RunConfig):
+class ExperimentConfig(Pricing, RunConfig):
     """Validated, fully-defaulted configuration for the CLI and harness."""
 
     n_inputs: int = 300
     distribution: InputDistribution = field(default_factory=ZeroPeakedGaussian)
     trials: int = 200
-    tables: tuple[EnergyTable, EnergyTable] = field(default_factory=default_tables)
-    energy_profile: str = "calibrated"
-    efficiency_ops: dict[str, int] = field(default_factory=dict)
-    fom_steps: int = 2395
-    fom_ops: int = 1
 
     def __post_init__(self):
-        if self.energy_profile not in ENERGY_PROFILES:
-            raise ConfigError(f"unknown energy_profile {self.energy_profile!r}")
-        # a bad run field fails here, at load time, not when the run starts
-        super().__post_init__()
-        if self.fom_steps < 1 or self.fom_ops < 1:
-            raise ConfigError("fom_steps and fom_ops must be positive")
-        # the energy model divides by these counts as floats
-        for name, ops in self.efficiency_ops.items():
-            if int(ops) < 1:
-                raise ConfigError(f"efficiency_ops.{name} must be positive")
-            if ops > sys.float_info.max:
-                raise ConfigError(f"efficiency_ops.{name} must be at most {sys.float_info.max:.6e}")
-        if self.fom_steps * self.fom_ops > sys.float_info.max:
-            raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
+        # a bad field fails here, at load time, not when the run starts
+        Pricing.__post_init__(self)
+        RunConfig.__post_init__(self)
 
     @property
     def pricing(self) -> dict:
-        """The fields this config adds to the run fields: `run_comparisons`' pricing keywords."""
-        run = {f.name for f in fields(RunConfig)}
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name not in run}
+        """The pricing fields, as `run_comparisons`' keywords."""
+        return {f.name: getattr(self, f.name) for f in fields(Pricing)}
 
     def pipeline_config(self, variant: str, **changes) -> PipelineConfig:
         """`variant`'s PipelineConfig of these run fields, with `changes` set in place of some."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_real
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,7 @@ class ZeroPeakedGaussian(InputDistribution):
     kind = "zero_peaked_gaussian"
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma", require_real("sigma", self.sigma, ConfigError))
         if not (0 < self.sigma < math.inf):
             raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 

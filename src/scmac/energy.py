@@ -21,11 +21,12 @@ counting); those are reported alongside, never silently merged.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 from .converters import asc_levels
-from .errors import EnergyModelError
+from .errors import ConfigError, EnergyModelError, require_int
 
 FEMTO = 1e-15
 
@@ -307,6 +308,68 @@ def naive_activity(n_inputs: int) -> tuple[ActivityLog, ActivityLog]:
         }
     )
     return conventional, proposed
+
+
+@dataclass(frozen=True)
+class Pricing:
+    """How a comparison prices its (conventional, proposed) pair, and the checks of each field.
+
+    `energy_profile` selects the activity counts used for the headline
+    comparison: "calibrated" (back-solved reference-design counts),
+    "naive" (one event per module action), or "measured" (the pipelines'
+    own logs, per-bit SRAM). `efficiency_ops` maps labels to op counts,
+    and {} stands for the back-solved 150-op figure; the structural 2N-1
+    count is always added, in place if a label of that name is given.
+    """
+
+    tables: tuple[EnergyTable, EnergyTable] = field(default_factory=default_tables)
+    energy_profile: str = "calibrated"
+    efficiency_ops: dict[str, int] = field(default_factory=dict)
+    fom_steps: int = 2395
+    fom_ops: int = 1
+
+    def __post_init__(self):
+        if self.energy_profile not in ENERGY_PROFILES:
+            raise ConfigError(f"unknown energy_profile {self.energy_profile!r}")
+        tables = self.tables
+        if not (isinstance(tables, tuple) and len(tables) == 2
+                and all(isinstance(t, EnergyTable) for t in tables)):
+            raise ConfigError(f"tables must be two EnergyTables, got {tables!r}")
+        if not isinstance(self.efficiency_ops, Mapping):
+            raise ConfigError(f"efficiency_ops must be a mapping, got {self.efficiency_ops!r}")
+        # counts are kept as Python ints, as the reports echo them
+        for name in ("fom_steps", "fom_ops"):
+            object.__setattr__(self, name, require_int(name, getattr(self, name), ConfigError))
+        if self.fom_steps < 1 or self.fom_ops < 1:
+            raise ConfigError("fom_steps and fom_ops must be positive")
+        # the energy model divides by these counts as floats
+        counts = {}
+        for name, ops in self.efficiency_ops.items():
+            counts[name] = ops = require_int(f"efficiency_ops.{name}", ops, ConfigError)
+            if ops < 1:
+                raise ConfigError(f"efficiency_ops.{name} must be positive")
+            if ops > sys.float_info.max:
+                raise ConfigError(f"efficiency_ops.{name} must be at most {sys.float_info.max:.6e}")
+        object.__setattr__(self, "efficiency_ops", counts)
+        if self.fom_steps * self.fom_ops > sys.float_info.max:
+            raise ConfigError(f"fom_steps * fom_ops must be at most {sys.float_info.max:.6e}")
+
+    def price(self, logs, run) -> tuple[EnergyReport, EnergyReport]:
+        """The (conventional, proposed) reports of two runs of `run`'s N, trials and output
+        rate, whose own logs are `logs`; the proposed report carries the reduction."""
+        if self.energy_profile == "calibrated":
+            logs, outputs = calibrated_activity(), 1
+        elif self.energy_profile == "naive":
+            logs, outputs = naive_activity(run.n_inputs), 1
+        else:
+            outputs = run.trials
+        labels = self.efficiency_ops or {"back_solved": 150}
+        ops = {**labels, "structural_2n_minus_1": 2 * run.n_inputs - 1}
+        priced = dict(outputs=outputs, rate_hz=run.output_rate_hz, efficiency_ops=ops,
+                      fom_steps=self.fom_steps, fom_ops=self.fom_ops)
+        conventional, proposed = (accumulate(log, table, **priced) for log, table in zip(logs, self.tables))
+        proposed.reduction_vs_baseline_percent = reduction_percent(conventional, proposed)
+        return conventional, proposed
 
 
 # ---------------------------------------------------------------------------

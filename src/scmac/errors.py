@@ -3,6 +3,8 @@
 from decimal import Decimal
 from numbers import Integral, Real
 
+import numpy as np
+
 
 class ScmacError(Exception):
     """Base class for all scmac errors."""
@@ -52,7 +54,9 @@ def require_int(name: str, value, error: type[ScmacError]) -> int:
     return int(value)
 
 
-def require_real(name: str, value, error: type[ScmacError]) -> None:
-    """`error` unless `value` is a real number, a Python or numpy one but not a bool."""
+def require_real(name: str, value, error: type[ScmacError]) -> float:
+    """`value`, a numpy scalar as its Python int or float; `error` unless it is
+    a real number, a Python or numpy one but not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise error(f"{name} must be a number, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value

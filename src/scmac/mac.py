@@ -52,7 +52,7 @@ class MacConfig:
     def __post_init__(self):
         for name in ("m", "n_inputs"):
             object.__setattr__(self, name, require_int(name, getattr(self, name), MacError))
-        require_real("vdd", self.vdd, MacError)
+        object.__setattr__(self, "vdd", require_real("vdd", self.vdd, MacError))
         if self.m < 1:
             raise MacError(f"m must be >= 1, got {short_int(self.m)}")
         if self.n_inputs < 1:

@@ -14,8 +14,8 @@ array is split into a positive and a negative tree whose counts are
 subtracted, mirroring the n_p/n_n split of the capacitor array.
 
 Every trial is reproducible from (config seed, trial index). Activity is
-logged per event with bit-level SRAM counting; energy pricing happens in
-`run_comparison` against a configurable profile.
+logged per event with bit-level SRAM counting; a comparison prices both
+runs with `energy.Pricing`, against a configurable profile.
 """
 
 from __future__ import annotations
@@ -33,16 +33,7 @@ from ._prng import unit_below, unit_words
 from .bitstream import mux_tree_scale
 from .converters import _clip_unit, thermometer_quantize, unit_levels
 from .distributions import Explicit, InputDistribution, Uniform
-from .energy import (
-    ENERGY_PROFILES,
-    ActivityLog,
-    EnergyReport,
-    accumulate,
-    calibrated_activity,
-    default_tables,
-    naive_activity,
-    reduction_percent,
-)
+from .energy import ActivityLog, EnergyReport, Pricing
 from .errors import ConfigError, ConversionError, MacError, SizeMismatchError, require_int
 from .errors import require_real, short_int
 from .lfsr import cycle_length, register_taps, select_table, state_table
@@ -79,12 +70,12 @@ class RunConfig:
     seed: int = 1
 
     def __post_init__(self):
-        # each field's type is checked first, and an integer is kept as a Python int
+        # each field's type is checked first, and a number is kept as a Python one
         ints = ("n_inputs", "m", "binary_bits", "stream_length", "lfsr_width", "trials", "seed")
         for name in ints:
             object.__setattr__(self, name, require_int(name, getattr(self, name), ConfigError))
-        for name in ("output_rate_hz", "flip_probability"):
-            require_real(name, getattr(self, name), ConfigError)
+        for name in ("vdd", "output_rate_hz", "flip_probability"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name), ConfigError))
         dist = self.distribution
         if not isinstance(dist, InputDistribution):
             raise ConfigError(f"distribution must be an InputDistribution, got {dist!r}")
@@ -900,17 +891,7 @@ class ComparisonResult:
         }
 
 
-def run_comparisons(
-    pairs,
-    *,
-    tables=None,
-    energy_profile: str = "calibrated",
-    efficiency_ops: dict[str, int] | None = None,
-    fom_steps: int = 2395,
-    fom_ops: int = 1,
-    samples=None,
-    weights=None,
-) -> list[ComparisonResult]:
+def run_comparisons(pairs, *, samples=None, weights=None, **pricing_fields) -> list[ComparisonResult]:
     """Run both pipelines of each (conventional, proposed) pair on identical inputs and price them.
 
     The pairs run in families, each from one draw per trial. A family's
@@ -919,13 +900,10 @@ def run_comparisons(
     once for every length and flip and runs the proposed path once. Every
     pair, and any fixed `samples` and `weights`, is checked before the
     first family draws; results come in pair order, and no pairs give none.
-    `energy_profile` selects the activity counts used for the headline
-    comparison: "calibrated" (back-solved reference-design counts),
-    "naive" (one event per module action), or "measured" (the pipelines'
-    own logs, per-bit SRAM). `efficiency_ops` maps labels to op counts and
-    defaults to the back-solved 150-op figure; the structural 2N-1 count is
-    always added, in place if a label of that name is given.
+    The other keywords are the fields of `energy.Pricing`, which checks them
+    before any pair.
     """
+    pricing = Pricing(**pricing_fields)
     pairs = list(pairs)
     shared = (*_DRAW_FIELDS, "output_rate_hz", "flip_probability")
     conv_key = attrgetter(*_DRAW_FIELDS, *_ConventionalRun.reads)
@@ -936,33 +914,19 @@ def run_comparisons(
         _require_variant(conv_cfg, "conventional")
         _require_variant(prop_cfg, "proposed")
         families.setdefault((conv_key(conv_cfg), prop_key(prop_cfg)), []).append(i)
-    if energy_profile not in ENERGY_PROFILES:
-        raise ConfigError(f"unknown energy profile {energy_profile!r}")
     if samples is not None and weights is not None:
         for family in families.values():
             _check_fixed_inputs(samples, weights, pairs[family[0]][0])
 
-    tables = tables if tables is not None else default_tables()
-    labels = efficiency_ops or {"back_solved": 150}
     comparisons = [None] * len(pairs)
     for family in families.values():
         got = _run_pipeline(samples, weights, *(cfg for i in family for cfg in pairs[i]))
         for i, conv_res, prop_res in zip(family, got[::2], got[1::2]):
+            logs = (conv_res.activity, prop_res.activity)
             # both sides of a pair share N, trials and the output rate
-            cfg = pairs[i][0]
-            if energy_profile == "calibrated":
-                logs, outputs = calibrated_activity(), 1
-            elif energy_profile == "naive":
-                logs, outputs = naive_activity(cfg.n_inputs), 1
-            else:
-                logs, outputs = (conv_res.activity, prop_res.activity), cfg.trials
-            ops = {**labels, "structural_2n_minus_1": 2 * cfg.n_inputs - 1}
-            priced = dict(outputs=outputs, rate_hz=cfg.output_rate_hz, efficiency_ops=ops)
-            for res, log, table in zip((conv_res, prop_res), logs, tables):
-                res.energy = accumulate(log, table, fom_steps=fom_steps, fom_ops=fom_ops, **priced)
-            red = reduction_percent(conv_res.energy, prop_res.energy)
-            prop_res.energy.reduction_vs_baseline_percent = red
-            comparisons[i] = ComparisonResult(conv_res, prop_res, red, energy_profile)
+            conv_res.energy, prop_res.energy = pricing.price(logs, pairs[i][0])
+            red = prop_res.energy.reduction_vs_baseline_percent
+            comparisons[i] = ComparisonResult(conv_res, prop_res, red, pricing.energy_profile)
     return comparisons
 
 

@@ -2,7 +2,6 @@
 
 import dataclasses
 import hashlib
-import inspect
 import itertools
 import json
 import os
@@ -19,6 +18,7 @@ from scmac import (
     config,
     config_from_dict,
     default_config,
+    energy,
     load_config,
     pipelines,
 )
@@ -89,9 +89,13 @@ def test_experiment_config_adds_only_the_pricing_fields():
 
 
 def test_experiment_config_pricing_is_the_comparison_keywords():
-    params = inspect.signature(pipelines.run_comparisons).parameters
-    keywords = {name for name, p in params.items() if p.kind is p.KEYWORD_ONLY}
-    assert set(default_config().pricing) == keywords - {"samples", "weights"}
+    # run_comparisons takes the fields of Pricing as its pricing keywords
+    run_fields = {f.name for f in dataclasses.fields(pipelines.RunConfig)}
+    own = [f.name for f in dataclasses.fields(config.ExperimentConfig) if f.name not in run_fields]
+    assert own == [f.name for f in dataclasses.fields(energy.Pricing)]
+    assert list(default_config().pricing) == own
+    with pytest.raises(TypeError, match="bogus"):
+        pipelines.run_comparisons([], bogus=1)
 
 
 # the second config sets every run field away from both classes' defaults

@@ -35,6 +35,7 @@ from scmac._prng import (
     unit_words,
 )
 from scmac.bitstream import flip_mask, mux_tree_scale
+from scmac.config import ExperimentConfig
 from scmac.converters import (
     _clip_unit,
     adc_quantize_flagged,
@@ -1294,6 +1295,33 @@ def test_run_comparisons_checks_fixed_inputs_of_every_family_before_drawing(monk
     # the first family's N is 4, which the inputs fit; the second's is 8
     with pytest.raises(SizeMismatchError, match="expected 8 samples"):
         pipelines.run_comparisons(_three_family_pairs(), samples=[0.5] * 4, weights=[-0.25] * 4)
+
+
+@pytest.mark.parametrize(
+    "pricing",
+    [
+        {"fom_steps": 0},
+        {"fom_ops": -1},
+        {"fom_steps": True},
+        {"fom_steps": 2.5},
+        {"efficiency_ops": {"x": 0}},
+        {"efficiency_ops": {"x": 2.5}},
+        {"efficiency_ops": None},
+        {"tables": (None, None)},
+        {"tables": None},
+        {"energy_profile": "bogus"},
+    ],
+    ids=("steps-0", "ops-neg", "steps-bool", "steps-frac", "eff-0", "eff-frac", "eff-none",
+         "tables-nones", "tables-none", "profile"),
+)
+def test_run_comparisons_checks_pricing_before_drawing(pricing, monkeypatch):
+    """Each pricing fault fails before the first draw, as the config refuses it."""
+    with pytest.raises(ConfigError) as want:
+        ExperimentConfig(**pricing)
+    monkeypatch.setattr(pipelines, "_draw_trials", lambda *args: pytest.fail("drew trials"))
+    with pytest.raises(ConfigError) as got:
+        pipelines.run_comparisons(_three_family_pairs(), **pricing)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(

@@ -345,7 +345,7 @@ def test_comparison_rejects_mismatched_shared_parameters():
 
 
 def test_comparison_rejects_unknown_energy_profile():
-    with pytest.raises(ConfigError, match="unknown energy profile 'bogus'"):
+    with pytest.raises(ConfigError, match="unknown energy_profile 'bogus'"):
         run_comparison(conv_cfg(), prop_cfg(), energy_profile="bogus")
 
 
@@ -528,6 +528,52 @@ def test_numpy_integer_run_fields_report_like_python_ints(name, value):
     )
     assert got.to_json_dict() == want.to_json_dict()
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+@pytest.mark.parametrize(
+    "name, value, as_numpy",
+    [
+        ("fom_steps", 7, np.int64(7)),
+        ("fom_ops", 3, np.int64(3)),
+        ("efficiency_ops", {"x": 5}, {"x": np.int64(5)}),
+    ],
+    ids=("fom_steps", "fom_ops", "efficiency_ops"),
+)
+def test_numpy_integer_pricing_counts_report_like_python_ints(name, value, as_numpy):
+    want, got = (
+        run_comparison(conv_cfg(trials=2), prop_cfg(trials=2), **{name: v}) for v in (value, as_numpy)
+    )
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+# each value is exact in float32, so the float32 run is the float run
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, value",
+    [("vdd", 0.5), ("output_rate_hz", 8e6), ("flip_probability", 0.125), ("sigma", 0.25)],
+)
+def test_numpy_float_run_fields_report_like_python_floats(name, value):
+    """Each real run field, and sigma, is kept as a Python float, so the report is the same and dumps."""
+
+    def pair(x):
+        kw = {"distribution": ZeroPeakedGaussian(x)} if name == "sigma" else {name: x}
+        return conv_cfg(trials=2, **kw), prop_cfg(trials=2, **kw)
+
+    want, got = (run_comparison(*pair(x)) for x in (value, np.float32(value)))
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_integer_vdd_is_echoed_as_an_integer():
+    for vdd in (1, np.int64(1)):
+        assert json.dumps(conv_cfg(vdd=vdd).to_json_dict()["vdd"]) == "1"
+    assert type(MacConfig(3, 2, np.float32(0.5)).vdd) is float
+
+
+@pytest.mark.parametrize("sigma", ["0.1", True, None])
+def test_wrong_typed_sigma_names_the_field(sigma):
+    with pytest.raises(ConfigError) as exc:
+        ZeroPeakedGaussian(sigma)
+    assert str(exc.value) == f"sigma must be a number, got {sigma!r}"
 
 
 def test_numpy_integer_widths_build_the_same_tables():
