@@ -97,8 +97,10 @@ class Explicit(InputDistribution):
     kind = "explicit"
 
     def __post_init__(self):
-        object.__setattr__(self, "samples", tuple(float(x) for x in self.samples))
-        object.__setattr__(self, "weights", tuple(float(x) for x in self.weights))
+        for name in ("samples", "weights"):
+            values = enumerate(getattr(self, name))
+            real = (float(require_real(f"explicit {name}[{i}]", x, ConfigError)) for i, x in values)
+            object.__setattr__(self, name, tuple(real))
         if len(self.samples) != len(self.weights):
             raise ConfigError("explicit samples and weights must have equal length")
         if any(not (0.0 <= x <= 1.0) for x in self.samples):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping
 
 from .converters import asc_levels
-from .errors import ConfigError, EnergyModelError, require_int
+from .errors import ConfigError, EnergyModelError, require_int, require_real
 
 FEMTO = 1e-15
 
@@ -45,9 +45,11 @@ class EnergyTable:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
+            name = f"unit energy {f.name}"
+            value = require_real(name, getattr(self, f.name), EnergyModelError)
             if not (0 <= value < math.inf):
-                raise EnergyModelError(f"unit energy {f.name} must be finite and >= 0, got {value}")
+                raise EnergyModelError(f"{name} must be finite and >= 0, got {value}")
+            object.__setattr__(self, f.name, value)
 
     def as_dict(self) -> dict[str, float]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
@@ -716,18 +717,18 @@ def _trial_lanes(seed: int, trials: int):
         yield from zip(*pcg64_lanes(seed, lo, min(lo + _LANE_BLOCK, trials)))
 
 
-def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_sizes, period):
-    """(T, size) rows of inputs and LFSR phases for a block of trials: the
-    (T, 2N) samples and weights, then the phases of each size.
+def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_sizes, periods):
+    """The (T, 2N) samples and weights of a block of trials, and for each
+    period of `periods` the (T, size) LFSR phases of each size below it.
 
     The rows equal what each trial's own `np.random.default_rng((seed, t))`
     gives: its inputs (or `fixed`), then `integers(0, period, size=k)` for
     each k in `phase_sizes`. One `gen` takes each trial's lane state in turn,
     fills the trial's row of a (T, 2N) input block with one call and takes
-    the phases as one raw block per trial; the distribution shapes the
-    input block, and the phases are mapped, for the whole block at once.
-    Trials whose phases numpy would redraw are drawn again from their own
-    generator.
+    the raw phase words as one block per trial; the distribution shapes the
+    input block, and the words are mapped below each period, for the whole
+    block at once. Trials whose phases numpy would redraw below a period are
+    drawn again from their own generator.
     """
     n, rows, dist = cfg.n_inputs, len(trials), cfg.distribution
     count = sum(phase_sizes)
@@ -751,16 +752,17 @@ def _draw_trials(cfg: PipelineConfig, fixed, trials: range, lanes, gen, phase_si
             raw[row] = bg.random_raw(raw.shape[1])
     if fixed is None:
         dist.shape_block(block)
-    if not count:
-        return [block]
-    phases, redraw = bounded_uint32(raw, count, period)
-    for row in np.flatnonzero(redraw):
-        rng = np.random.default_rng((cfg.seed, trials[row]))
-        if fixed is None:
-            dist.draw(rng, n)
-        phases[row] = rng.integers(0, period, size=count)
-    first, second = phase_sizes[0], phase_sizes[0] + phase_sizes[1]
-    return [block, phases[:, :first], phases[:, first:second], phases[:, second:]]
+    split = {}
+    for period in periods:
+        phases, redraw = bounded_uint32(raw, count, period)
+        for row in np.flatnonzero(redraw):
+            rng = np.random.default_rng((cfg.seed, trials[row]))
+            if fixed is None:
+                dist.draw(rng, n)
+            phases[row] = rng.integers(0, period, size=count)
+        first, second = phase_sizes[0], phase_sizes[0] + phase_sizes[1]
+        split[period] = [phases[:, :first], phases[:, first:second], phases[:, second:]]
+    return block, split
 
 
 def _prepare_inputs(inputs, unit=None, positive=None, outside=None):
@@ -785,12 +787,12 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     """Each config's result, in order, all from the same per-trial inputs, drawn once.
 
     The configs share the draw's (n_inputs, trials, seed, distribution), so
-    they draw the same inputs and phases. The configs of each variant share
-    one run, and so every field it reads but the stream length and the flip
-    probability. Every draw block holds whole chunks of each run: each run
+    they draw the same inputs and phase words. Each variant has one run per
+    distinct `reads`, and each conventional run maps the phase words below
+    its own period. Every draw block holds whole chunks of each run: each run
     does the block's row work once, then counts its own chunks of the
     block, and only a run's last chunk can be partial. The flip row keys
-    are hashed, and the inputs clipped, once per block for both runs.
+    are hashed, and the inputs clipped, once per block for every run.
     """
     if not cfgs:
         return []
@@ -802,15 +804,17 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
             raise SizeMismatchError("provide both samples and weights, or neither")
         fixed = _check_fixed_inputs(samples, weights, cfg)
 
-    # the conventional run reads the phases and counts first, so the phases
-    # are freed before the proposed run counts
-    runs = {}
-    for variant, run_class in zip(VARIANTS, (_ConventionalRun, _ProposedRun)):
-        mine = [c for c in cfgs if c.variant == variant]
-        if mine:
-            _shared(mine, run_class.reads, f"{variant} configs run together")
-            runs[variant] = run_class(*mine)
-    phase_sizes, period = max((run.phase_sizes, run.period) for run in runs.values())
+    run_classes = (_ConventionalRun, _ProposedRun)
+
+    def run_key(c):
+        i = VARIANTS.index(c.variant)
+        return i, attrgetter(*run_classes[i].reads)(c)
+
+    # one run per key, the conventional ones first: they read the phases and
+    # count first, so the phases are freed before any proposed run counts
+    runs = {k: run_classes[k[0]](*mine) for k, mine in groupby(sorted(cfgs, key=run_key), run_key)}
+    phase_sizes = max(run.phase_sizes for run in runs.values())
+    periods = {run.period for run in runs.values() if run.phase_sizes}
     # the trials whose inputs and raw phase words come to about a chunk's worth
     per_block = _CHUNK_ELEMENTS // (2 * cfg.n_inputs + -(-sum(phase_sizes) // 2))
     # a chunk takes about _CHUNK_ELEMENTS elements of its run's widest
@@ -838,22 +842,24 @@ def _run_pipeline(samples, weights, *cfgs: PipelineConfig) -> list[ExperimentRes
     gen = np.random.Generator(np.random.PCG64(0))
     for start in range(0, cfg.trials, step):
         block = range(start, min(start + step, cfg.trials))
-        inputs, *phases = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, period)
+        inputs, phases = _draw_trials(cfg, fixed, block, lanes, gen, phase_sizes, periods)
         size = len(block)
         prepared = _prepare_inputs(inputs, unit[:size], positive[:size], outside[:size])
         keys = _flip_row_keys(cfg.seed, block, n) if flipped else None
         for run in runs.values():
-            del phases[len(run.phase_sizes) :]
+            if not run.phase_sizes:
+                phases.clear()
+            mine = phases.get(run.period, ())
             run.row_step(block, *prepared)
             for lo in range(0, size, run.chunk):
                 rows = slice(lo, min(lo + run.chunk, size))
-                run.count(rows, keys, *(a[rows] for a in phases))
+                run.count(rows, keys, *(a[rows] for a in mine))
         # a block's rows are freed before the next block is drawn
-        del inputs, phases, keys
+        del inputs, phases, mine, keys
 
     for run in runs.values():
         run.finish()
-    return [runs[c.variant].result(c) for c in cfgs]
+    return [runs[run_key(c)].result(c) for c in cfgs]
 
 
 def _require_variant(cfg: PipelineConfig, variant: str) -> None:
@@ -894,26 +900,25 @@ class ComparisonResult:
 def run_comparisons(pairs, *, samples=None, weights=None, **pricing_fields) -> list[ComparisonResult]:
     """Run both pipelines of each (conventional, proposed) pair on identical inputs and price them.
 
-    The pairs run in families, each from one draw per trial. A family's
-    pairs share the draw fields and each variant's run `reads`, so a sweep
-    over stream lengths and flip probabilities counts the longest stream
-    once for every length and flip and runs the proposed path once. Every
-    pair, and any fixed `samples` and `weights`, is checked before the
-    first family draws; results come in pair order, and no pairs give none.
-    The other keywords are the fields of `energy.Pricing`, which checks them
+    The pairs run in families, each from one draw per trial: a family is
+    the pairs that share the draw fields, and each variant runs once per
+    distinct `reads`, so a sweep over lengths, flips and m counts the
+    longest stream once and runs the proposed path once per m. Every pair,
+    and any fixed `samples` and `weights`, is checked before the first
+    family draws; results come in pair order, and no pairs give none. The
+    other keywords are the fields of `energy.Pricing`, which checks them
     before any pair.
     """
     pricing = Pricing(**pricing_fields)
     pairs = list(pairs)
     shared = (*_DRAW_FIELDS, "output_rate_hz", "flip_probability")
-    conv_key = attrgetter(*_DRAW_FIELDS, *_ConventionalRun.reads)
-    prop_key = attrgetter(*_ProposedRun.reads)
+    draw_key = attrgetter(*_DRAW_FIELDS)
     families: dict[tuple, list[int]] = {}
     for i, (conv_cfg, prop_cfg) in enumerate(pairs):
         _shared((conv_cfg, prop_cfg), shared, "both variants of a comparison")
         _require_variant(conv_cfg, "conventional")
         _require_variant(prop_cfg, "proposed")
-        families.setdefault((conv_key(conv_cfg), prop_key(prop_cfg)), []).append(i)
+        families.setdefault(draw_key(conv_cfg), []).append(i)
     if samples is not None and weights is not None:
         for family in families.values():
             _check_fixed_inputs(samples, weights, pairs[family[0]][0])

@@ -19,7 +19,6 @@ from scmac import (
     MacInputs,
     PipelineConfig,
     charge_oracle,
-    conventional_pipeline,
     decode_voltage,
     default_config,
     exact_oracle,
@@ -28,6 +27,7 @@ from scmac import (
     run_comparison,
     value,
 )
+from scmac import pipelines
 from scmac.cli import comparison_summary_lines, main
 from scmac.converters import asc_encode, bsc_encode, ref_ladder, sbc_decode
 from scmac.energy import (
@@ -183,17 +183,10 @@ def test_criterion_6_conventional_rmse_slope():
     with _verdict(6, "statistical convergence of the conventional path"):
         t0 = time.time()
         lengths = [16, 64, 256, 1024]
-        rmses = []
-        for length in lengths:
-            cfg = PipelineConfig(
-                variant="conventional",
-                n_inputs=4,
-                trials=10_000,
-                seed=42,
-                stream_length=length,
-            )
-            res = conventional_pipeline(None, None, cfg)
-            rmses.append(res.rmse)
+        base = PipelineConfig(variant="conventional", n_inputs=4, trials=10_000, seed=42)
+        # one draw of the trials serves every length
+        cfgs = [dataclasses.replace(base, stream_length=length) for length in lengths]
+        rmses = [res.rmse for res in pipelines._run_pipeline(None, None, *cfgs)]
         slope = float(np.polyfit(np.log(lengths), np.log(rmses), 1)[0])
         elapsed = time.time() - t0
         print(f"\n  rmse by length: {dict(zip(lengths, [round(r, 5) for r in rmses]))}")

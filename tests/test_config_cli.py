@@ -14,6 +14,7 @@ import pytest
 
 from scmac import (
     ConfigError,
+    ConversionError,
     cli,
     config,
     config_from_dict,
@@ -21,6 +22,7 @@ from scmac import (
     energy,
     load_config,
     pipelines,
+    selftest,
 )
 from scmac.cli import comparison_summary_lines, main
 from scmac.distributions import Explicit, Uniform, ZeroPeakedGaussian
@@ -511,6 +513,38 @@ def test_cli_sweep_makes_one_comparisons_call(capsys, monkeypatch):
     assert calls == [4]
 
 
+def test_cli_m_sweep_draws_once_and_counts_the_conventional_path_once(
+    tmp_path, capsys, monkeypatch
+):
+    """An m-sweep is one family: one draw, one conventional run and one proposed run per m."""
+    reference = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "reference.json")
+    sweep = ["sweep", "--config", reference, "--out"]
+    want = []
+    for m in ("3", "5", "10", "15"):
+        assert main([*sweep, str(tmp_path / m), "--m", m]) == 0
+        want += json.loads((tmp_path / m / "sweep_results.json").read_text())
+    calls, runs = [], []
+    real = pipelines._run_pipeline
+
+    def spy(samples, weights, *cfgs):
+        calls.append(cfgs)
+        return real(samples, weights, *cfgs)
+
+    monkeypatch.setattr(pipelines, "_run_pipeline", spy)
+    for cls in (pipelines._ConventionalRun, pipelines._ProposedRun):
+
+        def init_spy(self, *cfgs, _real=cls.__init__):
+            runs.append(type(self).__name__)
+            _real(self, *cfgs)
+
+        monkeypatch.setattr(cls, "__init__", init_spy)
+    assert main([*sweep, str(tmp_path / "all"), "--m", "3,5,10,15"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    assert runs == ["_ConventionalRun"] + ["_ProposedRun"] * 4
+    assert json.loads((tmp_path / "all" / "sweep_results.json").read_text()) == want
+
+
 def _explicit_config(tmp_path, n: int) -> str:
     path = tmp_path / "explicit.json"
     dist = {"kind": "explicit", "samples": [0.5] * n, "weights": [-0.25] * n}
@@ -607,6 +641,33 @@ def test_cli_asc_stats_grid_report_is_unchanged(grid, tmp_path, capsys):
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_selftest_failure_exits_1(capsys, monkeypatch):
+    """A failing check is reported on its [!!] line, the later checks still run, and the exit is 1."""
+
+    def fail():
+        raise AssertionError("boom")
+
+    name, _ = selftest.CHECKS[0]
+    monkeypatch.setattr(selftest, "CHECKS", [(name, fail), *selftest.CHECKS[1:]])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"[!!] {name}: FAIL (boom)"
+    assert len(lines) == len(selftest.CHECKS) and all(line.startswith("[ok] ") for line in lines[1:])
+
+
+def test_cli_other_library_error_exits_1(capsys, monkeypatch):
+    """A library error outside the documented classes exits 1 with its one-line message."""
+
+    def boom(cfg):
+        raise ConversionError("boom")
+
+    # the parser is built once per process, so the patch goes on the work `compare` calls
+    monkeypatch.setattr(cli, "_comparison_for", boom)
+    assert main(["compare"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: boom\n")
 
 
 def _assert_rejected(tmp_path, capsys, monkeypatch, text: str, key: str) -> str:

@@ -1258,7 +1258,7 @@ def test_run_pipeline_and_run_comparisons_of_nothing_are_empty():
 
 
 def _three_family_pairs():
-    """Five pairs from three families, interleaved: (N, m) of (4, 3), (8, 3) and (4, 5)."""
+    """Five pairs at three (N, m), interleaved: (4, 3), (8, 3) and (4, 5); one draw per N."""
     keys = ("n_inputs", "m", "stream_length", "flip_probability")
     points = [(4, 3, 15, 0.0), (8, 3, 15, 0.02), (4, 5, 7, 0.0), (4, 3, 7, 0.02), (8, 3, 31, 0.0)]
     shared = dict(trials=3, seed=11, distribution=ZeroPeakedGaussian(0.3))
@@ -1273,7 +1273,7 @@ def _three_family_pairs():
 
 @pytest.mark.parametrize("profile", ("calibrated", "naive", "measured"))
 def test_run_comparisons_runs_each_family_from_one_draw(profile, monkeypatch):
-    """Pairs that cannot share a draw run in families, one `_run_pipeline` call each."""
+    """Pairs run in families of one N, one `_run_pipeline` call each, whatever their m."""
     pairs = _three_family_pairs()
     calls = []
     real = pipelines._run_pipeline
@@ -1285,7 +1285,7 @@ def test_run_comparisons_runs_each_family_from_one_draw(profile, monkeypatch):
     monkeypatch.setattr(pipelines, "_run_pipeline", spy)
     got = pipelines.run_comparisons(pairs, energy_profile=profile)
     # families in the order of their first pair, each with its pairs in order
-    assert calls == [(*pairs[0], *pairs[3]), (*pairs[1], *pairs[4]), pairs[2]]
+    assert calls == [(*pairs[0], *pairs[2], *pairs[3]), (*pairs[1], *pairs[4])]
     want = [pipelines.run_comparison(*pair, energy_profile=profile) for pair in pairs]
     assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
@@ -1331,12 +1331,17 @@ def test_run_comparisons_checks_pricing_before_drawing(pricing, monkeypatch):
         {"trials": 4},
         {"seed": 4},
         {"distribution": ZeroPeakedGaussian()},
-        # a conventional run reads LFSR phases drawn below its period
+        # a conventional run maps the draw's raw phase words below its own
+        # period, so another register width shares the draw and is not refused
         {"lfsr_width": 4, "lfsr_taps": None},
     ],
     ids=lambda change: next(iter(change)),
 )
-def test_run_pipeline_rejects_configs_that_draw_differently(change):
+def test_run_pipeline_rejects_configs_that_draw_differently(change, monkeypatch):
+    """Configs run together are refused only where they differ in a draw field."""
+    if not change.keys() & set(pipelines._DRAW_FIELDS):
+        _assert_one_draw_and_a_run_per_count("conventional", change, ", ".join(change), monkeypatch)
+        return
     base = PipelineConfig(variant="conventional", n_inputs=4, trials=3, seed=3)
     other = dataclasses.replace(base, **change)
     with pytest.raises(ConfigError, match="share"):
@@ -1353,18 +1358,43 @@ def test_run_pipeline_rejects_configs_that_draw_differently(change):
         ("proposed", {"m": 7, "vdd": 0.8}, "m, vdd"),
     ],
 )
-def test_run_pipeline_rejects_configs_of_a_variant_that_count_differently(variant, change, names):
-    """Configs of one variant share its run, so only L and the flip may differ."""
+def test_run_pipeline_rejects_configs_of_a_variant_that_count_differently(
+    variant, change, names, monkeypatch
+):
+    """Configs of one variant that differ in its run's `reads` get a run each, from one draw."""
+    _assert_one_draw_and_a_run_per_count(variant, change, names, monkeypatch)
+
+
+def _assert_one_draw_and_a_run_per_count(variant, change, names, monkeypatch):
     base = PipelineConfig(variant=variant, n_inputs=4, trials=3, seed=3)
-    # fields the variant does not read may differ
+    # fields the variant does not read may differ within one run
     other = dataclasses.replace(base, stream_length=7, flip_probability=0.02)
     if variant == "conventional":
         other = dataclasses.replace(other, m=7, vdd=0.8)
     else:
         other = dataclasses.replace(other, binary_bits=6, lfsr_taps=(15, 14, 13, 11))
-    assert len(pipelines._run_pipeline(None, None, base, other)) == 2
-    with pytest.raises(ConfigError, match=f"{variant} configs run together must share {names}$"):
-        pipelines._run_pipeline(None, None, base, dataclasses.replace(base, **change))
+    cfgs = (base, dataclasses.replace(other, **change), other)
+    run_class = pipelines._ConventionalRun if variant == "conventional" else pipelines._ProposedRun
+    runs, draws = [], []
+    real_init, real_draw = run_class.__init__, pipelines._draw_trials
+
+    def init_spy(self, *args):
+        runs.append(self)
+        real_init(self, *args)
+
+    def draw_spy(cfg, fixed, trials, *args):
+        draws.append(trials)
+        return real_draw(cfg, fixed, trials, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(run_class, "__init__", init_spy)
+        m.setattr(pipelines, "_draw_trials", draw_spy)
+        got = pipelines._run_pipeline(None, None, *cfgs)
+    # base and other share a run; the changed config counts in its own
+    differ = [name for name in run_class.reads if len({getattr(r.cfg, name) for r in runs}) > 1]
+    assert (len(runs), ", ".join(differ), draws) == (2, names, [range(3)])
+    want = [pipelines._run_pipeline(None, None, cfg)[0] for cfg in cfgs]
+    assert [r.to_json_dict() for r in got] == [r.to_json_dict() for r in want]
 
 
 # The proposed decode before it ran on arrays: Fraction voltages, one trial at a time.
@@ -1854,6 +1884,34 @@ def test_lane_that_hits_lemire_rejection_is_redrawn(monkeypatch):
     _assert_lanes_match_default_rng(None, None, conv, prop, monkeypatch=monkeypatch)
 
 
+def test_registers_and_word_widths_of_one_draw_match_separate_calls(monkeypatch):
+    """Widths 15 and 17 and m 7 and 15 at the rejecting trial: one pass gives four calls' reports."""
+    shared = dict(
+        n_inputs=300,
+        distribution=ZeroPeakedGaussian(0.15),
+        seed=REJECTING_SEED,
+        trials=REJECTING_TRIAL + 1,
+    )
+    cfgs = (
+        PipelineConfig(variant="conventional", **shared),
+        PipelineConfig(variant="conventional", lfsr_width=17, lfsr_taps=(17, 14), **shared),
+        PipelineConfig(variant="proposed", m=7, **shared),
+        PipelineConfig(variant="proposed", **shared),
+    )
+    want = [pipelines._run_pipeline(None, None, cfg)[0].to_json_dict() for cfg in cfgs]
+    drawn = []
+    real = pipelines._draw_trials
+
+    def spy(cfg, fixed, trials, *args):
+        drawn.extend(trials)
+        return real(cfg, fixed, trials, *args)
+
+    monkeypatch.setattr(pipelines, "_draw_trials", spy)
+    got = pipelines._run_pipeline(None, None, *cfgs)
+    assert drawn == list(range(REJECTING_TRIAL + 1))
+    assert [r.to_json_dict() for r in got] == want
+
+
 # The conventional run's `count` against the per-trial references: every
 # decode of a family of lengths and flips, and the oracle's popcount-group
 # sums S_k and C_k, exactly, over the widths whose doubled state table is
@@ -2003,25 +2061,35 @@ def test_block_draws_match_numpy_draws_per_trial(dist, n, monkeypatch):
         variant="conventional", n_inputs=n, trials=trials, seed=seed, distribution=dist
     )
     run = pipelines._ConventionalRun(cfg)
-    # the conventional run's phases follow the inputs; the proposed run draws none
-    for phase_sizes in (run.phase_sizes, ()):
+    # the conventional runs' phases follow the inputs, mapped below each run's
+    # period (here also a width-4 register's); the proposed run draws none
+    for phase_sizes, periods in ((run.phase_sizes, {run.period, 15}), ((), set())):
         lanes = pipelines._trial_lanes(seed, trials)
         gen = np.random.Generator(np.random.PCG64(0))
         blocks = [
             pipelines._draw_trials(
-                cfg, None, range(lo, min(lo + step, trials)), lanes, gen, phase_sizes, run.period
+                cfg, None, range(lo, min(lo + step, trials)), lanes, gen, phase_sizes, periods
             )
             for lo in range(0, trials, step)
         ]
-        # each block's (T, 2N) inputs, then its phases
-        block, *phases = (np.concatenate(column) for column in zip(*blocks))
-        columns = [*np.hsplit(block, 2), *phases]
+        assert all(split.keys() == periods for _, split in blocks)
+        # each block's (T, 2N) inputs, then its phases below each period
+        columns = np.hsplit(np.concatenate([inputs for inputs, _ in blocks]), 2)
+        phases = {
+            period: [np.concatenate(column) for column in zip(*(s[period] for _, s in blocks))]
+            for period in periods
+        }
         for t in range(trials):
             rng = np.random.default_rng((seed, t))
             inputs = _numpy_inputs(dist, rng, n)
-            want = (*inputs, *(rng.integers(0, run.period, k) for k in phase_sizes))
-            for got, w in zip(columns, want, strict=True):
-                _assert_identical(got[t], w, (t, phase_sizes))
+            for got, w in zip(columns, inputs, strict=True):
+                _assert_identical(got[t], w, t)
+            for period, got_phases in phases.items():
+                rng = np.random.default_rng((seed, t))
+                _numpy_inputs(dist, rng, n)
+                want = [rng.integers(0, period, k) for k in phase_sizes]
+                for got, w in zip(got_phases, want, strict=True):
+                    _assert_identical(got[t], w, (t, period))
             # the public draw is the same fill and shape, on one row
             drawn = dist.draw(np.random.default_rng((seed, t)), n)
             for got, w in zip(drawn, inputs, strict=True):

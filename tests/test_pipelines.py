@@ -1,5 +1,6 @@
 """End-to-end pipeline behavior: exactness, unbiasedness, noise, accounting."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -11,6 +12,7 @@ import pytest
 
 from scmac import (
     ConfigError,
+    EnergyModelError,
     MacError,
     PipelineConfig,
     SizeMismatchError,
@@ -561,6 +563,36 @@ def test_numpy_float_run_fields_report_like_python_floats(name, value):
 
     want, got = (run_comparison(*pair(x)) for x in (value, np.float32(value)))
     assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+def test_numpy_unit_energy_reports_like_a_python_float():
+    conv, prop = default_tables()
+    tables = (dataclasses.replace(conv, sram_cell_access=np.float32(28.0)), prop)
+    want, got = (
+        run_comparison(conv_cfg(trials=2), prop_cfg(trials=2), tables=t)
+        for t in ((conv, prop), tables)
+    )
+    assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+
+@pytest.mark.parametrize("value", ["1", True])
+def test_wrong_typed_unit_energy_names_the_unit(value):
+    with pytest.raises(EnergyModelError) as exc:
+        dataclasses.replace(default_tables()[0], sram_cell_access=value)
+    assert str(exc.value) == f"unit energy sram_cell_access must be a number, got {value!r}"
+
+
+def test_wrong_typed_explicit_inputs_name_the_field():
+    with pytest.raises(ConfigError) as exc:
+        Explicit(("0.5", True, 0, 0), ("0.25", False, 0, 0))
+    assert str(exc.value) == "explicit samples[0] must be a number, got '0.5'"
+    with pytest.raises(ConfigError) as exc:
+        Explicit((0.5, 1, 0, 0), (0.25, False, 0, 0))
+    assert str(exc.value) == "explicit weights[1] must be a number, got False"
+    # ints and numpy floats are kept as Python floats, as the config reader keeps them
+    dist = Explicit((0, 1), (np.float32(0.25), -1))
+    assert (dist.samples, dist.weights) == ((0.0, 1.0), (0.25, -1.0))
+    assert {type(x) for x in (*dist.samples, *dist.weights)} == {float}
 
 
 def test_integer_vdd_is_echoed_as_an_integer():
